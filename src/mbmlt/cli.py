@@ -12,7 +12,9 @@ ambient OMP/BLAS environment (a threaded Cholesky changes the last bits of
 the exact paths).  MBMLT_NUM_THREADS no longer sets the BLAS thread count.
 The pinning takes effect only when the CLI is the process entry point
 (`mbmlt ...` or `python -m mbmlt.cli`); a main() called after numpy has
-been imported does not pin.
+been imported does not pin.  main() restores the caller's values of those
+variables when it returns, so an in-process caller's environment is left
+as it was.
 """
 from __future__ import annotations
 
@@ -22,15 +24,32 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 FMT = "%.17g"
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
-def _pin_threads() -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = "1"
+
+@contextmanager
+def _pinned_threads():
+    """Set every BLAS/OpenMP thread variable to 1; restore the prior values.
+
+    BLAS libraries read these variables only when numpy is loaded, so
+    restoring them afterwards does not change the thread count of the run.
+    """
+    saved = {var: os.environ.get(var) for var in _THREAD_VARS}
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def _load_config(path: str) -> dict:
@@ -202,7 +221,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _pin_threads()
+    with _pinned_threads():
+        return _main(argv)
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="mbmlt",
         description="Multifractional Brownian motion, local times, and "

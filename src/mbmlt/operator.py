@@ -8,7 +8,6 @@ process variance at time t is exactly t^{2h(t)}.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +156,11 @@ class CovarianceMatrix:
 def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
     """Assemble R_h on a grid and verify positive semidefiniteness.
 
-    Each entry is computed independently (symmetrized by construction), so
-    the result does not depend on evaluation order.
+    All entries come from one broadcast of the h_inner_product formula over
+    the grid (h evaluated once per grid point), so assembly is O(s^2)
+    array work next to the O(s^3) eigenvalue check.  The expression is
+    symmetric in (i, j) operation by operation, so the matrix is exactly
+    symmetric.  h_inner_product is the scalar reference for each entry.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -167,11 +169,12 @@ def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
         raise ValueError("grid must be strictly increasing")
     if grid[0] <= 0 or grid[-1] > h.T + 1e-12:
         raise ValueError(f"grid must lie in (0, {h.T}]")
-    n = len(grid)
-    R = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            R[i, j] = R[j, i] = h_inner_product(grid[i], grid[j], h)
+    hv = h(grid)
+    A = hv[:, None] + hv[None, :]
+    C = normalizing_constant(hv)
+    ratio = normalizing_constant(0.5 * A) ** 2 / (C[:, None] * C[None, :])
+    t, s = grid[:, None], grid[None, :]
+    R = ratio * 0.5 * (t ** A + s ** A - np.abs(t - s) ** A)
     cov = CovarianceMatrix(grid=grid, values=R)
     min_eig = cov.min_eigenvalue()
     if min_eig < -PSD_TOL * np.trace(R):

@@ -3,8 +3,10 @@
 Two generators:
 
 * exact: factorize the exact covariance on the grid (Cholesky with diagonal
-  jitter escalation).  O(s^3), intended for s up to ~2000; this is the
-  verification baseline.
+  jitter escalation).  O(s^3), intended for s up to ~2000: the covariance
+  is one O(s^2) array expression, so at that size the O(s^3) PSD check
+  and factorization take most of the time.  This is the verification
+  baseline.
 * wood_chan: FFT circulant embedding of the stationary increment process for
   constant Hurst index, extended to a time-varying index by simulating a
   field of constant-index paths on an index grid from shared noise and

@@ -30,11 +30,21 @@ __all__ = [
 VALIDATION_GRID = 10_001
 
 
-def normalizing_constant(x: float) -> float:
-    """C(x) = sqrt(2 pi / (Gamma(2x+1) sin(pi x))), defined for x in (0, 1)."""
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"normalizing constant requires x in (0,1), got {x}")
-    return math.sqrt(2.0 * math.pi / (_gamma(2.0 * x + 1.0) * math.sin(math.pi * x)))
+def normalizing_constant(x):
+    """C(x) = sqrt(2 pi / (Gamma(2x+1) sin(pi x))), defined for x in (0, 1).
+
+    Accepts scalars or arrays; every entry must lie in (0, 1).
+    """
+    x = np.asarray(x, dtype=float)
+    inside = (0.0 < x) & (x < 1.0)
+    if not np.all(inside):
+        raise ValueError(
+            f"normalizing constant requires x in (0,1), got {x[~inside].flat[0]}"
+        )
+    out = np.sqrt(2.0 * np.pi / (_gamma(2.0 * x + 1.0) * np.sin(np.pi * x)))
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def gamma_factor(H: float) -> float:
@@ -74,6 +84,17 @@ def hermite_function(k: int, x):
 
 
 @dataclass(frozen=True)
+class _BuiltinRule:
+    """A built-in parametrization: one numpy expression that takes a scalar
+    time or a whole array of times."""
+
+    rule: Callable
+
+    def __call__(self, t):
+        return self.rule(t)
+
+
+@dataclass(frozen=True)
 class HurstFunctional:
     """The parameter function h: [0, T] -> (1/2, 1).
 
@@ -81,6 +102,10 @@ class HurstFunctional:
     on a dense grid together with all later user-requested points, and a
     two-resolution continuity check guards against wildly discontinuous
     callables.
+
+    The built-in parametrizations (constant, linear, sinusoidal) evaluate an
+    array of times in one numpy expression; any other ``eval`` is a scalar
+    callable applied point by point.
     """
 
     T: float
@@ -113,7 +138,10 @@ class HurstFunctional:
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-12) or np.any(t > self.T + 1e-12):
             raise ValueError(f"t outside [0, {self.T}]")
-        out = np.vectorize(self.eval, otypes=[float])(t)
+        if isinstance(self.eval, _BuiltinRule):
+            out = self.eval(t)
+        else:
+            out = np.vectorize(self.eval, otypes=[float])(t)
         if np.any((out <= 0.5) | (out >= 1.0)):
             raise AdmissibilityError("A1 violated at a requested point")
         if out.ndim == 0:
@@ -134,17 +162,18 @@ class HurstFunctional:
 
     @classmethod
     def constant(cls, H: float, T: float = 1.0) -> "HurstFunctional":
-        return cls(T=T, eval=lambda t, H=H: H, description=f"const {H:g}")
+        rule = _BuiltinRule(lambda t: np.full(np.shape(t), H))
+        return cls(T=T, eval=rule, description=f"const {H:g}")
 
     @classmethod
     def linear(cls, a: float, b: float, T: float = 1.0) -> "HurstFunctional":
-        return cls(T=T, eval=lambda t, a=a, b=b: a + b * t,
-                   description=f"linear {a:g}+{b:g}t")
+        rule = _BuiltinRule(lambda t: a + b * t)
+        return cls(T=T, eval=rule, description=f"linear {a:g}+{b:g}t")
 
     @classmethod
     def sinusoidal(cls, a: float, b: float, omega: float, T: float = 1.0) -> "HurstFunctional":
-        return cls(T=T, eval=lambda t, a=a, b=b, w=omega: a + b * math.sin(w * t),
-                   description=f"sin {a:g}+{b:g}sin({omega:g}t)")
+        rule = _BuiltinRule(lambda t: a + b * np.sin(omega * t))
+        return cls(T=T, eval=rule, description=f"sin {a:g}+{b:g}sin({omega:g}t)")
 
     @classmethod
     def from_config(cls, spec: dict, T: float = 1.0) -> "HurstFunctional":
@@ -198,13 +227,25 @@ def check_A2(h: HurstFunctional, N: int, d: int) -> tuple[bool, dict]:
     }
 
 
-def minimal_truncation(h: HurstFunctional, d: int, n_max: int = 10_000) -> int:
+def minimal_truncation(h: HurstFunctional, d: int) -> int:
     """Smallest N with sup h < (1+2N)/(2N+d).
 
     The bound increases to 1 as N grows, and sup h < 1, so a solution always
-    exists for d >= 1.
+    exists for d >= 1.  In exact arithmetic it is the smallest integer
+    N >= 0 above (d sup h - 1) / (2 (1 - sup h)).
     """
-    for N in range(n_max + 1):
-        if h.sup < TruncationParams(N=N, d=d).bound:
-            return N
-    raise AdmissibilityError(f"no truncation order up to {n_max} admits sup h = {h.sup}")
+    def admits(N: int) -> bool:
+        return h.sup < TruncationParams(N=N, d=d).bound
+
+    # Rounding, in the formula and in the bound, can move the first N that
+    # the floating-point test admits off this candidate: by one for moderate
+    # N, by far more when sup h is within ~1e-8 of 1.  So the candidate only
+    # starts a search: double until admitted, then bisect (lo is rejected).
+    lo = -1
+    hi = max(0, math.floor((d * h.sup - 1.0) / (2.0 * (1.0 - h.sup))) + 1)
+    while not admits(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if admits(mid) else (mid, hi)
+    return hi

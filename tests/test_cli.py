@@ -170,6 +170,21 @@ class TestExitCodes:
             main(["frobnicate"])
 
 
+class TestThreadVariables:
+    THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+    def test_in_process_main_restores_environment(self, tmp_path, monkeypatch):
+        # main() pins these to 1 for its own run only; a caller's later
+        # subprocesses must see the caller's values
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = {var: os.environ.get(var) for var in self.THREAD_VARS}
+        code, _ = _run(tmp_path, "covariance", {"hurst": {"const": 0.7}, "s": 4})
+        assert code == 0
+        assert {var: os.environ.get(var) for var in self.THREAD_VARS} == before
+
+
 class TestThreadDeterminism:
     def test_output_independent_of_ambient_threads(self, tmp_path):
         cfg = _write_cfg(tmp_path, {"hurst": {"linear": {"a": 0.55, "b": 0.2}},

@@ -137,6 +137,18 @@ class TestCovarianceMatrix:
         cov = covariance_matrix(grid, h_linear)
         assert cov.min_eigenvalue() >= -1e-8 * np.trace(cov.values)
 
+    @pytest.mark.parametrize("h", [
+        HurstFunctional.linear(0.55, 0.2),
+        HurstFunctional.sinusoidal(0.7, 0.15, 6.0),
+    ], ids=["linear", "sin"])
+    def test_matches_scalar_inner_product(self, h):
+        # the broadcast against the scalar reference, entry by entry
+        grid = np.arange(1, 65) / 64
+        R = covariance_matrix(grid, h).values
+        ref = np.array([[h_inner_product(t, s, h) for s in grid] for t in grid])
+        assert np.max(np.abs(R - ref) / np.abs(ref)) <= 1e-13
+        assert np.array_equal(R, R.T)
+
     def test_bad_grid(self, h_const_07):
         with pytest.raises(ValueError):
             covariance_matrix([0.5, 0.3], h_const_07)

@@ -109,6 +109,26 @@ class TestHurstFunctional:
         with pytest.raises(AdmissibilityError):
             HurstFunctional(T=1.0, eval=step)
 
+    @pytest.mark.parametrize("h, reference", [
+        (HurstFunctional.constant(0.7), lambda t: 0.7 + 0.0 * t),
+        (HurstFunctional.linear(0.55, 0.2, T=2.0), lambda t: 0.55 + 0.2 * t),
+        (HurstFunctional.sinusoidal(0.7, 0.15, 6.0, T=3.0),
+         lambda t: 0.7 + 0.15 * np.sin(6.0 * t)),
+    ], ids=["const", "linear", "sin"])
+    def test_array_evaluation_matches_reference(self, h, reference):
+        grid = np.linspace(0.0, h.T, 10_000)
+        assert np.array_equal(h(grid), reference(grid))
+        # a scalar time goes through the same expression
+        assert h(0.3) == pytest.approx(float(reference(np.float64(0.3))), rel=1e-15)
+        assert isinstance(h(0.3), float)
+
+    def test_custom_callable_evaluates_pointwise(self):
+        # math.cos accepts only scalars, so this runs the point-by-point path
+        h = HurstFunctional(T=1.0, eval=lambda t: 0.7 + 0.1 * math.cos(3.0 * t))
+        grid = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(h(grid), [0.7 + 0.1 * math.cos(3.0 * t) for t in grid])
+        assert h.sup == pytest.approx(0.8)
+
     def test_call_and_sup(self, h_linear):
         assert h_linear(0.0) == pytest.approx(0.55)
         assert h_linear(1.0) == pytest.approx(0.75)
@@ -143,6 +163,21 @@ class TestCheckA2:
         # N=1 gives bound 3/5 = 0.6, not strictly above; N=2 gives 5/7
         assert minimal_truncation(h_const_06, d=3) == 2
         assert check_A2(h_const_06, N=2, d=3)[0]
+
+    @given(st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True),
+           st.integers(min_value=1, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_minimal_truncation_is_first_admitted(self, sup, d):
+        # the closed form against the predicate the old n_max loop tested
+        h = HurstFunctional.constant(sup)
+        N = minimal_truncation(h, d)
+
+        def admits(n):
+            return sup < TruncationParams(N=n, d=d).bound
+
+        assert admits(N)
+        assert N == 0 or not admits(N - 1)
+        assert not any(admits(n) for n in range(min(N, 10_001)))
 
     @given(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=5))
     @settings(max_examples=40, deadline=None)
