@@ -15,7 +15,7 @@ with exp_N the exponential series starting at order N; eps = 0 requires the
 truncation bound sup h < (1+2N)/(2N+d).  The chaos kernels are pure products
 of the indicator kernel under the same time integral, so the pairing with
 phi tensor powers factorizes through a(t); both routes share one graded
-Gauss-Legendre time rule, cached per (h, phi, eps) evaluation.
+Gauss-Legendre time rule, with a(t) tabulated as one table per mesh.
 """
 from __future__ import annotations
 
@@ -25,9 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError
 from .operator import mh_indicator
-from .specfun import HurstFunctional, check_A2, hermite_function
+from .specfun import HurstFunctional, hermite_function, require_truncation_bound
 
 __all__ = [
     "GaussianBump",
@@ -200,12 +199,7 @@ class KernelSpec:
         if self.eps is not None and self.eps <= 0:
             raise ValueError("eps must be positive when given")
         if self.eps is None:
-            ok, diag = check_A2(self.h, self.N, self.index.d)
-            if not ok:
-                raise AdmissibilityError(
-                    f"truncation bound fails: sup h = {diag['sup_h']:g} >= "
-                    f"{diag['bound']:g}; minimal N = {diag['minimal_N']}"
-                )
+            require_truncation_bound(self.h, self.N, self.index.d)
 
 
 # ---------------------------------------------------------------------------
@@ -257,55 +251,96 @@ def exp_trunc(N: int, x):
 # the pairing a_j(t) and graded time quadrature
 # ---------------------------------------------------------------------------
 
-def _piece_edges(p_lo: float, p_hi: float, k0: float,
-                 n_panels: int) -> np.ndarray:
-    """Panel edges on [p_lo, p_hi] with a geometric ladder toward the
-    singular point k0, which resolves power-law behavior spread over many
-    scales with one panel per constant ratio.
+#: nodes per pass of the a(t) table.  A pass holds ~520 points per node, so
+#: blocks keep its arrays near 17k entries; one pass over a whole mesh
+#: (~250k points per component) raised the peak RSS of a two-component
+#: `converge` run from 56 to 73 MB
+_A_BLOCK = 32
+
+
+def _piece_edges(p_lo, p_hi, k0, n_panels: int) -> np.ndarray:
+    """Panel edges of pieces [p_lo, p_hi], one row per piece, with a
+    geometric ladder toward the singular point k0 at one end of the piece,
+    which resolves power-law behavior spread over many scales with one panel
+    per constant ratio.
+
+    The ladder runs over the offsets from k0 between r0, the near end, and
+    r1, the far end.  A piece that touches k0 (r0 = 0) starts its ladder at
+    the floor r1 * 1e-12 and its first panel absorbs [0, floor]; for any
+    other piece that first panel is empty.  Rows toward a k0 above the piece
+    descend.
     """
+    up = k0 <= p_lo
+    r0 = np.where(up, p_lo - k0, k0 - p_hi)
+    r1 = np.where(up, p_hi - k0, k0 - p_lo)
+    start = np.where(r0 == 0.0, r1 * 1e-12, r0)
     u = np.arange(n_panels + 1) / n_panels
-
-    def offsets(r0, r1):
-        # geometric ladder of panel offsets; when the piece touches the kink
-        # start from a floor offset (the first panel absorbs [0, floor])
-        if r0 == 0.0:
-            r0 = r1 * 1e-12
-            return np.concatenate([[0.0], r0 * (r1 / r0) ** u])
-        return r0 * (r1 / r0) ** u
-
-    if k0 <= p_lo:
-        return k0 + offsets(p_lo - k0, p_hi - k0)
-    if k0 >= p_hi:
-        return (k0 - offsets(k0 - p_hi, k0 - p_lo))[::-1]
-    raise ValueError("singular point must not lie strictly inside the piece")
+    offsets = np.column_stack([r0, start[:, None] * (r1 / start)[:, None] ** u])
+    return k0[:, None] + np.where(up, 1.0, -1.0)[:, None] * offsets
 
 
-def _gl_kinked(f, a: float, b: float, kinks, n_panels: int = 12,
-               n_gl: int = 10) -> float:
-    """Integral of a vectorizable f over [a, b] with derivative
-    singularities of f at the ``kinks``; panels refine toward the nearest
-    kink of each segment."""
-    if b <= a:
-        return 0.0
-    kinks = sorted(set(kinks))
-    cuts = sorted({a, b} | {k for k in kinks if a < k < b})
-    total = 0.0
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if lo in kinks and hi in kinks:
-            mid = 0.5 * (lo + hi)
-            pieces = [(lo, mid, lo), (mid, hi, hi)]
+def _pieces(lo: float, hi: float, t: float) -> list:
+    """Pieces (p_lo, p_hi, k0) of [lo, hi] for the kinks 0 and t > 0.
+
+    The kinks inside cut [lo, hi] into segments; each segment is graded
+    toward its nearest kink, and a segment between the two kinks is halved
+    and graded toward both.
+    """
+    kinks = (0.0, t)
+    cuts = sorted({lo, hi} | {k for k in kinks if lo < k < hi})
+    out = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if a in kinks and b in kinks:
+            mid = 0.5 * (a + b)
+            out += [(a, mid, a), (mid, b, b)]
         else:
-            k0 = min(kinks, key=lambda k: min(abs(k - lo), abs(k - hi)))
-            pieces = [(lo, hi, k0)]
-        for p_lo, p_hi, k0 in pieces:
-            edges = _piece_edges(p_lo, p_hi, k0, n_panels)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            halves = 0.5 * np.diff(edges)
-            x = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
-            w = (halves[:, None] * wg[None, :]).ravel()
-            total += float(np.dot(w, f(x)))
-    return total
+            out.append((a, b, min(kinks, key=lambda k: min(abs(k - a), abs(k - b)))))
+    return out
+
+
+def _kinked_rule(lo: float, hi: float, t: np.ndarray, n_panels: int = 12,
+                 n_gl: int = 10):
+    """Points and weights of the composite Gauss-Legendre rule for the
+    integral over [lo, hi] at each node t > 0, one row per node.
+
+    Rows hold the panels of every piece of their node; a node with fewer
+    pieces than the widest one in the block is padded with zero weights.
+    """
+    pieces = [_pieces(lo, hi, tk) for tk in t]
+    width = max(map(len, pieces))
+    slots = [i * width + k for i, ps in enumerate(pieces) for k in range(len(ps))]
+    p_lo, p_hi, k0 = np.array([p for ps in pieces for p in ps]).T
+    edges = _piece_edges(p_lo, p_hi, k0, n_panels)
+    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    halves = 0.5 * np.abs(np.diff(edges, axis=1))
+    xg, wg = np.polynomial.legendre.leggauss(n_gl)
+    x = np.zeros((len(t) * width, n_panels + 1, n_gl))
+    w = np.zeros_like(x)
+    x[slots] = mids[..., None] + halves[..., None] * xg
+    w[slots] = halves[..., None] * wg
+    return x.reshape(len(t), -1), w.reshape(len(t), -1)
+
+
+def _a_table(h: HurstFunctional, nodes, phi: TestFunction) -> np.ndarray:
+    """a_j(t) at every node, shape (len(nodes), d); rows for t <= 0 are zero.
+
+    h is evaluated once on the node array.  Nodes go in blocks of _A_BLOCK:
+    per block and component, the integrand phi_j(x) (M_{h(t)} 1_[0,t))(x)
+    is evaluated at all points of all nodes in one broadcast and summed per
+    node.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    table = np.zeros((len(nodes), phi.d))
+    live = np.flatnonzero(nodes > 0)
+    hvals = h(nodes[live])
+    for start in range(0, len(live), _A_BLOCK):
+        rows = live[start:start + _A_BLOCK]
+        t, H = nodes[rows], hvals[start:start + _A_BLOCK]
+        for j, comp in enumerate(phi.components):
+            x, w = _kinked_rule(*comp.support(), t)
+            f = comp(x) * mh_indicator(H[:, None], t[:, None], x)
+            table[rows, j] = np.sum(w * f, axis=1)
+    return table
 
 
 def a_vector(h: HurstFunctional, t: float, phi: TestFunction) -> np.ndarray:
@@ -313,17 +348,10 @@ def a_vector(h: HurstFunctional, t: float, phi: TestFunction) -> np.ndarray:
 
     The integrand is smooth except for derivative singularities of the
     indicator kernel at x = 0 and x = t; the composite rule grades its
-    panels toward those points.
+    panels toward those points.  This is the one-node case of the table
+    that the time rules use.
     """
-    if t <= 0:
-        return np.zeros(phi.d)
-    H = h(t)
-    out = np.empty(phi.d)
-    for j, comp in enumerate(phi.components):
-        lo, hi = comp.support()
-        out[j] = _gl_kinked(lambda x: comp(x) * mh_indicator(H, t, x),
-                            lo, hi, kinks=(0.0, t))
-    return out
+    return _a_table(h, [t], phi)[0]
 
 
 def _graded_nodes(T: float, gamma: float, n_panels: int, n_gl: int):
@@ -356,18 +384,18 @@ def _grading_exponent(h: HurstFunctional, N: int, d: int, eps: float) -> float:
 
 
 class _LocalTimeQuadrature:
-    """Shared time rule with cached a_j values, used by both S-transform
-    routes so their comparison isolates the series truncation."""
+    """Time rule on one graded mesh, with that mesh's a(t) table, used by
+    both S-transform routes so their comparison isolates the series
+    truncation."""
 
-    def __init__(self, h: HurstFunctional, T: float, phi: TestFunction,
-                 N: int, eps: float, n_panels: int = 48, n_gl: int = 10):
-        gamma = _grading_exponent(h, N, phi.d, eps)
-        self.nodes, self.weights = _graded_nodes(T, gamma, n_panels, n_gl)
-        self.hvals = h(self.nodes)
-        self.var = eps + self.nodes ** (2.0 * self.hvals)
-        self.base = (2.0 * np.pi * self.var) ** (-phi.d / 2.0)
-        self.a = np.array([a_vector(h, t, phi) for t in self.nodes])  # (q, d)
-        self.y = np.sum(self.a * self.a, axis=1) / (2.0 * self.var)
+    def __init__(self, weights: np.ndarray, t2h: np.ndarray, a: np.ndarray,
+                 eps: float):
+        # t2h = t^{2h(t)} at the nodes
+        self.weights = weights
+        self.a = a  # (q, d)
+        self.var = eps + t2h
+        self.base = (2.0 * np.pi * self.var) ** (-a.shape[1] / 2.0)
+        self.y = np.sum(a * a, axis=1) / (2.0 * self.var)
 
     def direct(self, N: int) -> float:
         return float(np.sum(self.weights * self.base * exp_trunc(N, -self.y)))
@@ -403,14 +431,36 @@ def s_transform_delta(h: HurstFunctional, t: float, phi: TestFunction,
     )
 
 
-def _check_unregularized(h: HurstFunctional, N: int, d: int) -> None:
-    ok, diag = check_A2(h, N, d)
-    if not ok:
-        raise AdmissibilityError(
-            f"unregularized local time diverges: sup h = {diag['sup_h']:g} >= "
-            f"bound {diag['bound']:g} for N={N}, d={d}; "
-            f"minimal N = {diag['minimal_N']}"
-        )
+def _quadratures(h: HurstFunctional, N: int, T: float, phi: TestFunction,
+                 eps_list: Sequence[float], n_panels: int = 48,
+                 n_gl: int = 10) -> list[_LocalTimeQuadrature]:
+    """One time rule per eps.  a(t) does not depend on eps, so it is
+    tabulated once per distinct mesh: every eps > 0 shares the grading-2
+    mesh, and eps = 0 shares it unless the truncation needs a harder grading.
+    """
+    for eps in eps_list:
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
+        if eps == 0.0:
+            require_truncation_bound(h, N, phi.d)
+    meshes = {}
+    out = []
+    for eps in eps_list:
+        gamma = _grading_exponent(h, N, phi.d, eps)
+        if gamma not in meshes:
+            nodes, weights = _graded_nodes(T, gamma, n_panels, n_gl)
+            meshes[gamma] = (weights, nodes ** (2.0 * h(nodes)),
+                             _a_table(h, nodes, phi))
+        out.append(_LocalTimeQuadrature(*meshes[gamma], eps))
+    return out
+
+
+def _s_transform_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
+                     eps_list: Sequence[float], n_panels: int = 48,
+                     n_gl: int = 10) -> list[float]:
+    """s_transform_local_time at each eps of the list, one a(t) table per mesh."""
+    return [q.direct(N) for q in
+            _quadratures(h, N, T, phi, eps_list, n_panels=n_panels, n_gl=n_gl)]
 
 
 def s_transform_local_time(h: HurstFunctional, N: int, T: float,
@@ -421,12 +471,7 @@ def s_transform_local_time(h: HurstFunctional, N: int, T: float,
     Graded-mesh Gauss-Legendre time quadrature; eps = 0 requires the
     truncation bound, else the integral diverges at t = 0.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0.0:
-        _check_unregularized(h, N, phi.d)
-    q = _LocalTimeQuadrature(h, T, phi, N, eps, n_panels=n_panels, n_gl=n_gl)
-    return q.direct(N)
+    return _s_transform_eps(h, N, T, phi, [eps], n_panels=n_panels, n_gl=n_gl)[0]
 
 
 def kernel_eval(spec: KernelSpec, u, n_panels: int = 48, n_gl: int = 10) -> float:
@@ -461,10 +506,7 @@ def kernel_eval(spec: KernelSpec, u, n_panels: int = 48, n_gl: int = 10) -> floa
         w = nodes ** (-(2.0 * n + d) * hvals)
     else:
         w = (eps + nodes ** (2.0 * hvals)) ** (-(n + d / 2.0))
-    prod = np.ones_like(nodes)
-    if n > 0:
-        for q, (t, H) in enumerate(zip(nodes, hvals)):
-            prod[q] = np.prod(mh_indicator(H, t, u))
+    prod = np.prod(mh_indicator(hvals[:, None], nodes[:, None], u[None, :]), axis=1)
     fact = 1.0
     for nj in n_vec:
         fact *= math.factorial(nj)
@@ -479,14 +521,10 @@ def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
 
     Entry i is the sum of kernel pairings over all multi-indices with total
     order in [N, N + i]; the sums converge to the direct S-transform value.
-    Kernel pairings factorize through the cached a_j(t), so the cost is
+    Kernel pairings factorize through the tabulated a_j(t), so the cost is
     O(n_max * nodes) per diagonal plus the multi-index combinatorics.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0.0:
-        _check_unregularized(h, N, phi.d)
-    q = _LocalTimeQuadrature(h, T, phi, N, eps, n_panels=n_panels, n_gl=n_gl)
+    q = _quadratures(h, N, T, phi, [eps], n_panels=n_panels, n_gl=n_gl)[0]
     partial = []
     acc = 0.0
     for n in range(N, n_max + 1):
@@ -520,12 +558,8 @@ def convergence_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     Requires the truncation bound (so the eps = 0 limit exists); the gap
     |S_eps - S_0| shrinks to 0 as eps decreases.
     """
-    _check_unregularized(h, N, phi.d)
-    limit = s_transform_local_time(h, N, T, phi, eps=0.0)
-    rows = []
-    for eps in eps_list:
-        if eps <= 0:
-            raise ValueError("eps entries must be positive")
-        val = s_transform_local_time(h, N, T, phi, eps=eps)
-        rows.append(ConvergenceRow(eps=eps, value=val, gap=abs(val - limit)))
-    return rows
+    if any(eps <= 0 for eps in eps_list):
+        raise ValueError("eps entries must be positive")
+    limit, *values = _s_transform_eps(h, N, T, phi, [0.0, *eps_list])
+    return [ConvergenceRow(eps=eps, value=val, gap=abs(val - limit))
+            for eps, val in zip(eps_list, values)]

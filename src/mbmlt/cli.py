@@ -145,16 +145,15 @@ def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
 
 
 def _cmd_stransform(cfg: dict, outdir: Path) -> dict:
-    from .chaos import TestFunction, s_transform_local_time
+    from .chaos import TestFunction, _s_transform_eps
 
     h, d, phi = _build(cfg)
     if phi is None:
         phi = TestFunction.zero(d)
     N = int(cfg.get("N", 0))
-    rows = []
-    for eps in [float(e) for e in cfg.get("eps", [0.0])]:
-        val = s_transform_local_time(h, N, h.T, phi, eps=eps)
-        rows.append((eps, N, val))
+    eps_list = [float(e) for e in cfg.get("eps", [0.0])]
+    values = _s_transform_eps(h, N, h.T, phi, eps_list)
+    rows = [(eps, N, val) for eps, val in zip(eps_list, values)]
     _write_csv(outdir / "stransform.csv", ["eps", "N", "value"], rows)
     return {"N": N}
 

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AdmissibilityError, NumericalError
 from .simulate import MbmPathSet
@@ -113,6 +112,8 @@ def expected_local_time(h: HurstFunctional, eps: float, T: float, d: int) -> flo
     eps = 0 is allowed only when d * sup h < 1 (otherwise the integral
     diverges at t = 0 and an AdmissibilityError is raised).
     """
+    from scipy.integrate import quad  # deferred: slow to import, used only here
+
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if d < 1 or T <= 0 or T > h.T + 1e-12:

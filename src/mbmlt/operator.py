@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericalError
 from .specfun import HurstFunctional, gamma_factor, normalizing_constant
@@ -28,7 +27,7 @@ __all__ = [
 PSD_TOL = 1e-8
 
 
-def mh_indicator(H: float, t: float, u):
+def mh_indicator(H, t, u):
     """(M_H 1_[0,t))(u) in closed form.
 
     Antiderivative evaluation of gamma(H) int_{-u}^{t-u} |y|^{H-3/2} dy:
@@ -37,15 +36,15 @@ def mh_indicator(H: float, t: float, u):
 
     Continuous in u with a cusp of Hoelder exponent H - 1/2 at u = 0 and
     u = t; decays like |u|^{H-3/2}.  t = 0 gives the zero function.
+    H, t and u may be scalars or arrays that broadcast together, so one call
+    covers many (H, t) pairs.
     """
     u = np.asarray(u, dtype=float)
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        out = np.zeros_like(u)
-        return float(out) if out.ndim == 0 else out
     g = gamma_factor(H)  # raises outside (1/2, 1)
-    p = H - 0.5
+    p = np.asarray(H, dtype=float) - 0.5
     out = (g / p) * (np.sign(t - u) * np.abs(t - u) ** p + np.sign(u) * np.abs(u) ** p)
     if out.ndim == 0:
         return float(out)
@@ -64,6 +63,8 @@ def mh_apply(H: float, f, x: float, *, breaks=(), tail: float = None,
     Raises NumericalError if the accumulated quadrature error estimate
     exceeds the tolerance.
     """
+    from scipy.integrate import quad  # deferred: slow to import, used only here
+
     if not 0.5 < H < 1.0:
         raise ValueError(f"mh_apply requires H in (1/2,1), got {H}")
     gH = gamma_factor(H)

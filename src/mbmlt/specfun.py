@@ -23,6 +23,7 @@ __all__ = [
     "HurstFunctional",
     "TruncationParams",
     "check_A2",
+    "require_truncation_bound",
     "minimal_truncation",
 ]
 
@@ -47,18 +48,23 @@ def normalizing_constant(x):
     return out
 
 
-def gamma_factor(H: float) -> float:
+def gamma_factor(H):
     """Convolution-kernel constant gamma(H) for the fractional operator.
 
     gamma(H) = sqrt(Gamma(2H+1) sin(pi H)) / (2 Gamma(H-1/2) cos(pi (H-1/2)/2)),
     defined for H in (1/2, 1); it vanishes as H -> 1/2+ (Gamma pole in the
-    denominator).
+    denominator).  Accepts scalars or arrays; every entry must lie in (1/2, 1).
     """
-    if not 0.5 < H < 1.0:
-        raise ValueError(f"gamma_factor requires H in (1/2,1), got {H}")
-    num = math.sqrt(_gamma(2.0 * H + 1.0) * math.sin(math.pi * H))
-    den = 2.0 * _gamma(H - 0.5) * math.cos(math.pi * (H - 0.5) / 2.0)
-    return num / den
+    H = np.asarray(H, dtype=float)
+    inside = (0.5 < H) & (H < 1.0)
+    if not np.all(inside):
+        raise ValueError(f"gamma_factor requires H in (1/2,1), got {H[~inside].flat[0]}")
+    num = np.sqrt(_gamma(2.0 * H + 1.0) * np.sin(np.pi * H))
+    den = 2.0 * _gamma(H - 0.5) * np.cos(np.pi * (H - 0.5) / 2.0)
+    out = num / den
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def hermite_function(k: int, x):
@@ -249,3 +255,17 @@ def minimal_truncation(h: HurstFunctional, d: int) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if admits(mid) else (mid, hi)
     return hi
+
+
+def require_truncation_bound(h: HurstFunctional, N: int, d: int) -> None:
+    """Raise AdmissibilityError unless sup h < (1+2N)/(2N+d).
+
+    Without regularization the order-N-truncated local time, and each of its
+    chaos kernels, exists only under this bound.
+    """
+    ok, diag = check_A2(h, N, d)
+    if not ok:
+        raise AdmissibilityError(
+            f"truncation bound fails: sup h = {diag['sup_h']:g} >= bound "
+            f"{diag['bound']:g} for N={N}, d={d}; minimal N = {diag['minimal_N']}"
+        )

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import mbmlt.chaos
 from mbmlt.chaos import (
     ChaosIndex,
     GaussianBump,
     HermiteCombination,
     KernelSpec,
     TestFunction,
+    _a_table,
+    _graded_nodes,
     a_vector,
     chaos_pairing,
     convergence_eps,
@@ -148,6 +151,84 @@ class TestAVector:
         a1 = a_vector(h_const_07, 0.5, phi_1d)
         a3 = a_vector(h_const_07, 0.5, phi_1d.scaled(3.0))
         assert a3 == pytest.approx(3.0 * a1, rel=1e-12)
+
+
+def _per_node_rule(f, a, b, kinks, n_panels=12, n_gl=10):
+    """Reference for one node and component: the composite rule, panel by
+    panel, with the panels of each piece graded geometrically toward the
+    kink nearest to the piece (floor offset 1e-12 when the piece touches it).
+    """
+    kinks = sorted(set(kinks))
+    cuts = sorted({a, b} | {k for k in kinks if a < k < b})
+    xg, wg = np.polynomial.legendre.leggauss(n_gl)
+    u = np.arange(n_panels + 1) / n_panels
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lo in kinks and hi in kinks:
+            mid = 0.5 * (lo + hi)
+            pieces = [(lo, mid, lo), (mid, hi, hi)]
+        else:
+            k0 = min(kinks, key=lambda k: min(abs(k - lo), abs(k - hi)))
+            pieces = [(lo, hi, k0)]
+        for p_lo, p_hi, k0 in pieces:
+            r0, r1 = (p_lo - k0, p_hi - k0) if k0 <= p_lo else (k0 - p_hi, k0 - p_lo)
+            if r0 == 0.0:
+                r0 = r1 * 1e-12
+                offsets = np.concatenate([[0.0], r0 * (r1 / r0) ** u])
+            else:
+                offsets = r0 * (r1 / r0) ** u
+            edges = k0 + offsets if k0 <= p_lo else (k0 - offsets)[::-1]
+            for e0, e1 in zip(edges[:-1], edges[1:]):
+                mid, half = 0.5 * (e0 + e1), 0.5 * (e1 - e0)
+                total += float(np.dot(half * wg, f(mid + half * xg)))
+    return total
+
+
+class TestATable:
+    COMPONENTS = {
+        "gaussian": GaussianBump(0.5, 0.2, 0.8),
+        "hermite": HermiteCombination((1.0, -0.5, 0.3)),
+        # support [0.44, 1.16] starts inside (0, T): nodes below, inside and
+        # above its left end get different panel layouts
+        "bump_inside": GaussianBump(1.0, 0.8, 0.03),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMPONENTS))
+    def test_matches_per_node_rule(self, h_linear, name):
+        comp = self.COMPONENTS[name]
+        phi = TestFunction((comp,))
+        # a t = 0 row and 80 graded nodes: three blocks, the last one partial
+        nodes = np.concatenate([[0.0], _graded_nodes(1.0, 16.0, 8, 10)[0]])
+        table = _a_table(h_linear, nodes, phi)
+        assert table.shape == (len(nodes), 1)
+        assert table[0, 0] == 0.0
+        lo, hi = comp.support()
+        for t, got in zip(nodes[1:], table[1:, 0]):
+            H = h_linear(t)
+            ref = _per_node_rule(lambda x: comp(x) * mh_indicator(H, t, x),
+                                 lo, hi, kinks=(0.0, t))
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_zero_test_function(self, h_linear):
+        nodes = _graded_nodes(1.0, 2.0, 8, 10)[0]
+        table = _a_table(h_linear, nodes, TestFunction.zero(2))
+        assert np.array_equal(table, np.zeros((len(nodes), 2)))
+
+    def test_convergence_builds_one_table_per_mesh(self, monkeypatch):
+        # the chaos-gap benchmark config: eps = 0 grades with 16, and every
+        # eps > 0 shares one grading-2 mesh
+        built = []
+
+        def counting(h, nodes, phi):
+            built.append(len(nodes))
+            return _a_table(h, nodes, phi)
+
+        monkeypatch.setattr(mbmlt.chaos, "_a_table", counting)
+        h = HurstFunctional.linear(0.55, 0.15)
+        phi = TestFunction((GaussianBump(1.0, 1.0, 0.3), GaussianBump(1.0, 1.5, 0.3)))
+        rows = convergence_eps(h, 1, 1.0, phi, (0.1, 0.01, 0.001, 1e-4))
+        assert len(rows) == 4
+        assert len(built) == 2
 
 
 class TestSTransformDelta:

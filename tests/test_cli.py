@@ -100,6 +100,32 @@ class TestSTransformCommand:
         rows = (out / "stransform.csv").read_text().strip().split("\n")
         assert len(rows) == 3
 
+    def test_eps_list_shares_one_table_per_mesh(self, tmp_path, monkeypatch):
+        import mbmlt.chaos
+        from mbmlt.chaos import TestFunction, s_transform_local_time
+        from mbmlt.specfun import HurstFunctional
+
+        built = []
+        a_table = mbmlt.chaos._a_table
+
+        def counting(h, nodes, phi):
+            built.append(len(nodes))
+            return a_table(h, nodes, phi)
+
+        monkeypatch.setattr(mbmlt.chaos, "_a_table", counting)
+        spec = {"components": [
+            {"gaussian": {"amplitude": 0.5, "center": 0.2, "width": 0.8}}]}
+        cfg = {"hurst": {"const": 0.7}, "d": 1, "N": 1,
+               "eps": [0.1, 0.01, 0.001], "test_function": spec}
+        code, out = _run(tmp_path, "stransform", cfg)
+        assert code == 0
+        assert len(built) == 1  # every eps > 0 uses the same mesh
+        rows = (out / "stransform.csv").read_text().strip().split("\n")[1:]
+        h, phi = HurstFunctional.constant(0.7), TestFunction.from_config(spec)
+        for row, eps in zip(rows, cfg["eps"]):
+            value = float(row.split(",")[2])
+            assert value == s_transform_local_time(h, 1, 1.0, phi, eps=eps)
+
     def test_dimension_mismatch_is_config_error(self, tmp_path):
         cfg = {
             "hurst": {"const": 0.7}, "d": 2,
@@ -168,6 +194,17 @@ class TestExitCodes:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestImports:
+    def test_quadrature_module_not_loaded(self):
+        # scipy.integrate is slow to import and only mh_apply and
+        # expected_local_time use it
+        code = ("import sys, mbmlt.cli, mbmlt.chaos, mbmlt.simulate; "
+                "sys.exit('scipy.integrate' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestThreadVariables:

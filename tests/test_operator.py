@@ -66,6 +66,22 @@ class TestMhIndicator:
         with pytest.raises(ValueError):
             mh_indicator(0.75, -1.0, 0.0)
 
+    def test_array_domain(self):
+        with pytest.raises(ValueError):
+            mh_indicator(np.array([0.75, 0.4]), 1.0, 0.0)
+        with pytest.raises(ValueError):
+            mh_indicator(0.75, np.array([1.0, -1.0]), 0.0)
+
+    def test_broadcast_over_h_and_t(self):
+        # one call for many (H, t) pairs equals one call per pair
+        H = np.array([0.55, 0.7, 0.95])
+        t = np.array([0.0, 0.3, 1.0])
+        u = np.linspace(-2.0, 3.0, 11)
+        got = mh_indicator(H[:, None], t[:, None], u)
+        assert got.shape == (3, 11)
+        for Hk, tk, row in zip(H, t, got):
+            assert row == pytest.approx(mh_indicator(Hk, tk, u), rel=1e-14, abs=0.0)
+
 
 class TestMhApply:
     def test_linearity(self):

@@ -14,6 +14,7 @@ from mbmlt.specfun import (
     hermite_function,
     minimal_truncation,
     normalizing_constant,
+    require_truncation_bound,
 )
 
 from .oracles import gauss_hermite_inner, hermite_direct
@@ -62,6 +63,18 @@ class TestGammaFactor:
     def test_domain(self, H):
         with pytest.raises(ValueError):
             gamma_factor(H)
+
+    @pytest.mark.parametrize("H", [0.5, 1.0, 0.3, 1.2])
+    def test_array_domain(self, H):
+        with pytest.raises(ValueError):
+            gamma_factor(np.array([0.75, H]))
+
+    def test_array_matches_scalar(self):
+        H = np.linspace(0.51, 0.99, 49)
+        got = gamma_factor(H)
+        assert got.shape == H.shape
+        for Hk, gk in zip(H, got):
+            assert gk == pytest.approx(gamma_factor(float(Hk)), rel=1e-14)
 
 
 class TestHermiteFunction:
@@ -158,6 +171,11 @@ class TestCheckA2:
         ok, diag = check_A2(h_const_06, N=0, d=3)
         assert not ok
         assert diag["bound"] == pytest.approx(1 / 3)
+
+    def test_require_truncation_bound(self, h_const_06):
+        require_truncation_bound(h_const_06, N=2, d=3)
+        with pytest.raises(AdmissibilityError, match="minimal N = 2"):
+            require_truncation_bound(h_const_06, N=1, d=3)
 
     def test_minimal_truncation_d3(self, h_const_06):
         # N=1 gives bound 3/5 = 0.6, not strictly above; N=2 gives 5/7
