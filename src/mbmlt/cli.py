@@ -5,7 +5,10 @@ selftest.  All numeric work lives in the library modules; this file only
 parses configuration, calls them, and writes CSV plus a JSON manifest.
 
 Exit codes: 1 config error, 2 math-domain error (range/truncation-bound
-violation or divergence), 3 numerical failure (quadrature/factorization).
+violation or divergence), 3 numerical failure (quadrature/factorization),
+4 internal error (any other exception, e.g. MemoryError or a failing
+selftest; its traceback is printed first).  Every failure ends stderr with
+a one-line JSON reason.
 BLAS runs on one thread: main() sets every BLAS/OpenMP thread variable to 1
 before numpy is loaded, so outputs are byte-identical regardless of the
 ambient OMP/BLAS environment (a threaded Cholesky changes the last bits of
@@ -24,8 +27,11 @@ import os
 import subprocess
 import sys
 import time
+import traceback
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import AdmissibilityError, NumericalError
 
 FMT = "%.17g"
 
@@ -219,6 +225,17 @@ COMMANDS = {
 }
 
 
+def _classify(exc: Exception) -> tuple[str, int]:
+    """The JSON error name and exit code of an exception a command raised."""
+    if isinstance(exc, AdmissibilityError):
+        return "math-domain", 2
+    if isinstance(exc, NumericalError):
+        return "numerical", 3
+    if isinstance(exc, (KeyError, TypeError, ValueError, OSError)):  # incl. JSONDecodeError
+        return "config", 1
+    return "internal", 4
+
+
 def main(argv=None) -> int:
     with _pinned_threads():
         return _main(argv)
@@ -250,18 +267,13 @@ def _main(argv) -> int:
         if args.command != "selftest" and "hurst" not in cfg:
             raise ValueError("config must define a 'hurst' entry")
         extra = COMMANDS[args.command](cfg, outdir)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:
-        from .errors import AdmissibilityError
-
-        if isinstance(exc, AdmissibilityError):
-            print(json.dumps({"error": "math-domain", "reason": str(exc)}),
-                  file=sys.stderr)
-            return 2
-        print(json.dumps({"error": "config", "reason": str(exc)}), file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        print(json.dumps({"error": "numerical", "reason": str(exc)}), file=sys.stderr)
-        return 3
+    except Exception as exc:
+        error, code = _classify(exc)
+        if error == "internal":  # a defect or resource failure: keep its traceback
+            traceback.print_exc()
+        reason = repr(exc) if error == "internal" else str(exc)
+        print(json.dumps({"error": error, "reason": reason}), file=sys.stderr)
+        return code
     _write_manifest(outdir, cfg, {"command": args.command, **extra}, t0)
     return 0
 

@@ -10,7 +10,10 @@ Two generators:
 * wood_chan: FFT circulant embedding of the stationary increment process for
   constant Hurst index, extended to a time-varying index by simulating a
   field of constant-index paths on an index grid from shared noise and
-  interpolating.  Fast but approximate for non-constant h.
+  interpolating.  Fast but approximate for non-constant h.  The levels are
+  streamed: each is synthesized, cumulated and folded into the output in
+  turn, so working memory is O(n_paths * M) per component (M the embedding
+  size), not O(levels * n_paths * s).
 
 All randomness flows from a single 64-bit seed through numpy SeedSequence
 spawning, so output does not depend on scheduling.  It is byte-identical
@@ -97,15 +100,15 @@ class MbmPathSet:
         return out
 
     def to_csv(self, path) -> None:
-        """One row per (path, time), d value columns."""
+        """One row per (path, time), d value columns; formatted path by path."""
         n, d, s = self.values.shape
         with open(path, "w") as fh:
             fh.write("path,t," + ",".join(f"v{j+1}" for j in range(d)) + "\n")
             grid = self.grid
             for p in range(n):
-                for k in range(s):
-                    vals = ",".join(f"{self.values[p, j, k]:.17g}" for j in range(d))
-                    fh.write(f"{p},{grid[k]:.17g},{vals}\n")
+                rows = (f"{p},%.17g" + ",%.17g" * d + "\n") * s
+                block = np.column_stack([grid, self.values[p].T])
+                fh.write(rows % tuple(block.ravel().tolist()))
 
     def metadata(self) -> dict:
         c = self.config
@@ -195,29 +198,6 @@ def _embedding_size(H_levels, s: int) -> tuple[int, dict]:
     )
 
 
-def _wood_chan_fgn_levels(H_levels, s: int, n_paths: int, rng) -> np.ndarray:
-    """Unit-spacing fGn samples for each Hurst level from shared noise.
-
-    Returns shape (levels, n_paths, s).  The same complex noise drives every
-    level so that paths vary smoothly across levels.
-    """
-    m, eigs = _embedding_size(H_levels, s)
-    M = 2 * m
-    n_pairs = (n_paths + 1) // 2
-    U = rng.standard_normal((n_pairs, M))
-    V = rng.standard_normal((n_pairs, M))
-    zeta = U + 1j * V
-    out = np.empty((len(H_levels), n_paths, s))
-    for i, H in enumerate(H_levels):
-        w = np.sqrt(eigs[H] / M) * zeta
-        y = np.fft.fft(w, axis=1)
-        pair = np.empty((2 * n_pairs, s))
-        pair[0::2] = y.real[:, :s]
-        pair[1::2] = y.imag[:, :s]
-        out[i] = pair[:n_paths]
-    return out
-
-
 def simulate_wood_chan_fbm(H: float, s: int, T: float, n_paths: int,
                            seed: int) -> MbmPathSet:
     """Constant-index paths via circulant embedding; exact in law.
@@ -244,26 +224,46 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     """Field construction: constant-index paths on an index grid, then
     linear interpolation in the index at each time.
 
+    Per component one complex noise array drives every level, so paths vary
+    smoothly across levels.  The levels are streamed in increasing order:
+    level i is synthesized, cumulated and scaled by dt ** H_i, then stored
+    with weight 1 - w at the times whose lower neighbour it is and added
+    with weight w where it is the upper one.  At most one level is held at
+    a time, so working memory is O(n_paths * M) per component, M the
+    embedding size, rather than O(levels * n_paths * s).
+
     Approximate for non-constant h.  For constant h there is a single level
     and no interpolation, so the result is exact in law; with d = 1 it is
     what simulate_wood_chan_fbm returns for the same seed.
     """
-    grid = config.grid
-    levels = _hurst_levels(config.h, grid)
-    hvals = config.h(grid)
-    dt = config.T / config.s
-    streams = np.random.SeedSequence(config.seed).spawn(config.d)
-    values = np.empty((config.n_paths, config.d, config.s))
-    for j in range(config.d):
-        rng = np.random.default_rng(streams[j])
-        fgn = _wood_chan_fgn_levels(levels, config.s, config.n_paths, rng)
-        fields = np.cumsum(fgn, axis=2) * dt ** levels[:, None, None]
-        if len(levels) == 1:
-            values[:, j, :] = fields[0]
-            continue
-        # per time index: interpolate across levels at h(t_k)
+    s, n_paths = config.s, config.n_paths
+    levels = _hurst_levels(config.h, config.grid)
+    hvals = config.h(config.grid)
+    scale = (config.T / s) ** levels  # array pow; libm's scalar pow can differ by 1 ulp
+    if len(levels) == 1:  # the one level is stored with weight 1 - 0
+        idx, w = np.zeros(s, dtype=int), np.zeros(s)
+    else:  # per time index: the bracketing levels and the weight of the upper
         idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
         w = (hvals - levels[idx]) / (levels[idx + 1] - levels[idx])
-        k = np.arange(config.s)
-        values[:, j, :] = (1 - w) * fields[idx, :, k].T + w * fields[idx + 1, :, k].T
+    m, eigs = _embedding_size(levels, s)
+    M = 2 * m
+    n_pairs = (n_paths + 1) // 2
+    pair = np.empty((2 * n_pairs, s))  # path 2p is Re, path 2p + 1 is Im
+    streams = np.random.SeedSequence(config.seed).spawn(config.d)
+    values = np.empty((n_paths, config.d, s))
+    for j in range(config.d):
+        rng = np.random.default_rng(streams[j])
+        zeta = np.empty((n_pairs, M), dtype=complex)
+        zeta.real = rng.standard_normal((n_pairs, M))
+        zeta.imag = rng.standard_normal((n_pairs, M))
+        for i, H in enumerate(levels):
+            y = np.fft.fft(np.sqrt(eigs[H] / M) * zeta, axis=1)
+            pair[0::2] = y.real[:, :s]
+            pair[1::2] = y.imag[:, :s]
+            del y
+            field = np.cumsum(pair[:n_paths], axis=1)
+            field *= scale[i]
+            lower, upper = idx == i, idx + 1 == i
+            values[:, j, lower] = (1 - w[lower]) * field[:, lower]
+            values[:, j, upper] += w[upper] * field[:, upper]
     return MbmPathSet(config=config, values=values, method="wood_chan")

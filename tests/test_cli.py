@@ -191,6 +191,29 @@ class TestExitCodes:
         code, _ = _run(tmp_path, "simulate", {"hurst": {"const": 0.7}, "s": 8})
         assert code == 3
 
+    @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("stray")])
+    def test_unexpected_failure_is_internal_error(self, tmp_path, monkeypatch,
+                                                  capsys, exc):
+        import mbmlt.simulate
+
+        def boom(config):
+            raise exc
+
+        monkeypatch.setattr(mbmlt.simulate, "simulate", boom)
+        code, _ = _run(tmp_path, "simulate", {"hurst": {"const": 0.7}, "s": 8})
+        assert code == 4
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"] == "internal"
+        assert type(exc).__name__ in report["reason"]
+
+    def test_failing_selftest_is_internal_error(self, tmp_path, monkeypatch):
+        import mbmlt.cli
+
+        monkeypatch.setattr(mbmlt.cli.subprocess, "run",
+                            lambda *a, **k: subprocess.CompletedProcess(a, 1))
+        code = main(["selftest", "--out", str(tmp_path)])
+        assert code == 4
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,6 +8,8 @@ from mbmlt.operator import h_inner_product
 from mbmlt.simulate import (
     MbmPathSet,
     SimulationConfig,
+    _embedding_size,
+    _hurst_levels,
     simulate,
     simulate_exact,
     simulate_wood_chan_fbm,
@@ -46,6 +50,18 @@ class TestPathSet:
         assert len(rows) == 1 + 2 * 4
         first = rows[1].split(",")
         assert float(first[2]) == ps.values[0, 0, 0]
+
+    def test_csv_matches_row_by_row_format(self, h_linear, tmp_path):
+        ps = simulate(SimulationConfig(h=h_linear, s=5, n_paths=3, d=3, seed=2,
+                                       method="wood_chan"))
+        path = tmp_path / "paths.csv"
+        ps.to_csv(path)
+        expected = ["path,t,v1,v2,v3"]
+        for p in range(3):
+            for k in range(5):
+                vals = ",".join(f"{ps.values[p, j, k]:.17g}" for j in range(3))
+                expected.append(f"{p},{ps.grid[k]:.17g},{vals}")
+        assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_metadata(self, h_linear):
         ps = simulate(SimulationConfig(h=h_linear, s=8, seed=7))
@@ -153,3 +169,71 @@ class TestWoodChan:
     def test_fbm_domain(self):
         with pytest.raises(ValueError):
             simulate_wood_chan_fbm(H=0.4, s=16, T=1.0, n_paths=1, seed=0)
+
+
+def _materialized_wood_chan(config):
+    """The field construction with every level held at once: all levels of
+    fGn, then cumsum, then dt ** levels, then the two-level interpolation."""
+    grid = config.grid
+    levels = _hurst_levels(config.h, grid)
+    hvals = config.h(grid)
+    dt = config.T / config.s
+    m, eigs = _embedding_size(levels, config.s)
+    M = 2 * m
+    n_pairs = (config.n_paths + 1) // 2
+    streams = np.random.SeedSequence(config.seed).spawn(config.d)
+    values = np.empty((config.n_paths, config.d, config.s))
+    for j in range(config.d):
+        rng = np.random.default_rng(streams[j])
+        U = rng.standard_normal((n_pairs, M))
+        V = rng.standard_normal((n_pairs, M))
+        zeta = U + 1j * V
+        fgn = np.empty((len(levels), config.n_paths, config.s))
+        for i, H in enumerate(levels):
+            y = np.fft.fft(np.sqrt(eigs[H] / M) * zeta, axis=1)
+            pair = np.empty((2 * n_pairs, config.s))
+            pair[0::2] = y.real[:, :config.s]
+            pair[1::2] = y.imag[:, :config.s]
+            fgn[i] = pair[:config.n_paths]
+        fields = np.cumsum(fgn, axis=2) * dt ** levels[:, None, None]
+        if len(levels) == 1:
+            values[:, j, :] = fields[0]
+            continue
+        idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
+        w = (hvals - levels[idx]) / (levels[idx + 1] - levels[idx])
+        k = np.arange(config.s)
+        values[:, j, :] = (1 - w) * fields[idx, :, k].T + w * fields[idx + 1, :, k].T
+    return values
+
+
+class TestWoodChanStreaming:
+    HURST = {
+        "const": HurstFunctional.constant(0.7),
+        # peaks at t = T, a grid point, so the top level gets weight w = 1
+        "linear": HurstFunctional.linear(0.55, 0.2),
+        "sin": HurstFunctional.sinusoidal(0.7, 0.15, 6.0),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("hurst", ["const", "linear", "sin"])
+    @pytest.mark.parametrize("s, n_paths", [(64, 4), (100, 7)])
+    def test_matches_materialized_field(self, hurst, d, s, n_paths):
+        cfg = SimulationConfig(h=self.HURST[hurst], s=s, n_paths=n_paths, d=d,
+                               seed=9, method="wood_chan")
+        levels = _hurst_levels(cfg.h, cfg.grid)
+        assert levels[-1] == cfg.h(cfg.grid).max()
+        streamed = simulate_wood_chan_mbm(cfg).values
+        assert np.array_equal(streamed, _materialized_wood_chan(cfg))
+
+    def test_peak_memory_bounded_by_output(self):
+        h = self.HURST["sin"]
+        cfg = SimulationConfig(h=h, s=1024, n_paths=500, d=2, seed=1,
+                               method="wood_chan")
+        assert len(_hurst_levels(h, cfg.grid)) == 16
+        tracemalloc.start()
+        try:
+            values = simulate_wood_chan_mbm(cfg).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * values.nbytes
