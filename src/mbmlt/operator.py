@@ -154,14 +154,14 @@ class CovarianceMatrix:
                 fh.write(f"{ti:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
-    """Assemble R_h on a grid and verify positive semidefiniteness.
+def _covariance_values(grid, h: HurstFunctional) -> np.ndarray:
+    """R_h on a strictly increasing grid in (0, T], with no PSD check.
 
     All entries come from one broadcast of the h_inner_product formula over
-    the grid (h evaluated once per grid point), so assembly is O(s^2)
-    array work next to the O(s^3) eigenvalue check.  The expression is
-    symmetric in (i, j) operation by operation, so the matrix is exactly
-    symmetric.  h_inner_product is the scalar reference for each entry.
+    the grid (h evaluated once per grid point), so assembly is O(s^2) array
+    work.  The expression is symmetric in (i, j) operation by operation, so
+    the matrix is exactly symmetric.  h_inner_product is the scalar
+    reference for each entry.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -175,7 +175,18 @@ def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
     C = normalizing_constant(hv)
     ratio = normalizing_constant(0.5 * A) ** 2 / (C[:, None] * C[None, :])
     t, s = grid[:, None], grid[None, :]
-    R = ratio * 0.5 * (t ** A + s ** A - np.abs(t - s) ** A)
+    return ratio * 0.5 * (t ** A + s ** A - np.abs(t - s) ** A)
+
+
+def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
+    """Assemble R_h on a grid and verify positive semidefiniteness.
+
+    The O(s^3) eigenvalue check dominates the O(s^2) assembly.  The exact
+    simulator assembles the same matrix without it, since its Cholesky
+    factorization fails on a matrix that is not PSD.
+    """
+    grid = np.asarray(grid, dtype=float)
+    R = _covariance_values(grid, h)
     cov = CovarianceMatrix(grid=grid, values=R)
     min_eig = cov.min_eigenvalue()
     if min_eig < -PSD_TOL * np.trace(R):

@@ -3,17 +3,17 @@
 Two generators:
 
 * exact: factorize the exact covariance on the grid (Cholesky with diagonal
-  jitter escalation).  O(s^3), intended for s up to ~2000: the covariance
-  is one O(s^2) array expression, so at that size the O(s^3) PSD check
-  and factorization take most of the time.  This is the verification
-  baseline.
+  jitter escalation; the factorization is the PSD check).  O(s^3), intended
+  for s up to ~2000: the covariance is one O(s^2) array expression, so at
+  that size the O(s^3) factorization takes most of the time.  This is the
+  verification baseline.
 * wood_chan: FFT circulant embedding of the stationary increment process for
   constant Hurst index, extended to a time-varying index by simulating a
   field of constant-index paths on an index grid from shared noise and
   interpolating.  Fast but approximate for non-constant h.  The levels are
   streamed: each is synthesized, cumulated and folded into the output in
-  turn, so working memory is O(n_paths * M) per component (M the embedding
-  size), not O(levels * n_paths * s).
+  turn, in two buffers allocated once per call, so working memory is
+  O(n_paths * M) (M the embedding size), not O(levels * n_paths * s).
 
 All randomness flows from a single 64-bit seed through numpy SeedSequence
 spawning, so output does not depend on scheduling.  It is byte-identical
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .operator import covariance_matrix
+from .operator import _covariance_values
 from .specfun import HurstFunctional
 
 __all__ = [
@@ -153,9 +153,11 @@ def _cholesky_with_jitter(R: np.ndarray) -> np.ndarray:
 def simulate_exact(config: SimulationConfig) -> MbmPathSet:
     """Zero-mean Gaussian paths with the exact grid covariance.
 
-    The d components are independent; each uses its own spawned RNG stream.
+    The Cholesky factorization is the PSD check: a covariance it cannot
+    factor even with jitter raises NumericalError.  The d components are
+    independent; each uses its own spawned RNG stream.
     """
-    R = covariance_matrix(config.grid, config.h).values
+    R = _covariance_values(config.grid, config.h)
     L = _cholesky_with_jitter(R)
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((config.n_paths, config.d, config.s))
@@ -220,17 +222,31 @@ def _hurst_levels(h: HurstFunctional, grid: np.ndarray, spacing: float = 0.02):
     return np.linspace(lo, hi, n)
 
 
+def _level_runs(idx: np.ndarray, n_levels: int) -> list:
+    """Per level, the slices of time indices whose lower neighbour it is and
+    those whose upper neighbour it is; idx is constant on each slice."""
+    runs = [([], []) for _ in range(n_levels)]
+    cuts = [0, *(np.flatnonzero(np.diff(idx)) + 1), len(idx)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        runs[idx[a]][0].append(slice(a, b))
+        if idx[a] + 1 < n_levels:
+            runs[idx[a] + 1][1].append(slice(a, b))
+    return runs
+
+
 def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     """Field construction: constant-index paths on an index grid, then
     linear interpolation in the index at each time.
 
     Per component one complex noise array drives every level, so paths vary
     smoothly across levels.  The levels are streamed in increasing order:
-    level i is synthesized, cumulated and scaled by dt ** H_i, then stored
-    with weight 1 - w at the times whose lower neighbour it is and added
-    with weight w where it is the upper one.  At most one level is held at
-    a time, so working memory is O(n_paths * M) per component, M the
-    embedding size, rather than O(levels * n_paths * s).
+    level i is synthesized by one in-place FFT, cumulated and scaled by
+    dt ** H_i up to the last time it serves, then stored with weight 1 - w
+    on the runs of times whose lower neighbour it is and added with weight
+    w on the runs where it is the upper one; a level that serves no time is
+    skipped.  Working memory is two buffers per call, the spectrum
+    (n_pairs, M) and the cumulated field (2 n_pairs, s), plus the noise
+    (n_pairs, M), with n_pairs = ceil(n_paths / 2) and M the embedding size.
 
     Approximate for non-constant h.  For constant h there is a single level
     and no interpolation, so the result is exact in law; with d = 1 it is
@@ -245,25 +261,35 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     else:  # per time index: the bracketing levels and the weight of the upper
         idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
         w = (hvals - levels[idx]) / (levels[idx + 1] - levels[idx])
+    w_lower = 1 - w
+    runs = _level_runs(idx, len(levels))
     m, eigs = _embedding_size(levels, s)
     M = 2 * m
+    amps = np.sqrt(np.array([eigs[H] for H in levels]) / M)
     n_pairs = (n_paths + 1) // 2
-    pair = np.empty((2 * n_pairs, s))  # path 2p is Re, path 2p + 1 is Im
+    zeta = np.empty((n_pairs, M), dtype=complex)
+    spec = np.empty((n_pairs, M), dtype=complex)
+    field = np.empty((2 * n_pairs, s))  # path 2p is Re, path 2p + 1 is Im
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((n_paths, config.d, s))
     for j in range(config.d):
         rng = np.random.default_rng(streams[j])
-        zeta = np.empty((n_pairs, M), dtype=complex)
         zeta.real = rng.standard_normal((n_pairs, M))
         zeta.imag = rng.standard_normal((n_pairs, M))
-        for i, H in enumerate(levels):
-            y = np.fft.fft(np.sqrt(eigs[H] / M) * zeta, axis=1)
-            pair[0::2] = y.real[:, :s]
-            pair[1::2] = y.imag[:, :s]
-            del y
-            field = np.cumsum(pair[:n_paths], axis=1)
-            field *= scale[i]
-            lower, upper = idx == i, idx + 1 == i
-            values[:, j, lower] = (1 - w[lower]) * field[:, lower]
-            values[:, j, upper] += w[upper] * field[:, upper]
+        out = values[:, j, :]
+        for i, (lower, upper) in enumerate(runs):
+            if not lower and not upper:
+                continue
+            K = max(r.stop for r in lower + upper)
+            np.multiply(amps[i], zeta, out=spec)
+            np.fft.fft(spec, axis=1, out=spec)
+            np.cumsum(spec.real[:, :K], axis=1, out=field[0::2, :K])
+            np.cumsum(spec.imag[:, :K], axis=1, out=field[1::2, :K])
+            F = field[:n_paths, :K]
+            F *= scale[i]
+            for r in lower:
+                np.multiply(w_lower[r], F[:, r], out=out[:, r])
+            for r in upper:
+                F[:, r] *= w[r]
+                out[:, r] += F[:, r]
     return MbmPathSet(config=config, values=values, method="wood_chan")

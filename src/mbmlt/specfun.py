@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import AdmissibilityError
 
@@ -42,7 +41,9 @@ def normalizing_constant(x):
         raise ValueError(
             f"normalizing constant requires x in (0,1), got {x[~inside].flat[0]}"
         )
-    out = np.sqrt(2.0 * np.pi / (_gamma(2.0 * x + 1.0) * np.sin(np.pi * x)))
+    from scipy.special import gamma  # deferred: slow to import; the FFT route never calls it
+
+    out = np.sqrt(2.0 * np.pi / (gamma(2.0 * x + 1.0) * np.sin(np.pi * x)))
     if out.ndim == 0:
         return float(out)
     return out
@@ -59,8 +60,10 @@ def gamma_factor(H):
     inside = (0.5 < H) & (H < 1.0)
     if not np.all(inside):
         raise ValueError(f"gamma_factor requires H in (1/2,1), got {H[~inside].flat[0]}")
-    num = np.sqrt(_gamma(2.0 * H + 1.0) * np.sin(np.pi * H))
-    den = 2.0 * _gamma(H - 0.5) * np.cos(np.pi * (H - 0.5) / 2.0)
+    from scipy.special import gamma  # deferred: slow to import; the FFT route never calls it
+
+    num = np.sqrt(gamma(2.0 * H + 1.0) * np.sin(np.pi * H))
+    den = 2.0 * gamma(H - 0.5) * np.cos(np.pi * (H - 0.5) / 2.0)
     out = num / den
     if out.ndim == 0:
         return float(out)
@@ -158,11 +161,6 @@ class HurstFunctional:
     def sup(self) -> float:
         """Supremum of h over the validation grid."""
         return self._sup
-
-    @property
-    def is_constant(self) -> bool:
-        probe = self(np.linspace(0.0, self.T, 257))
-        return float(np.ptp(probe)) < 1e-14
 
     # -- standard parametrizations -------------------------------------------
 

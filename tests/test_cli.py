@@ -191,6 +191,16 @@ class TestExitCodes:
         code, _ = _run(tmp_path, "simulate", {"hurst": {"const": 0.7}, "s": 8})
         assert code == 3
 
+    def test_failed_factorization_is_numerical_error(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        def not_pd(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_pd)
+        code, _ = _run(tmp_path, "simulate", {"hurst": {"const": 0.7}, "s": 8})
+        assert code == 3
+
     @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("stray")])
     def test_unexpected_failure_is_internal_error(self, tmp_path, monkeypatch,
                                                   capsys, exc):
@@ -228,6 +238,36 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_library_import_loads_no_scipy(self):
+        # scipy.special is slow to import (it pulls in numpy.ma, f2py and
+        # numpy.testing) and only the covariance and the a(t) table need it
+        code = ("import sys, mbmlt.cli, mbmlt.chaos, mbmlt.simulate, mbmlt.localtime; "
+                "sys.exit('scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command, cfg, csv, needs_gamma", [
+        ("localtime", {"method": "wood_chan", "N": 0, "n_paths": 10}, "localtime.csv", False),
+        ("simulate", {"method": "wood_chan", "n_paths": 2}, "paths.csv", False),
+        ("covariance", {}, "covariance.csv", True),
+        ("localtime", {"method": "exact", "N": 0, "n_paths": 10}, "localtime.csv", True),
+    ], ids=["localtime-wood_chan", "simulate-wood_chan", "covariance", "localtime-exact"])
+    def test_scipy_loaded_only_on_first_use(self, tmp_path, command, cfg, csv,
+                                            needs_gamma):
+        cfg_path = _write_cfg(tmp_path, {"hurst": {"sin": {"a": 0.7, "b": 0.15,
+                                                           "omega": 6}},
+                                         "d": 2, "s": 32, "seed": 3, **cfg})
+        out = tmp_path / "out"
+        code = ("import sys; from mbmlt.cli import main; code = main(sys.argv[1:]); "
+                "print(code, 'scipy' in sys.modules, 'scipy.special' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, command, "--config",
+                               cfg_path, "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", str(needs_gamma), str(needs_gamma)]
+        assert (out / csv).stat().st_size > 0
 
 
 class TestThreadVariables:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mbmlt.operator import h_inner_product
+from mbmlt.operator import covariance_matrix, h_inner_product
 from mbmlt.simulate import (
     MbmPathSet,
     SimulationConfig,
     _embedding_size,
     _hurst_levels,
+    _level_runs,
     simulate,
     simulate_exact,
     simulate_wood_chan_fbm,
@@ -127,6 +128,23 @@ class TestExactLaw:
         assert np.all(np.abs(off) < 4.0 / np.sqrt(self.N_PATHS))
 
 
+class TestExactFactorization:
+    def test_cholesky_is_the_only_psd_check(self, h_linear, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args, **kw: calls.append(1) or eigvalsh(a, *args, **kw))
+        cfg = SimulationConfig(h=h_linear, s=64, n_paths=3, d=2, seed=21)
+        values = simulate_exact(cfg).values
+        assert calls == []
+        # the same bytes as factoring the checked covariance matrix
+        L = np.linalg.cholesky(covariance_matrix(cfg.grid, h_linear).values)
+        assert calls == [1]
+        for j, stream in enumerate(np.random.SeedSequence(21).spawn(2)):
+            Z = np.random.default_rng(stream).standard_normal((64, 3))
+            assert np.array_equal(values[:, j, :], (L @ Z).T)
+
+
 class TestWoodChan:
     N_PATHS = 4000
 
@@ -212,11 +230,15 @@ class TestWoodChanStreaming:
         # peaks at t = T, a grid point, so the top level gets weight w = 1
         "linear": HurstFunctional.linear(0.55, 0.2),
         "sin": HurstFunctional.sinusoidal(0.7, 0.15, 6.0),
+        # each level serves several disjoint runs of times
+        "sin20": HurstFunctional.sinusoidal(0.7, 0.15, 20.0),
+        # on the s = 8 grid h steps over whole levels, which serve no time
+        "steep": HurstFunctional.linear(0.52, 0.45),
     }
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("hurst", ["const", "linear", "sin"])
-    @pytest.mark.parametrize("s, n_paths", [(64, 4), (100, 7)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("hurst", ["const", "linear", "sin", "sin20", "steep"])
+    @pytest.mark.parametrize("s, n_paths", [(64, 4), (100, 7), (257, 5), (8, 3)])
     def test_matches_materialized_field(self, hurst, d, s, n_paths):
         cfg = SimulationConfig(h=self.HURST[hurst], s=s, n_paths=n_paths, d=d,
                                seed=9, method="wood_chan")
@@ -224,6 +246,35 @@ class TestWoodChanStreaming:
         assert levels[-1] == cfg.h(cfg.grid).max()
         streamed = simulate_wood_chan_mbm(cfg).values
         assert np.array_equal(streamed, _materialized_wood_chan(cfg))
+
+    def test_oracle_cases_reach_every_branch(self):
+        def runs(hurst, s):
+            grid = SimulationConfig(h=self.HURST[hurst], s=s).grid
+            levels = _hurst_levels(self.HURST[hurst], grid)
+            hvals = self.HURST[hurst](grid)
+            idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
+            return _level_runs(idx, len(levels))
+
+        assert any(len(lower) > 1 and len(upper) > 1 for lower, upper in runs("sin20", 64))
+        assert any(not lower and not upper for lower, upper in runs("steep", 8))
+        # the lowest level of an increasing h serves only early times, so it
+        # is cumulated over fewer than s columns
+        lower, upper = runs("linear", 64)[0]
+        assert max(r.stop for r in lower + upper) < 64
+
+    @pytest.mark.parametrize("idx, n_levels", [
+        ([0, 0, 1, 1, 0, 2, 2, 2], 4),
+        ([3, 3, 3], 5),
+        ([0] * 6, 1),
+    ])
+    def test_level_runs_partition_the_times(self, idx, n_levels):
+        idx = np.array(idx)
+        runs = _level_runs(idx, n_levels)
+        for i, (lower, upper) in enumerate(runs):
+            got_lower = [k for r in lower for k in range(len(idx))[r]]
+            got_upper = [k for r in upper for k in range(len(idx))[r]]
+            assert got_lower == list(np.flatnonzero(idx == i))
+            assert got_upper == list(np.flatnonzero(idx + 1 == i))
 
     def test_peak_memory_bounded_by_output(self):
         h = self.HURST["sin"]
