@@ -154,8 +154,8 @@ class CovarianceMatrix:
                 fh.write(f"{ti:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _covariance_values(grid, h: HurstFunctional) -> np.ndarray:
-    """R_h on a strictly increasing grid in (0, T], with no PSD check.
+def _covariance_values(grid: np.ndarray, h: HurstFunctional) -> np.ndarray:
+    """R_h on a valid grid, with no PSD check.
 
     All entries come from one broadcast of the h_inner_product formula over
     the grid (h evaluated once per grid point), so assembly is O(s^2) array
@@ -163,13 +163,6 @@ def _covariance_values(grid, h: HurstFunctional) -> np.ndarray:
     the matrix is exactly symmetric.  h_inner_product is the scalar
     reference for each entry.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("grid must be a nonempty 1-d array")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    if grid[0] <= 0 or grid[-1] > h.T + 1e-12:
-        raise ValueError(f"grid must lie in (0, {h.T}]")
     hv = h(grid)
     A = hv[:, None] + hv[None, :]
     C = normalizing_constant(hv)
@@ -186,6 +179,12 @@ def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
     factorization fails on a matrix that is not PSD.
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise ValueError("grid must be a nonempty 1-d array")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    if grid[0] <= 0 or grid[-1] > h.T + 1e-12:
+        raise ValueError(f"grid must lie in (0, {h.T}]")
     R = _covariance_values(grid, h)
     cov = CovarianceMatrix(grid=grid, values=R)
     min_eig = cov.min_eigenvalue()

@@ -243,10 +243,11 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     level i is synthesized by one in-place FFT, cumulated and scaled by
     dt ** H_i up to the last time it serves, then stored with weight 1 - w
     on the runs of times whose lower neighbour it is and added with weight
-    w on the runs where it is the upper one; a level that serves no time is
-    skipped.  Working memory is two buffers per call, the spectrum
-    (n_pairs, M) and the cumulated field (2 n_pairs, s), plus the noise
-    (n_pairs, M), with n_pairs = ceil(n_paths / 2) and M the embedding size.
+    w on the runs where it is the upper one.  A level that serves no time
+    is skipped.  Working memory is the noise and two buffers, reused for
+    every component and level: the spectrum, (n_pairs, M) complex, and the
+    cumulated field, (2 n_pairs, s), with n_pairs = ceil(n_paths / 2) and M
+    the embedding size.
 
     Approximate for non-constant h.  For constant h there is a single level
     and no interpolation, so the result is exact in law; with d = 1 it is
@@ -261,7 +262,6 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     else:  # per time index: the bracketing levels and the weight of the upper
         idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
         w = (hvals - levels[idx]) / (levels[idx + 1] - levels[idx])
-    w_lower = 1 - w
     runs = _level_runs(idx, len(levels))
     m, eigs = _embedding_size(levels, s)
     M = 2 * m
@@ -288,7 +288,7 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
             F = field[:n_paths, :K]
             F *= scale[i]
             for r in lower:
-                np.multiply(w_lower[r], F[:, r], out=out[:, r])
+                np.multiply(1 - w[r], F[:, r], out=out[:, r])
             for r in upper:
                 F[:, r] *= w[r]
                 out[:, r] += F[:, r]
