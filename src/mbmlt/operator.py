@@ -155,7 +155,7 @@ class CovarianceMatrix:
 
 
 def _covariance_values(grid: np.ndarray, h: HurstFunctional) -> np.ndarray:
-    """R_h on a valid grid, with no PSD check.
+    """R_h on a strictly increasing grid in (0, T], with no checks.
 
     All entries come from one broadcast of the h_inner_product formula over
     the grid (h evaluated once per grid point), so assembly is O(s^2) array

@@ -241,7 +241,8 @@ class TestImports:
 
     def test_library_import_loads_no_scipy(self):
         # scipy.special is slow to import (it pulls in numpy.ma, f2py and
-        # numpy.testing) and only the covariance and the a(t) table need it
+        # numpy.testing); only the covariance, the exact simulator and the
+        # chaos routes need it
         code = ("import sys, mbmlt.cli, mbmlt.chaos, mbmlt.simulate, mbmlt.localtime; "
                 "sys.exit('scipy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
