@@ -243,11 +243,10 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     level i is synthesized by one in-place FFT, cumulated and scaled by
     dt ** H_i up to the last time it serves, then stored with weight 1 - w
     on the runs of times whose lower neighbour it is and added with weight
-    w on the runs where it is the upper one.  A level that serves no time
-    is skipped.  Working memory is the noise and two buffers, reused for
-    every component and level: the spectrum, (n_pairs, M) complex, and the
-    cumulated field, (2 n_pairs, s), with n_pairs = ceil(n_paths / 2) and M
-    the embedding size.
+    w on the runs where it is the upper one.  Working memory is the noise
+    and two buffers, reused for every component and level: the spectrum,
+    (n_pairs, M) complex, and the cumulated field, (2 n_pairs, s), with
+    n_pairs = ceil(n_paths / 2) and M the embedding size.
 
     Approximate for non-constant h.  For constant h there is a single level
     and no interpolation, so the result is exact in law; with d = 1 it is
@@ -278,9 +277,7 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
         zeta.imag = rng.standard_normal((n_pairs, M))
         out = values[:, j, :]
         for i, (lower, upper) in enumerate(runs):
-            if not lower and not upper:
-                continue
-            K = max(r.stop for r in lower + upper)
+            K = max((r.stop for r in lower + upper), default=0)
             np.multiply(amps[i], zeta, out=spec)
             np.fft.fft(spec, axis=1, out=spec)
             np.cumsum(spec.real[:, :K], axis=1, out=field[0::2, :K])

@@ -231,18 +231,10 @@ class TestExitCodes:
 
 class TestImports:
     def test_quadrature_module_not_loaded(self):
-        # scipy.integrate is slow to import and only mh_apply and
-        # expected_local_time use it
-        code = ("import sys, mbmlt.cli, mbmlt.chaos, mbmlt.simulate; "
-                "sys.exit('scipy.integrate' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_library_import_loads_no_scipy(self):
-        # scipy.special is slow to import (it pulls in numpy.ma, f2py and
-        # numpy.testing); only the covariance, the exact simulator and the
-        # chaos routes need it
+        # scipy is slow to import: scipy.integrate is used only by mh_apply
+        # and expected_local_time, and scipy.special (which pulls in
+        # numpy.ma, f2py and numpy.testing) only by the covariance, the
+        # exact simulator and the chaos routes, each on first use
         code = ("import sys, mbmlt.cli, mbmlt.chaos, mbmlt.simulate, mbmlt.localtime; "
                 "sys.exit('scipy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
