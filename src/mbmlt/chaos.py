@@ -14,8 +14,8 @@ time is
 with exp_N the exponential series starting at order N; eps = 0 requires the
 truncation bound sup h < (1+2N)/(2N+d).  The chaos kernels are pure products
 of the indicator kernel under the same time integral, so the pairing with
-phi tensor powers factorizes through a(t); both routes share one graded
-Gauss-Legendre time rule, with a(t) tabulated as one table per mesh.
+phi tensor powers factorizes through a(t); every time integral, the phi = 0
+expected_local_time included, uses one graded Gauss-Legendre rule.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import NumericalError
 from .operator import mh_indicator
 from .specfun import HurstFunctional, hermite_function, require_truncation_bound
 
@@ -170,10 +171,7 @@ class ChaosIndex:
 
     @property
     def factorial(self) -> int:
-        out = 1
-        for n in self.n_vec:
-            out *= math.factorial(n)
-        return out
+        return math.prod(map(math.factorial, self.n_vec))
 
 
 @dataclass(frozen=True)
@@ -355,32 +353,29 @@ def a_vector(h: HurstFunctional, t: float, phi: TestFunction) -> np.ndarray:
 
 
 def _graded_nodes(T: float, gamma: float, n_panels: int, n_gl: int):
-    """Composite Gauss-Legendre nodes on panels t_k = T (k/K)^gamma."""
-    edges = T * (np.arange(n_panels + 1) / n_panels) ** gamma
+    """Composite Gauss-Legendre nodes on uniform panels in v in [0, 1] mapped
+    by t = T v^gamma, so t^e dt becomes gamma T^(1+e) v^(gamma (1+e) - 1) dv."""
     xg, wg = np.polynomial.legendre.leggauss(n_gl)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * xg)
-        weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    half = 0.5 / n_panels
+    v = ((np.arange(n_panels)[:, None] + 0.5) / n_panels + half * xg).ravel()
+    w = np.tile(half * wg, n_panels)
+    return T * v ** gamma, w * T * gamma * v ** (gamma - 1.0)
 
 
 def _grading_exponent(h: HurstFunctional, N: int, d: int, eps: float) -> float:
-    """Grading for the time mesh from the worst endpoint exponent.
+    """Grading of the time rule from the endpoint exponent at t = 0.
 
-    With regularization the integrand is bounded (grading 2 suffices);
-    otherwise it behaves like t^{2N(1-h) - d h} near 0.
+    With regularization the integrand is bounded (grading 2 suffices).
+    Otherwise it behaves like t^e0, e0 = 2N(1-h(0)) - d h(0) > -1 by the
+    truncation bound, and the grading is the least k/(1+e0) >= 8, k whole:
+    t^e0 maps to the polynomial v^(k-1), and the fractional powers that
+    a(t) adds are flattened.
     """
     if eps > 0:
         return 2.0
-    e = 2.0 * N * (1.0 - h.sup) - d * h.sup
-    if e >= 0.0:
-        return 2.0
-    # t^e with e in (-1, 0): grade hard toward 0; the achievable order of a
-    # graded composite rule is gamma * (1 + e), so use the cap
-    return 16.0
+    h0 = float(h(0.0))
+    e0 = 2.0 * N * (1.0 - h0) - d * h0
+    return math.ceil(8.0 * (1.0 + e0)) / (1.0 + e0)
 
 
 class _LocalTimeQuadrature:
@@ -394,7 +389,11 @@ class _LocalTimeQuadrature:
         self.weights = weights
         self.a = a  # (q, d)
         self.var = eps + t2h
-        self.base = (2.0 * np.pi * self.var) ** (-a.shape[1] / 2.0)
+        # steep gradings put t^{2h(t)} below the normal floats, or base above
+        with np.errstate(divide="ignore", over="ignore"):
+            self.base = (2.0 * np.pi * self.var) ** (-a.shape[1] / 2.0)
+        if self.var.min() < np.finfo(float).tiny or not np.isfinite(self.base).all():
+            raise NumericalError("the time rule leaves the float range near t = 0")
         self.y = np.sum(a * a, axis=1) / (2.0 * self.var)
 
     def direct(self, N: int) -> float:
@@ -402,16 +401,14 @@ class _LocalTimeQuadrature:
 
     def chaos_term(self, n_vec: Sequence[int]) -> float:
         """Pairing of one kernel with the matching phi tensor power."""
-        n = int(sum(n_vec))
-        fact = 1.0
-        for nj in n_vec:
-            fact *= math.factorial(nj)
+        index = ChaosIndex(n_vec)
         # group each a_j^2 with a factor of var: a_j^2/var stays bounded at
-        # the graded nodes near 0 where var alone underflows
+        # the graded nodes near 0 where var alone is tiny
         ratio = self.a ** 2 / self.var[:, None]
         prod = np.prod(ratio ** np.array(n_vec), axis=1)
         integrand = self.base * prod
-        return (-0.5) ** n / fact * float(np.sum(self.weights * integrand))
+        return ((-0.5) ** index.total / index.factorial
+                * float(np.sum(self.weights * integrand)))
 
 
 def s_transform_delta(h: HurstFunctional, t: float, phi: TestFunction,
@@ -489,8 +486,8 @@ def kernel_eval(spec: KernelSpec, u, n_panels: int = 48, n_gl: int = 10) -> floa
     m = spec.index
     if any(nj % 2 == 1 for nj in m.n_vec):
         return 0.0
-    n_vec = [nj // 2 for nj in m.n_vec]
-    n = sum(n_vec)
+    half = ChaosIndex(tuple(nj // 2 for nj in m.n_vec))
+    n = half.total
     if n < spec.N:
         return 0.0  # truncated away
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -502,16 +499,16 @@ def kernel_eval(spec: KernelSpec, u, n_panels: int = 48, n_gl: int = 10) -> floa
     gamma = _grading_exponent(spec.h, n, d, eps)
     nodes, weights = _graded_nodes(spec.T, gamma, n_panels, n_gl)
     hvals = spec.h(nodes)
-    if spec.eps is None:
-        w = nodes ** (-(2.0 * n + d) * hvals)
-    else:
-        w = (eps + nodes ** (2.0 * hvals)) ** (-(n + d / 2.0))
     prod = np.prod(mh_indicator(hvals[:, None], nodes[:, None], u[None, :]), axis=1)
-    fact = 1.0
-    for nj in n_vec:
-        fact *= math.factorial(nj)
-    integral = float(np.sum(weights * w * prod))
-    return (1.0 / fact) * (2.0 * np.pi) ** (-d / 2.0) * (-0.5) ** n * integral
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if spec.eps is None:
+            w = nodes ** (-(2.0 * n + d) * hvals)
+        else:
+            w = (eps + nodes ** (2.0 * hvals)) ** (-(n + d / 2.0))
+        integral = float(np.sum(weights * w * prod))
+    if not math.isfinite(integral):  # the first nodes of a steep grading
+        raise NumericalError("the time rule leaves the float range near t = 0")
+    return (1.0 / half.factorial) * (2.0 * np.pi) ** (-d / 2.0) * (-0.5) ** n * integral
 
 
 def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,

@@ -1,14 +1,15 @@
 """Command-line entry point: config parsing, dispatch, and file output.
 
-Subcommands: simulate, covariance, localtime, stransform, kernels, converge,
-selftest.  All numeric work lives in the library modules; this file only
-parses configuration, calls them, and writes CSV plus a JSON manifest.
+Subcommands: simulate, covariance, localtime, stransform, kernels, converge.
+All numeric work lives in the library modules; this file only parses
+configuration, calls them, and writes CSV plus a JSON manifest.  The
+acceptance suite runs from a source checkout with
+`pytest tests/test_acceptance.py`.
 
 Exit codes: 1 config error, 2 math-domain error (range/truncation-bound
 violation or divergence), 3 numerical failure (quadrature/factorization),
-4 internal error (any other exception, e.g. MemoryError or a failing
-selftest; its traceback is printed first).  Every failure ends stderr with
-a one-line JSON reason.
+4 internal error (any other exception, e.g. MemoryError; its traceback is
+printed first).  Every failure ends stderr with a one-line JSON reason.
 BLAS runs on one thread: main() sets every BLAS/OpenMP thread variable to 1
 before numpy is loaded, so outputs are byte-identical regardless of the
 ambient OMP/BLAS environment (a threaded Cholesky changes the last bits of
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import time
 import traceback
@@ -200,20 +200,6 @@ def _cmd_converge(cfg: dict, outdir: Path) -> dict:
     return {"N": N, "final_gap": rows[-1].gap}
 
 
-def _cmd_selftest(cfg: dict, outdir: Path) -> dict:
-    """Run the acceptance suite; requires a repository checkout with tests/."""
-    test_file = Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py"
-    if not test_file.exists():
-        raise FileNotFoundError(f"acceptance suite not found at {test_file}")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-v", str(test_file)],
-        cwd=test_file.parents[1],
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"acceptance suite failed (pytest exit {proc.returncode})")
-    return {"acceptance": "passed"}
-
-
 COMMANDS = {
     "simulate": _cmd_simulate,
     "covariance": _cmd_covariance,
@@ -221,7 +207,6 @@ COMMANDS = {
     "stransform": _cmd_stransform,
     "kernels": _cmd_kernels,
     "converge": _cmd_converge,
-    "selftest": _cmd_selftest,
 }
 
 
@@ -264,7 +249,7 @@ def _main(argv) -> int:
             cfg["eps"] = args.eps
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        if args.command != "selftest" and "hurst" not in cfg:
+        if "hurst" not in cfg:
             raise ValueError("config must define a 'hurst' entry")
         extra = COMMANDS[args.command](cfg, outdir)
     except Exception as exc:

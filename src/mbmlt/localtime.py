@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, NumericalError
+from .errors import NumericalError
 from .simulate import MbmPathSet
-from .specfun import HurstFunctional
+from .specfun import HurstFunctional, require_truncation_bound
 
 __all__ = [
     "RegularizationParams",
@@ -29,6 +29,11 @@ __all__ = [
     "expected_local_time",
     "occupation_histogram",
 ]
+
+#: expected_local_time returns once two successive panel counts agree to this
+#: relative tolerance, and raises NumericalError after this many doublings
+_EXPECTATION_RTOL = 1e-10
+_EXPECTATION_DOUBLINGS = 8
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ def delta_eps(x, eps: float, d: int = None):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if d is None:
         d = x.shape[-1]
-    sq = np.sum(x * x, axis=-1)
+    sq = np.einsum("...j,...j->...", x, x)
     out = (2.0 * np.pi * eps) ** (-d / 2.0) * np.exp(-sq / (2.0 * eps))
     if out.ndim == 0:
         return float(out)
@@ -90,8 +95,7 @@ def local_time_mc(paths: MbmPathSet, params: RegularizationParams) -> LocalTimeE
             stacklevel=2,
         )
     vals = paths.with_origin()  # (n, d, s+1), time 0 included
-    sq = np.einsum("pdk,pdk->pk", vals, vals)
-    dens = (2.0 * np.pi * params.eps) ** (-cfg.d / 2.0) * np.exp(-sq / (2.0 * params.eps))
+    dens = delta_eps(np.moveaxis(vals, 1, -1), params.eps)
     tgrid = np.concatenate([[0.0], cfg.grid])
     per_path = np.trapezoid(dens, tgrid, axis=1)
     if params.N == 1:
@@ -109,29 +113,31 @@ def local_time_mc(paths: MbmPathSet, params: RegularizationParams) -> LocalTimeE
 def expected_local_time(h: HurstFunctional, eps: float, T: float, d: int) -> float:
     """E[L_eps(T)] = int_0^T (2 pi (eps + t^{2h(t)}))^{-d/2} dt.
 
-    eps = 0 is allowed only when d * sup h < 1 (otherwise the integral
-    diverges at t = 0 and an AdmissibilityError is raised).
+    The phi = 0 S-transform, on the time rule of the chaos routes with no
+    a(t) table; the panel count doubles from 48 until two successive values
+    agree.  eps = 0 requires the N = 0 truncation bound d * sup h < 1
+    (otherwise the integral diverges at t = 0: AdmissibilityError).
     """
-    from scipy.integrate import quad  # deferred: slow to import, used only here
+    # deferred: the N = 0 Monte-Carlo routes never need the time rule
+    from .chaos import _graded_nodes, _grading_exponent, _LocalTimeQuadrature
 
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if d < 1 or T <= 0 or T > h.T + 1e-12:
         raise ValueError("bad dimension or horizon")
-    if eps == 0.0 and d * h.sup >= 1.0:
-        raise AdmissibilityError(
-            f"E[local time] diverges: eps=0 with d*sup h = {d * h.sup:g} >= 1"
-        )
-
-    def integrand(t):
-        if t == 0.0:
-            return 0.0 if eps == 0.0 else (2.0 * np.pi * eps) ** (-d / 2.0)
-        return (2.0 * np.pi * (eps + t ** (2.0 * h(t)))) ** (-d / 2.0)
-
-    val, err = quad(integrand, 0.0, T, limit=400, epsabs=1e-11, epsrel=1e-10)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise NumericalError(f"expected_local_time quadrature error {err:g} too large")
-    return val
+    if eps == 0.0:
+        require_truncation_bound(h, 0, d)
+    gamma = _grading_exponent(h, 0, d, eps)
+    val = np.nan
+    for k in range(_EXPECTATION_DOUBLINGS + 1):
+        nodes, weights = _graded_nodes(T, gamma, 48 * 2 ** k, 10)
+        prev, val = val, _LocalTimeQuadrature(
+            weights, nodes ** (2.0 * h(nodes)), np.zeros((len(nodes), d)), eps
+        ).direct(0)
+        if abs(val - prev) <= _EXPECTATION_RTOL * max(1.0, abs(val)):
+            return val
+    raise NumericalError(f"expected_local_time not converged: successive "
+                         f"values differ by {abs(val - prev):g}")
 
 
 def occupation_histogram(paths: MbmPathSet, bins) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,23 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mbmlt
 from mbmlt.chaos import GaussianBump, TestFunction
 from mbmlt.specfun import HurstFunctional
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _package_on_subprocess_path():
+    """Tests that start `python -m mbmlt.cli` or `python -c` get the package
+    this session imports, as the pytest `pythonpath` setting gives it to the
+    session itself."""
+    src = str(Path(mbmlt.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

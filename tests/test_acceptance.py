@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-Run with ``pytest -v tests/test_acceptance.py`` (or ``mbmlt selftest``).
+Run with ``pytest -v tests/test_acceptance.py``.
 Each test prints ``criterion N (name): PASS/FAIL`` with the measured numbers
 before asserting, so the verdict line survives a failure.
 """

@@ -23,12 +23,12 @@ from mbmlt.chaos import (
     s_transform_delta,
     s_transform_local_time,
 )
-from mbmlt.errors import AdmissibilityError
+from mbmlt.errors import AdmissibilityError, NumericalError
 from mbmlt.localtime import expected_local_time
-from mbmlt.operator import mh_apply, mh_indicator
+from mbmlt.operator import mh_indicator
 from mbmlt.specfun import HurstFunctional
 
-from .oracles import exp_tail_series
+from .oracles import exp_tail_series, mh_apply
 
 
 class TestExpTrunc:
@@ -215,7 +215,7 @@ class TestATable:
         assert np.array_equal(table, np.zeros((len(nodes), 2)))
 
     def test_convergence_builds_one_table_per_mesh(self, monkeypatch):
-        # the chaos-gap benchmark config: eps = 0 grades with 16, and every
+        # the chaos-gap benchmark config: eps = 0 grades with 8.75, and every
         # eps > 0 shares one grading-2 mesh
         built = []
 
@@ -287,10 +287,41 @@ class TestSTransformLocalTime:
         with pytest.raises(AdmissibilityError):
             s_transform_local_time(h_const_06, 0, 1.0, TestFunction.zero(3))
 
+    @pytest.mark.parametrize("H", [0.6, 0.8, 0.9, 0.95, 0.975, 0.99])
+    def test_unregularized_closed_form(self, H):
+        # d = 1, N = 0, eps = 0, zero phi: int_0^1 (2 pi)^{-1/2} t^{-H} dt;
+        # the order-0 kernel is the same integral.  Near H = 1 the graded
+        # nodes leave the float range: a value must then still be right, or
+        # the call must raise NumericalError
+        h = HurstFunctional.constant(H)
+        exact = (2 * math.pi) ** -0.5 / (1 - H)
+        spec = KernelSpec(h=h, T=1.0, N=0, index=ChaosIndex((0,)))
+        for value in (lambda: expected_local_time(h, 0.0, 1.0, 1),
+                      lambda: s_transform_local_time(h, 0, 1.0, TestFunction.zero(1)),
+                      lambda: kernel_eval(spec, [])):
+            if H <= 0.975:
+                assert value() == pytest.approx(exact, rel=1e-12)
+                continue
+            try:
+                got = value()
+            except NumericalError:
+                continue
+            assert got == pytest.approx(exact, rel=1e-10)
+
     def test_mesh_refinement_stable(self, h_linear, phi_1d):
         coarse = s_transform_local_time(h_linear, 1, 1.0, phi_1d, n_panels=48)
         fine = s_transform_local_time(h_linear, 1, 1.0, phi_1d, n_panels=96)
         assert fine == pytest.approx(coarse, rel=1e-5)
+
+    @pytest.mark.parametrize("H, N, d", [(0.7, 1, 1), (0.6, 1, 2)])
+    def test_unregularized_mesh_converged(self, H, N, d, phi_1d, phi_2d):
+        # with eps = 0 and phi != 0, a(t) adds fractional powers of t to the
+        # endpoint power t^e0; the default 48 panels must still resolve them
+        h = HurstFunctional.constant(H)
+        phi = phi_1d if d == 1 else phi_2d
+        coarse = s_transform_local_time(h, N, 1.0, phi)
+        fine = s_transform_local_time(h, N, 1.0, phi, n_panels=192)
+        assert coarse == pytest.approx(fine, rel=1e-10)
 
     def test_truncation_removes_leading_order(self, h_const_07, phi_1d):
         # N = 0 minus N = 1 equals the order-0 pairing (the expectation)

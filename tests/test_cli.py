@@ -216,14 +216,6 @@ class TestExitCodes:
         assert report["error"] == "internal"
         assert type(exc).__name__ in report["reason"]
 
-    def test_failing_selftest_is_internal_error(self, tmp_path, monkeypatch):
-        import mbmlt.cli
-
-        monkeypatch.setattr(mbmlt.cli.subprocess, "run",
-                            lambda *a, **k: subprocess.CompletedProcess(a, 1))
-        code = main(["selftest", "--out", str(tmp_path)])
-        assert code == 4
-
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -231,10 +223,11 @@ class TestExitCodes:
 
 class TestImports:
     def test_quadrature_module_not_loaded(self):
-        # scipy is slow to import: scipy.integrate is used only by mh_apply
-        # and expected_local_time, and scipy.special (which pulls in
-        # numpy.ma, f2py and numpy.testing) only by the covariance, the
-        # exact simulator and the chaos routes, each on first use
+        # scipy is slow to import: src/ never imports scipy.integrate (the
+        # time rule is Gauss-Legendre, and the quad oracles live in tests/),
+        # and scipy.special (which pulls in numpy.ma, f2py and numpy.testing)
+        # is used only by the covariance, the exact simulator and the chaos
+        # routes, each on first use
         code = ("import sys, mbmlt.cli, mbmlt.chaos, mbmlt.simulate, mbmlt.localtime; "
                 "sys.exit('scipy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
@@ -246,7 +239,10 @@ class TestImports:
         ("simulate", {"method": "wood_chan", "n_paths": 2}, "paths.csv", False),
         ("covariance", {}, "covariance.csv", True),
         ("localtime", {"method": "exact", "N": 0, "n_paths": 10}, "localtime.csv", True),
-    ], ids=["localtime-wood_chan", "simulate-wood_chan", "covariance", "localtime-exact"])
+        # N = 1 subtracts expected_local_time, which runs on the time rule
+        ("localtime", {"method": "exact", "N": 1, "n_paths": 10}, "localtime.csv", True),
+    ], ids=["localtime-wood_chan", "simulate-wood_chan", "covariance", "localtime-exact",
+            "localtime-exact-N1"])
     def test_scipy_loaded_only_on_first_use(self, tmp_path, command, cfg, csv,
                                             needs_gamma):
         cfg_path = _write_cfg(tmp_path, {"hurst": {"sin": {"a": 0.7, "b": 0.15,
@@ -254,12 +250,13 @@ class TestImports:
                                          "d": 2, "s": 32, "seed": 3, **cfg})
         out = tmp_path / "out"
         code = ("import sys; from mbmlt.cli import main; code = main(sys.argv[1:]); "
-                "print(code, 'scipy' in sys.modules, 'scipy.special' in sys.modules)")
+                "print(code, 'scipy' in sys.modules, 'scipy.special' in sys.modules, "
+                "'scipy.integrate' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code, command, "--config",
                                cfg_path, "--out", str(out)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", str(needs_gamma), str(needs_gamma)]
+        assert proc.stdout.split() == ["0", str(needs_gamma), str(needs_gamma), "False"]
         assert (out / csv).stat().st_size > 0
 
 

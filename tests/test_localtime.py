@@ -15,7 +15,7 @@ from mbmlt.localtime import (
 from mbmlt.simulate import SimulationConfig, simulate_exact
 from mbmlt.specfun import HurstFunctional
 
-from .oracles import norm_const  # noqa: F401  (module import sanity)
+from .oracles import expected_local_time_quad
 
 
 class TestDeltaEps:
@@ -61,6 +61,22 @@ class TestExpectedLocalTime:
         assert expected_local_time(h, 0.0, 1.0, 1) == pytest.approx(
             0.9973557010035817, rel=1e-10
         )
+
+    HURST = {
+        "const06": HurstFunctional.constant(0.6),
+        "const07": HurstFunctional.constant(0.7),
+        "linear": HurstFunctional.linear(0.55, 0.2),
+        "sin": HurstFunctional.sinusoidal(0.7, 0.15, 6.0),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("hname", sorted(HURST))
+    def test_matches_quad_oracle(self, hname, d):
+        # eps = 0 exists only while d sup h < 1, so for d = 1
+        h = self.HURST[hname]
+        for eps in (0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6) + ((0.0,) if d == 1 else ()):
+            assert expected_local_time(h, eps, 1.0, d) == pytest.approx(
+                expected_local_time_quad(h, eps, 1.0, d), rel=1e-10)
 
     def test_eps_zero_divergence(self):
         h = HurstFunctional.constant(0.6)

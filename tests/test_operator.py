@@ -6,12 +6,11 @@ from mbmlt.errors import NumericalError
 from mbmlt.operator import (
     covariance_matrix,
     h_inner_product,
-    mh_apply,
     mh_indicator,
 )
 from mbmlt.specfun import HurstFunctional, gamma_factor
 
-from .oracles import fourier_inner_product, isometry_quadrature
+from .oracles import fourier_inner_product, isometry_quadrature, mh_apply
 
 
 class TestMhIndicator:
