@@ -14,8 +14,9 @@ time is
 with exp_N the exponential series starting at order N; eps = 0 requires the
 truncation bound sup h < (1+2N)/(2N+d).  The chaos kernels are pure products
 of the indicator kernel under the same time integral, so the pairing with
-phi tensor powers factorizes through a(t); every time integral, the phi = 0
-expected_local_time included, uses one graded Gauss-Legendre rule.
+phi tensor powers factorizes through a(t).  Every time integral, the phi = 0
+expected_local_time included, is the density (2 pi (eps + t^{2h(t)}))^{-d/2}
+against a pairing on one graded Gauss-Legendre rule, _TimeRule.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ __all__ = [
     "s_transform_local_time",
     "kernel_eval",
     "chaos_pairing",
+    "ConvergenceRow",
     "convergence_eps",
 ]
 
@@ -352,10 +354,14 @@ def a_vector(h: HurstFunctional, t: float, phi: TestFunction) -> np.ndarray:
     return _a_table(h, [t], phi)[0]
 
 
-def _graded_nodes(T: float, gamma: float, n_panels: int, n_gl: int):
+#: Gauss-Legendre points per panel of the time rule
+_N_GL = 10
+
+
+def _graded_nodes(T: float, gamma: float, n_panels: int):
     """Composite Gauss-Legendre nodes on uniform panels in v in [0, 1] mapped
     by t = T v^gamma, so t^e dt becomes gamma T^(1+e) v^(gamma (1+e) - 1) dv."""
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
+    xg, wg = np.polynomial.legendre.leggauss(_N_GL)
     half = 0.5 / n_panels
     v = ((np.arange(n_panels)[:, None] + 0.5) / n_panels + half * xg).ravel()
     w = np.tile(half * wg, n_panels)
@@ -378,37 +384,50 @@ def _grading_exponent(h: HurstFunctional, N: int, d: int, eps: float) -> float:
     return math.ceil(8.0 * (1.0 + e0)) / (1.0 + e0)
 
 
-class _LocalTimeQuadrature:
-    """Time rule on one graded mesh, with that mesh's a(t) table, used by
-    both S-transform routes so their comparison isolates the series
-    truncation."""
+class _TimeRule:
+    """The graded time rule of one (h, N, d, eps).
 
-    def __init__(self, weights: np.ndarray, t2h: np.ndarray, a: np.ndarray,
-                 eps: float):
-        # t2h = t^{2h(t)} at the nodes
-        self.weights = weights
-        self.a = a  # (q, d)
-        self.var = eps + t2h
+    Every time integral of the analytic route is the density
+    base = (2 pi var)^{-d/2}, var = eps + t^{2h(t)}, against a pairing:
+    exp_N(-|a(t)|^2 / (2 var)) for the S-transform, a product of indicator
+    kernels for a chaos kernel, 1 for the expectation.  N sets the grading
+    and, at eps = 0, the truncation bound the integral needs.
+    """
+
+    def __init__(self, h: HurstFunctional, T: float, N: int, d: int,
+                 eps: float, n_panels: int = 48):
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
+        if eps == 0.0:
+            require_truncation_bound(h, N, d)
+        self.gamma = _grading_exponent(h, N, d, eps)
+        self.nodes, self.weights = _graded_nodes(T, self.gamma, n_panels)
+        self.hvals = h(self.nodes)
+        self.var = eps + self.nodes ** (2.0 * self.hvals)
         # steep gradings put t^{2h(t)} below the normal floats, or base above
         with np.errstate(divide="ignore", over="ignore"):
-            self.base = (2.0 * np.pi * self.var) ** (-a.shape[1] / 2.0)
+            self.base = (2.0 * np.pi * self.var) ** (-d / 2.0)
         if self.var.min() < np.finfo(float).tiny or not np.isfinite(self.base).all():
             raise NumericalError("the time rule leaves the float range near t = 0")
-        self.y = np.sum(a * a, axis=1) / (2.0 * self.var)
 
-    def direct(self, N: int) -> float:
-        return float(np.sum(self.weights * self.base * exp_trunc(N, -self.y)))
+    def integral(self, pairing) -> float:
+        """int_0^T base(t) pairing(t) dt; pairing is one value per node, or 1."""
+        return float(np.sum(self.weights * self.base * pairing))
 
-    def chaos_term(self, n_vec: Sequence[int]) -> float:
+    def direct(self, a: np.ndarray, N: int) -> float:
+        """The order-N-truncated S-transform from the a(t) table on the nodes."""
+        y = np.sum(a * a, axis=1) / (2.0 * self.var)
+        return self.integral(exp_trunc(N, -y))
+
+    def chaos_term(self, a: np.ndarray, n_vec: Sequence[int]) -> float:
         """Pairing of one kernel with the matching phi tensor power."""
         index = ChaosIndex(n_vec)
         # group each a_j^2 with a factor of var: a_j^2/var stays bounded at
         # the graded nodes near 0 where var alone is tiny
-        ratio = self.a ** 2 / self.var[:, None]
+        ratio = a ** 2 / self.var[:, None]
         prod = np.prod(ratio ** np.array(n_vec), axis=1)
-        integrand = self.base * prod
         return ((-0.5) ** index.total / index.factorial
-                * float(np.sum(self.weights * integrand)))
+                * float(np.sum(self.weights * (self.base * prod))))
 
 
 def s_transform_delta(h: HurstFunctional, t: float, phi: TestFunction,
@@ -429,59 +448,43 @@ def s_transform_delta(h: HurstFunctional, t: float, phi: TestFunction,
 
 
 def _quadratures(h: HurstFunctional, N: int, T: float, phi: TestFunction,
-                 eps_list: Sequence[float], n_panels: int = 48,
-                 n_gl: int = 10) -> list[_LocalTimeQuadrature]:
-    """One time rule per eps.  a(t) does not depend on eps, so it is
-    tabulated once per distinct mesh: every eps > 0 shares the grading-2
-    mesh, and eps = 0 shares it unless the truncation needs a harder grading.
-    """
-    for eps in eps_list:
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if eps == 0.0:
-            require_truncation_bound(h, N, phi.d)
-    meshes = {}
-    out = []
-    for eps in eps_list:
-        gamma = _grading_exponent(h, N, phi.d, eps)
-        if gamma not in meshes:
-            nodes, weights = _graded_nodes(T, gamma, n_panels, n_gl)
-            meshes[gamma] = (weights, nodes ** (2.0 * h(nodes)),
-                             _a_table(h, nodes, phi))
-        out.append(_LocalTimeQuadrature(*meshes[gamma], eps))
-    return out
+                 eps_list: Sequence[float]) -> list[tuple[_TimeRule, np.ndarray]]:
+    """The time rule of each eps with its a(t) table, tabulated once per
+    grading since a(t) does not depend on eps: every eps > 0 shares grading 2,
+    and eps = 0 shares it unless the truncation needs a harder grading.  Every
+    rule is built, and so checked, before any table."""
+    rules = [_TimeRule(h, T, N, phi.d, eps) for eps in eps_list]
+    meshes = {rule.gamma: rule.nodes for rule in rules}
+    tables = {gamma: _a_table(h, nodes, phi) for gamma, nodes in meshes.items()}
+    return [(rule, tables[rule.gamma]) for rule in rules]
 
 
 def _s_transform_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
-                     eps_list: Sequence[float], n_panels: int = 48,
-                     n_gl: int = 10) -> list[float]:
+                     eps_list: Sequence[float]) -> list[float]:
     """s_transform_local_time at each eps of the list, one a(t) table per mesh."""
-    return [q.direct(N) for q in
-            _quadratures(h, N, T, phi, eps_list, n_panels=n_panels, n_gl=n_gl)]
+    return [rule.direct(a, N) for rule, a in _quadratures(h, N, T, phi, eps_list)]
 
 
 def s_transform_local_time(h: HurstFunctional, N: int, T: float,
-                           phi: TestFunction, eps: float = 0.0,
-                           n_panels: int = 48, n_gl: int = 10) -> float:
+                           phi: TestFunction, eps: float = 0.0) -> float:
     """S-transform of the order-N-truncated (optionally regularized) local time.
 
     Graded-mesh Gauss-Legendre time quadrature; eps = 0 requires the
     truncation bound, else the integral diverges at t = 0.
     """
-    return _s_transform_eps(h, N, T, phi, [eps], n_panels=n_panels, n_gl=n_gl)[0]
+    return _s_transform_eps(h, N, T, phi, [eps])[0]
 
 
-def kernel_eval(spec: KernelSpec, u, n_panels: int = 48, n_gl: int = 10) -> float:
+def kernel_eval(spec: KernelSpec, u) -> float:
     """Pointwise chaos kernel of the (truncated, regularized) local time.
 
     For even index 2n_vec with n = sum n_vec >= N:
 
-        (1/n_vec!) (2 pi)^{-d/2} (-1/2)^n
-            int_0^T w(t) prod_{j=1}^{2n} (M_{h(t)} 1_[0,t))(u_j) dt,
+        (1/n_vec!) (-1/2)^n int_0^T (2 pi var(t))^{-d/2}
+            prod_{j=1}^{2n} (M_{h(t)} 1_[0,t))(u_j) / sqrt(var(t)) dt,
 
-    with w(t) = t^{-(2n+d) h(t)} unregularized and
-    w(t) = (eps + t^{2h(t)})^{-(n + d/2)} regularized.  Any odd index entry
-    gives exactly 0, as does an order below the truncation.
+    with var = eps + t^{2h(t)}, and eps = 0 unregularized.  Any odd index
+    entry gives exactly 0, as does an order below the truncation.
     """
     m = spec.index
     if any(nj % 2 == 1 for nj in m.n_vec):
@@ -494,26 +497,15 @@ def kernel_eval(spec: KernelSpec, u, n_panels: int = 48, n_gl: int = 10) -> floa
     if len(u) != 2 * n:
         raise ValueError(f"kernel of order {2 * n} needs {2 * n} arguments, got {len(u)}")
     u = np.sort(u)  # symmetric kernel: make the invariance bit-exact
-    eps = 0.0 if spec.eps is None else spec.eps
-    d = m.d
-    gamma = _grading_exponent(spec.h, n, d, eps)
-    nodes, weights = _graded_nodes(spec.T, gamma, n_panels, n_gl)
-    hvals = spec.h(nodes)
-    prod = np.prod(mh_indicator(hvals[:, None], nodes[:, None], u[None, :]), axis=1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if spec.eps is None:
-            w = nodes ** (-(2.0 * n + d) * hvals)
-        else:
-            w = (eps + nodes ** (2.0 * hvals)) ** (-(n + d / 2.0))
-        integral = float(np.sum(weights * w * prod))
-    if not math.isfinite(integral):  # the first nodes of a steep grading
-        raise NumericalError("the time rule leaves the float range near t = 0")
-    return (1.0 / half.factorial) * (2.0 * np.pi) ** (-d / 2.0) * (-0.5) ** n * integral
+    rule = _TimeRule(spec.h, spec.T, n, m.d, 0.0 if spec.eps is None else spec.eps)
+    # one sqrt(var) per indicator kernel, bounded near 0 as in chaos_term
+    ratio = (mh_indicator(rule.hvals[:, None], rule.nodes[:, None], u[None, :])
+             / np.sqrt(rule.var)[:, None])
+    return (-0.5) ** n / half.factorial * rule.integral(np.prod(ratio, axis=1))
 
 
 def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
-                  n_max: int, eps: float = 0.0,
-                  n_panels: int = 48, n_gl: int = 10) -> np.ndarray:
+                  n_max: int, eps: float = 0.0) -> np.ndarray:
     """Partial sums of the chaos expansion paired with phi tensor powers.
 
     Entry i is the sum of kernel pairings over all multi-indices with total
@@ -521,12 +513,12 @@ def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     Kernel pairings factorize through the tabulated a_j(t), so the cost is
     O(n_max * nodes) per diagonal plus the multi-index combinatorics.
     """
-    q = _quadratures(h, N, T, phi, [eps], n_panels=n_panels, n_gl=n_gl)[0]
+    rule, a = _quadratures(h, N, T, phi, [eps])[0]
     partial = []
     acc = 0.0
     for n in range(N, n_max + 1):
         for n_vec in _compositions(n, phi.d):
-            acc += q.chaos_term(n_vec)
+            acc += rule.chaos_term(a, n_vec)
         partial.append(acc)
     return np.array(partial)
 
@@ -546,17 +538,18 @@ class ConvergenceRow:
     eps: float
     value: float
     gap: float
+    limit: float
 
 
 def convergence_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
                     eps_list: Sequence[float]) -> list[ConvergenceRow]:
     """S-transform gaps between the regularized and limiting local times.
 
-    Requires the truncation bound (so the eps = 0 limit exists); the gap
-    |S_eps - S_0| shrinks to 0 as eps decreases.
+    Requires the truncation bound (so the eps = 0 limit S_0, which every row
+    carries, exists); the gap |S_eps - S_0| shrinks to 0 as eps decreases.
     """
     if any(eps <= 0 for eps in eps_list):
         raise ValueError("eps entries must be positive")
     limit, *values = _s_transform_eps(h, N, T, phi, [0.0, *eps_list])
-    return [ConvergenceRow(eps=eps, value=val, gap=abs(val - limit))
+    return [ConvergenceRow(eps=eps, value=val, gap=abs(val - limit), limit=limit)
             for eps, val in zip(eps_list, values)]

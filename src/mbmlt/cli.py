@@ -1,10 +1,11 @@
 """Command-line entry point: config parsing, dispatch, and file output.
 
 Subcommands: simulate, covariance, localtime, stransform, kernels, converge.
-All numeric work lives in the library modules; this file only parses
-configuration, calls them, and writes CSV plus a JSON manifest.  The
-acceptance suite runs from a source checkout with
-`pytest tests/test_acceptance.py`.
+The numerical routes live in the library modules; this file parses
+configuration, calls them, and writes CSV plus a JSON manifest, which also
+holds the checks against theory: simulate's variance_rel_rms, localtime's
+per-eps target and z, converge's limit and per-eps rel_gap.  The acceptance
+suite runs from a source checkout with `pytest tests/test_acceptance.py`.
 
 Exit codes: 1 config error, 2 math-domain error (range/truncation-bound
 violation or divergence), 3 numerical failure (quadrature/factorization),
@@ -104,6 +105,8 @@ def _write_csv(path: Path, header: list, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
+    import numpy as np
+
     from .simulate import SimulationConfig, simulate
 
     h, d, _ = _build(cfg)
@@ -113,7 +116,10 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
     )
     paths = simulate(sim)
     paths.to_csv(outdir / "paths.csv")
-    return paths.metadata()
+    # mean square over paths and components, relative to t^{2h(t)}
+    sample = np.einsum("ijk,ijk->k", paths.values, paths.values) / (sim.n_paths * d)
+    rel = sample / sim.grid ** (2.0 * h(sim.grid)) - 1.0
+    return {**paths.metadata(), "variance_rel_rms": float(np.sqrt(np.mean(rel * rel)))}
 
 
 def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
@@ -130,7 +136,7 @@ def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
 
 
 def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
-    from .localtime import RegularizationParams, local_time_mc
+    from .localtime import RegularizationParams, expected_local_time, local_time_mc
     from .simulate import SimulationConfig, simulate
 
     h, d, _ = _build(cfg)
@@ -140,14 +146,19 @@ def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
     )
     paths = simulate(sim)
     N = int(cfg.get("N", 0))
-    rows = []
+    rows, targets, z = [], [], []
     for eps in [float(e) for e in cfg.get("eps", [0.1])]:
         est = local_time_mc(paths, RegularizationParams(eps=eps, N=N))
         rows.append((est.params.eps, est.params.N, est.estimate, est.stderr,
                      est.n_paths))
+        # the N = 1 estimate is already centered on its expectation
+        target = 0.0 if N == 1 else expected_local_time(h, eps, sim.T, d)
+        targets.append(target)
+        z.append((est.estimate - target) / est.stderr if est.stderr > 0 else None)
     _write_csv(outdir / "localtime.csv",
                ["eps", "N", "estimate", "stderr", "n_paths"], rows)
-    return {"n_paths": sim.n_paths, "seed": sim.seed, "method": sim.method}
+    return {"n_paths": sim.n_paths, "seed": sim.seed, "method": sim.method,
+            "target": targets, "z": z}
 
 
 def _cmd_stransform(cfg: dict, outdir: Path) -> dict:
@@ -197,7 +208,9 @@ def _cmd_converge(cfg: dict, outdir: Path) -> dict:
     rows = convergence_eps(h, N, h.T, phi, eps_list)
     _write_csv(outdir / "converge.csv", ["eps", "value", "gap"],
                [(r.eps, r.value, r.gap) for r in rows])
-    return {"N": N, "final_gap": rows[-1].gap}
+    limit = rows[0].limit
+    return {"N": N, "final_gap": rows[-1].gap, "limit": limit,
+            "rel_gap": [r.gap / abs(limit) if limit else None for r in rows]}
 
 
 COMMANDS = {

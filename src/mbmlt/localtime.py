@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .simulate import MbmPathSet
-from .specfun import HurstFunctional, require_truncation_bound
+from .specfun import HurstFunctional
 
 __all__ = [
     "RegularizationParams",
@@ -118,22 +118,14 @@ def expected_local_time(h: HurstFunctional, eps: float, T: float, d: int) -> flo
     agree.  eps = 0 requires the N = 0 truncation bound d * sup h < 1
     (otherwise the integral diverges at t = 0: AdmissibilityError).
     """
-    # deferred: the N = 0 Monte-Carlo routes never need the time rule
-    from .chaos import _graded_nodes, _grading_exponent, _LocalTimeQuadrature
+    # deferred: local_time_mc at N = 0 never needs the time rule
+    from .chaos import _TimeRule
 
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
     if d < 1 or T <= 0 or T > h.T + 1e-12:
         raise ValueError("bad dimension or horizon")
-    if eps == 0.0:
-        require_truncation_bound(h, 0, d)
-    gamma = _grading_exponent(h, 0, d, eps)
     val = np.nan
     for k in range(_EXPECTATION_DOUBLINGS + 1):
-        nodes, weights = _graded_nodes(T, gamma, 48 * 2 ** k, 10)
-        prev, val = val, _LocalTimeQuadrature(
-            weights, nodes ** (2.0 * h(nodes)), np.zeros((len(nodes), d)), eps
-        ).direct(0)
+        prev, val = val, _TimeRule(h, T, 0, d, eps, n_panels=48 * 2 ** k).integral(1.0)
         if abs(val - prev) <= _EXPECTATION_RTOL * max(1.0, abs(val)):
             return val
     raise NumericalError(f"expected_local_time not converged: successive "

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mbmlt.chaos import (
     TestFunction,
     _a_table,
     _graded_nodes,
+    _TimeRule,
     a_vector,
     chaos_pairing,
     convergence_eps,
@@ -198,7 +200,7 @@ class TestATable:
         comp = self.COMPONENTS[name]
         phi = TestFunction((comp,))
         # a t = 0 row and 80 graded nodes: three blocks, the last one partial
-        nodes = np.concatenate([[0.0], _graded_nodes(1.0, 16.0, 8, 10)[0]])
+        nodes = np.concatenate([[0.0], _graded_nodes(1.0, 16.0, 8)[0]])
         table = _a_table(h_linear, nodes, phi)
         assert table.shape == (len(nodes), 1)
         assert table[0, 0] == 0.0
@@ -210,7 +212,7 @@ class TestATable:
             assert got == pytest.approx(ref, rel=1e-12)
 
     def test_zero_test_function(self, h_linear):
-        nodes = _graded_nodes(1.0, 2.0, 8, 10)[0]
+        nodes = _graded_nodes(1.0, 2.0, 8)[0]
         table = _a_table(h_linear, nodes, TestFunction.zero(2))
         assert np.array_equal(table, np.zeros((len(nodes), 2)))
 
@@ -308,9 +310,34 @@ class TestSTransformLocalTime:
                 continue
             assert got == pytest.approx(exact, rel=1e-10)
 
+    @pytest.mark.parametrize("H", [0.995, 0.999])
+    def test_float_range_raised_before_any_table(self, H, phi_1d, monkeypatch):
+        # grading >= 200: the first nodes of the time rule leave the float
+        # range.  Every route raises NumericalError from the rule, without a
+        # RuntimeWarning and before any a(t) table is built
+        built = []
+        monkeypatch.setattr(mbmlt.chaos, "_a_table",
+                            lambda *args: built.append(args) or _a_table(*args))
+        h = HurstFunctional.constant(H)
+        spec = KernelSpec(h=h, T=1.0, N=0, index=ChaosIndex((0,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (lambda: s_transform_local_time(h, 0, 1.0, phi_1d),
+                          lambda: chaos_pairing(h, 0, 1.0, phi_1d, 2),
+                          lambda: kernel_eval(spec, [])):
+                with pytest.raises(NumericalError):
+                    value()
+        assert built == []
+
+    @staticmethod
+    def _on_finer_rule(h, N, phi, n_panels):
+        # the eps = 0 S-transform on a time rule with more than the 48 panels
+        rule = _TimeRule(h, 1.0, N, phi.d, 0.0, n_panels=n_panels)
+        return rule.direct(_a_table(h, rule.nodes, phi), N)
+
     def test_mesh_refinement_stable(self, h_linear, phi_1d):
-        coarse = s_transform_local_time(h_linear, 1, 1.0, phi_1d, n_panels=48)
-        fine = s_transform_local_time(h_linear, 1, 1.0, phi_1d, n_panels=96)
+        coarse = s_transform_local_time(h_linear, 1, 1.0, phi_1d)
+        fine = self._on_finer_rule(h_linear, 1, phi_1d, 96)
         assert fine == pytest.approx(coarse, rel=1e-5)
 
     @pytest.mark.parametrize("H, N, d", [(0.7, 1, 1), (0.6, 1, 2)])
@@ -320,7 +347,7 @@ class TestSTransformLocalTime:
         h = HurstFunctional.constant(H)
         phi = phi_1d if d == 1 else phi_2d
         coarse = s_transform_local_time(h, N, 1.0, phi)
-        fine = s_transform_local_time(h, N, 1.0, phi, n_panels=192)
+        fine = self._on_finer_rule(h, N, phi, 192)
         assert coarse == pytest.approx(fine, rel=1e-10)
 
     def test_truncation_removes_leading_order(self, h_const_07, phi_1d):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,19 @@ class TestSimulateCommand:
         code, out = _run(tmp_path, "simulate", cfg)
         assert code == 0 and (out / "paths.csv").exists()
 
+    def test_variance_rel_rms_from_written_paths(self, tmp_path):
+        cfg = {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "d": 2, "s": 32,
+               "n_paths": 20, "seed": 4}
+        code, out = _run(tmp_path, "simulate", cfg)
+        assert code == 0
+        rms = json.loads((out / "manifest.json").read_text())["variance_rel_rms"]
+        vals = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1)
+        t = vals[:32, 1]
+        sample = np.mean(vals[:, 2:].reshape(20, 32, 2) ** 2, axis=(0, 2))
+        ref = np.sqrt(np.mean((sample / t ** (2 * (0.55 + 0.2 * t)) - 1.0) ** 2))
+        assert math.isfinite(rms)
+        assert rms == pytest.approx(ref, rel=1e-12)
+
 
 class TestCovarianceCommand:
     def test_matches_library(self, tmp_path):
@@ -76,6 +90,25 @@ class TestLocalTimeCommand:
         rows = (out / "localtime.csv").read_text().strip().split("\n")
         assert rows[0] == "eps,N,estimate,stderr,n_paths"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_manifest_targets_and_z(self, tmp_path, N):
+        from mbmlt.localtime import expected_local_time
+        from mbmlt.specfun import HurstFunctional
+
+        cfg = {"hurst": {"const": 0.7}, "s": 64, "n_paths": 200, "seed": 3,
+               "N": N, "eps": [0.5, 0.2]}
+        code, out = _run(tmp_path, "localtime", cfg)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        rows = (out / "localtime.csv").read_text().strip().split("\n")[1:]
+        h = HurstFunctional.constant(0.7)
+        for row, eps, target, z in zip(rows, cfg["eps"], manifest["target"],
+                                       manifest["z"], strict=True):
+            estimate, stderr = map(float, row.split(",")[2:4])
+            assert target == (0.0 if N == 1 else expected_local_time(h, eps, 1.0, 1))
+            assert math.isfinite(z) and abs(z) <= 5.0
+            assert z == pytest.approx((estimate - target) / stderr, rel=1e-12)
 
     def test_eps_flag_overrides(self, tmp_path):
         cfg = {"hurst": {"const": 0.7}, "s": 64, "n_paths": 20,
@@ -148,6 +181,9 @@ class TestKernelsCommand:
 
 class TestConvergeCommand:
     def test_gap_table(self, tmp_path):
+        from mbmlt.chaos import TestFunction, s_transform_local_time
+        from mbmlt.specfun import HurstFunctional
+
         cfg = {"hurst": {"const": 0.7}, "d": 1, "N": 1, "eps": [0.1, 0.01],
                "test_function": {"components": [
                    {"gaussian": {"amplitude": 0.5, "center": 0.2, "width": 0.8}},
@@ -158,6 +194,21 @@ class TestConvergeCommand:
         assert rows[0] == "eps,value,gap"
         gaps = [float(r.split(",")[2]) for r in rows[1:]]
         assert gaps[0] > gaps[1]
+        manifest = json.loads((out / "manifest.json").read_text())
+        h = HurstFunctional.constant(0.7)
+        phi = TestFunction.from_config(cfg["test_function"])
+        limit = s_transform_local_time(h, 1, 1.0, phi, eps=0.0)
+        assert manifest["limit"] == limit
+        assert manifest["rel_gap"] == [g / abs(limit) for g in gaps]
+
+    def test_zero_limit_has_no_relative_gap(self, tmp_path):
+        # zero phi: exp_1(0) = 0, so every N = 1 value and the limit vanish
+        cfg = {"hurst": {"const": 0.7}, "d": 1, "N": 1, "eps": [0.1, 0.01]}
+        code, out = _run(tmp_path, "converge", cfg)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["limit"] == 0.0
+        assert manifest["rel_gap"] == [None, None]
 
 
 class TestExitCodes:
