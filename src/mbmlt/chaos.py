@@ -22,20 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalError
 from .operator import mh_indicator
-from .specfun import HurstFunctional, hermite_function, require_truncation_bound
+from .specfun import (HurstFunctional, hermite_function, require_truncation_bound,
+                      truncation_bound)
 
 __all__ = [
     "GaussianBump",
     "HermiteCombination",
     "TestFunction",
     "ChaosIndex",
-    "KernelSpec",
     "exp_trunc",
     "a_vector",
     "s_transform_delta",
@@ -149,7 +149,7 @@ class TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# chaos indices and kernel specs
+# chaos indices
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -174,32 +174,6 @@ class ChaosIndex:
     @property
     def factorial(self) -> int:
         return math.prod(map(math.factorial, self.n_vec))
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Parameters selecting one chaos kernel of the (truncated) local time.
-
-    ``index`` holds the kernel order per component; odd entries give the
-    zero kernel.  With no regularization the truncation bound must hold and
-    only orders >= N survive the truncation.
-    """
-
-    h: HurstFunctional
-    T: float
-    N: int
-    index: ChaosIndex
-    eps: Optional[float] = None
-
-    def __post_init__(self):
-        if self.T <= 0 or self.T > self.h.T + 1e-12:
-            raise ValueError("bad horizon")
-        if self.N < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if self.eps is not None and self.eps <= 0:
-            raise ValueError("eps must be positive when given")
-        if self.eps is None:
-            require_truncation_bound(self.h, self.N, self.index.d)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +365,13 @@ class _TimeRule:
     base = (2 pi var)^{-d/2}, var = eps + t^{2h(t)}, against a pairing:
     exp_N(-|a(t)|^2 / (2 var)) for the S-transform, a product of indicator
     kernels for a chaos kernel, 1 for the expectation.  N sets the grading
-    and, at eps = 0, the truncation bound the integral needs.
+    and, at eps = 0, the truncation bound the integral needs.  The rule owns
+    the argument checks of every t-integral, and makes them first.
     """
 
     def __init__(self, h: HurstFunctional, T: float, N: int, d: int,
                  eps: float, n_panels: int = 48):
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if eps == 0.0:
-            require_truncation_bound(h, N, d)
+        self.check(h, T, N, d, eps)
         self.gamma = _grading_exponent(h, N, d, eps)
         self.nodes, self.weights = _graded_nodes(T, self.gamma, n_panels)
         self.hvals = h(self.nodes)
@@ -409,6 +381,18 @@ class _TimeRule:
             self.base = (2.0 * np.pi * self.var) ** (-d / 2.0)
         if self.var.min() < np.finfo(float).tiny or not np.isfinite(self.base).all():
             raise NumericalError("the time rule leaves the float range near t = 0")
+
+    @staticmethod
+    def check(h: HurstFunctional, T: float, N: int, d: int, eps: float) -> None:
+        """Raise unless 0 < T <= h.T, N >= 0, d >= 1, eps >= 0 and, at
+        eps = 0, the truncation bound holds (AdmissibilityError)."""
+        if not 0.0 < T <= h.T + 1e-12:
+            raise ValueError(f"bad horizon: T must be in (0, {h.T}]")
+        truncation_bound(N, d)  # raises unless N >= 0 and d >= 1
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
+        if eps == 0.0:
+            require_truncation_bound(h, N, d)
 
     def integral(self, pairing) -> float:
         """int_0^T base(t) pairing(t) dt; pairing is one value per node, or 1."""
@@ -475,7 +459,8 @@ def s_transform_local_time(h: HurstFunctional, N: int, T: float,
     return _s_transform_eps(h, N, T, phi, [eps])[0]
 
 
-def kernel_eval(spec: KernelSpec, u) -> float:
+def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
+                eps: float = 0.0):
     """Pointwise chaos kernel of the (truncated, regularized) local time.
 
     For even index 2n_vec with n = sum n_vec >= N:
@@ -483,25 +468,35 @@ def kernel_eval(spec: KernelSpec, u) -> float:
         (1/n_vec!) (-1/2)^n int_0^T (2 pi var(t))^{-d/2}
             prod_{j=1}^{2n} (M_{h(t)} 1_[0,t))(u_j) / sqrt(var(t)) dt,
 
-    with var = eps + t^{2h(t)}, and eps = 0 unregularized.  Any odd index
-    entry gives exactly 0, as does an order below the truncation.
+    with var = eps + t^{2h(t)}, and eps = 0 unregularized, which needs the
+    truncation bound at N.  ``index`` holds the order per component.  ``u``
+    is one point of index-total coordinates, which gives a float, or an
+    (m, total) array of points, which gives m values from one time rule and
+    one indicator-kernel broadcast.  Any odd index entry gives exactly 0, as
+    does an order below the truncation; the arguments are checked first.
     """
-    m = spec.index
-    if any(nj % 2 == 1 for nj in m.n_vec):
-        return 0.0
-    half = ChaosIndex(tuple(nj // 2 for nj in m.n_vec))
+    index = ChaosIndex(index)
+    _TimeRule.check(h, T, N, index.d, eps)  # the bound at N, before any zero
+    # C order: the node sums then run along rows, as for one point
+    u = np.asarray(u, dtype=float, order="C")
+    points = np.atleast_2d(u)
+    if u.ndim > 2 or points.shape[1] != index.total:
+        raise ValueError(f"kernel of order {index.total} needs points of "
+                         f"{index.total} coordinates, got shape {u.shape}")
+    half = ChaosIndex(tuple(nj // 2 for nj in index.n_vec))
     n = half.total
-    if n < spec.N:
-        return 0.0  # truncated away
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if len(u) != 2 * n:
-        raise ValueError(f"kernel of order {2 * n} needs {2 * n} arguments, got {len(u)}")
-    u = np.sort(u)  # symmetric kernel: make the invariance bit-exact
-    rule = _TimeRule(spec.h, spec.T, n, m.d, 0.0 if spec.eps is None else spec.eps)
-    # one sqrt(var) per indicator kernel, bounded near 0 as in chaos_term
-    ratio = (mh_indicator(rule.hvals[:, None], rule.nodes[:, None], u[None, :])
-             / np.sqrt(rule.var)[:, None])
-    return (-0.5) ** n / half.factorial * rule.integral(np.prod(ratio, axis=1))
+    if any(nj % 2 == 1 for nj in index.n_vec) or n < N:
+        values = np.zeros(len(points))  # odd, or truncated away
+    else:
+        rule = _TimeRule(h, T, n, index.d, eps)  # graded for the order n
+        # symmetric kernel: sorting makes the invariance bit-exact.  One
+        # sqrt(var) per indicator kernel, bounded near 0 as in chaos_term
+        ratio = (mh_indicator(rule.hvals[:, None], rule.nodes[:, None],
+                              np.sort(points, axis=1)[:, None, :])
+                 / np.sqrt(rule.var)[:, None])
+        integrand = rule.weights * rule.base * np.prod(ratio, axis=2)
+        values = (-0.5) ** n / half.factorial * np.sum(integrand, axis=1)
+    return values if u.ndim == 2 else float(values[0])
 
 
 def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
@@ -548,6 +543,8 @@ def convergence_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     Requires the truncation bound (so the eps = 0 limit S_0, which every row
     carries, exists); the gap |S_eps - S_0| shrinks to 0 as eps decreases.
     """
+    if not eps_list:
+        raise ValueError("eps list must not be empty")
     if any(eps <= 0 for eps in eps_list):
         raise ValueError("eps entries must be positive")
     limit, *values = _s_transform_eps(h, N, T, phi, [0.0, *eps_list])

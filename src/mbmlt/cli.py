@@ -132,7 +132,7 @@ def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
     grid = np.arange(1, s + 1) * (h.T / s)
     cov = covariance_matrix(grid, h)
     cov.to_csv(outdir / "covariance.csv")
-    return {"grid_points": s, "min_eigenvalue": cov.min_eigenvalue()}
+    return {"grid_points": s, "min_eigenvalue": cov.min_eigenvalue}
 
 
 def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
@@ -176,25 +176,25 @@ def _cmd_stransform(cfg: dict, outdir: Path) -> dict:
 
 
 def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
-    from .chaos import ChaosIndex, KernelSpec, kernel_eval
+    import numpy as np
+
+    from .chaos import kernel_eval
 
     h, d, _ = _build(cfg)
-    index = ChaosIndex(tuple(int(n) for n in cfg["kernel_index"]))
-    if index.d != d:
-        raise ValueError(f"kernel index has {index.d} components, d = {d}")
-    eps = cfg.get("kernel_eps")
-    spec = KernelSpec(h=h, T=h.T, N=int(cfg.get("N", 0)), index=index,
-                      eps=None if eps is None else float(eps))
-    order = index.total
-    rows = []
-    for u in cfg["u_grid"]:
-        u = [float(x) for x in (u if isinstance(u, list) else [u])]
-        if len(u) != order:
-            raise ValueError(f"u point needs {order} coordinates, got {len(u)}")
-        rows.append((*u, kernel_eval(spec, u)))
-    _write_csv(outdir / "kernels.csv",
-               [f"u{i+1}" for i in range(order)] + ["value"], rows)
-    return {"index": list(index.n_vec), "order": order}
+    n_vec = [int(n) for n in cfg["kernel_index"]]
+    if len(n_vec) != d:
+        raise ValueError(f"kernel index has {len(n_vec)} components, d = {d}")
+    order = sum(n_vec)
+    points = [p if isinstance(p, list) else [p] for p in cfg["u_grid"]]
+    if any(len(p) != order for p in points):
+        raise ValueError(f"every u point needs {order} coordinates")
+    u = np.array(points, dtype=float).reshape(len(points), order)
+    # kernel_eps absent, null or 0: unregularized
+    values = kernel_eval(h, int(cfg.get("N", 0)), h.T, n_vec, u,
+                         float(cfg.get("kernel_eps") or 0.0))
+    _write_csv(outdir / "kernels.csv", [f"u{i+1}" for i in range(order)] + ["value"],
+               [(*p, v) for p, v in zip(u.tolist(), values.tolist())])
+    return {"index": n_vec, "order": order}
 
 
 def _cmd_converge(cfg: dict, outdir: Path) -> dict:

@@ -116,13 +116,12 @@ def expected_local_time(h: HurstFunctional, eps: float, T: float, d: int) -> flo
     The phi = 0 S-transform, on the time rule of the chaos routes with no
     a(t) table; the panel count doubles from 48 until two successive values
     agree.  eps = 0 requires the N = 0 truncation bound d * sup h < 1
-    (otherwise the integral diverges at t = 0: AdmissibilityError).
+    (otherwise the integral diverges at t = 0: AdmissibilityError); the
+    rule checks that bound and the other arguments.
     """
     # deferred: local_time_mc at N = 0 never needs the time rule
     from .chaos import _TimeRule
 
-    if d < 1 or T <= 0 or T > h.T + 1e-12:
-        raise ValueError("bad dimension or horizon")
     val = np.nan
     for k in range(_EXPECTATION_DOUBLINGS + 1):
         prev, val = val, _TimeRule(h, T, 0, d, eps, n_panels=48 * 2 ** k).integral(1.0)

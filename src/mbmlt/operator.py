@@ -73,13 +73,12 @@ def h_inner_product(t: float, s: float, h: HurstFunctional) -> float:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Covariance of the process on a strictly increasing time grid."""
+    """Covariance of the process on a strictly increasing time grid, with
+    the smallest eigenvalue its PSD check computed."""
 
     grid: np.ndarray
     values: np.ndarray
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.values)[0])
+    min_eigenvalue: float
 
     def to_csv(self, path) -> None:
         """Row/column headers are the grid times, 17 significant digits."""
@@ -121,11 +120,10 @@ def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
     if grid[0] <= 0 or grid[-1] > h.T + 1e-12:
         raise ValueError(f"grid must lie in (0, {h.T}]")
     R = _covariance_values(grid, h)
-    cov = CovarianceMatrix(grid=grid, values=R)
-    min_eig = cov.min_eigenvalue()
+    min_eig = float(np.linalg.eigvalsh(R)[0])
     if min_eig < -PSD_TOL * np.trace(R):
         raise NumericalError(
             f"covariance not PSD: min eigenvalue {min_eig:g} "
             f"(tolerance {-PSD_TOL * np.trace(R):g}); invalid Hurst function?"
         )
-    return cov
+    return CovarianceMatrix(grid=grid, values=R, min_eigenvalue=min_eig)

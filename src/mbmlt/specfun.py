@@ -3,7 +3,8 @@
 The Hurst function h maps [0, T] into (1/2, 1) and controls the pathwise
 regularity of the process at each time.  Admissibility is checked on a dense
 grid: the range condition (called A1 below) and, for truncated unregularized
-local times, the bound sup h < (1+2N)/(2N+d) (called A2).
+local times, the truncation bound sup h < (1+2N)/(2N+d), whose right-hand
+side truncation_bound gives.
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ __all__ = [
     "gamma_factor",
     "hermite_function",
     "HurstFunctional",
-    "TruncationParams",
-    "check_A2",
+    "truncation_bound",
     "require_truncation_bound",
     "minimal_truncation",
 ]
@@ -195,40 +195,14 @@ class HurstFunctional:
         raise ValueError(f"unknown hurst spec kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class TruncationParams:
-    """Truncation order N and dimension d for the truncated local time."""
-
-    N: int
-    d: int
-
-    def __post_init__(self):
-        if self.N < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
-
-    @property
-    def bound(self) -> float:
-        """The admissible supremum (1+2N)/(2N+d) for the Hurst function."""
-        return (1.0 + 2.0 * self.N) / (2.0 * self.N + self.d)
-
-
-def check_A2(h: HurstFunctional, N: int, d: int) -> tuple[bool, dict]:
-    """Check sup h < (1+2N)/(2N+d); return (ok, diagnostic).
-
-    The diagnostic reports the supremum, the bound, and the minimal N that
-    makes the condition hold for this dimension.
-    """
-    params = TruncationParams(N=N, d=d)
-    ok = h.sup < params.bound
-    return ok, {
-        "sup_h": h.sup,
-        "bound": params.bound,
-        "N": N,
-        "d": d,
-        "minimal_N": minimal_truncation(h, d),
-    }
+def truncation_bound(N: int, d: int) -> float:
+    """The admissible supremum (1+2N)/(2N+d) of h for truncation order N in
+    dimension d."""
+    if N < 0:
+        raise ValueError("truncation order must be nonnegative")
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    return (1.0 + 2.0 * N) / (2.0 * N + d)
 
 
 def minimal_truncation(h: HurstFunctional, d: int) -> int:
@@ -239,7 +213,7 @@ def minimal_truncation(h: HurstFunctional, d: int) -> int:
     N >= 0 above (d sup h - 1) / (2 (1 - sup h)).
     """
     def admits(N: int) -> bool:
-        return h.sup < TruncationParams(N=N, d=d).bound
+        return h.sup < truncation_bound(N, d)
 
     # Rounding, in the formula and in the bound, can move the first N that
     # the floating-point test admits off this candidate: by one for moderate
@@ -261,9 +235,9 @@ def require_truncation_bound(h: HurstFunctional, N: int, d: int) -> None:
     Without regularization the order-N-truncated local time, and each of its
     chaos kernels, exists only under this bound.
     """
-    ok, diag = check_A2(h, N, d)
-    if not ok:
+    bound = truncation_bound(N, d)
+    if h.sup >= bound:
         raise AdmissibilityError(
-            f"truncation bound fails: sup h = {diag['sup_h']:g} >= bound "
-            f"{diag['bound']:g} for N={N}, d={d}; minimal N = {diag['minimal_N']}"
+            f"truncation bound fails: sup h = {h.sup:g} >= bound {bound:g} "
+            f"for N={N}, d={d}; minimal N = {minimal_truncation(h, d)}"
         )

@@ -14,9 +14,7 @@ import numpy as np
 import pytest
 
 from mbmlt.chaos import (
-    ChaosIndex,
     GaussianBump,
-    KernelSpec,
     TestFunction,
     chaos_pairing,
     convergence_eps,
@@ -32,7 +30,7 @@ from mbmlt.simulate import (
     simulate_wood_chan_fbm,
     simulate_wood_chan_mbm,
 )
-from mbmlt.specfun import HurstFunctional, check_A2, minimal_truncation
+from mbmlt.specfun import HurstFunctional, minimal_truncation, truncation_bound
 
 from .oracles import fourier_inner_product, isometry_quadrature
 
@@ -161,7 +159,7 @@ def test_criterion_7_truncation_gating():
         notes.append("N=0 request did not fail")
     except AdmissibilityError:
         notes.append("N=0 rejected")
-    if not check_A2(h, 2, 3)[0]:
+    if not h.sup < truncation_bound(2, 3):
         ok = False
         notes.append("N=2 does not satisfy the bound")
     try:
@@ -181,8 +179,7 @@ def test_criterion_8_kernel_structure():
     failures = []
     # odd-index kernels are identically zero
     for n_vec, u in [((1,), [0.3]), ((3,), [0.1, 0.4, 0.7]), ((2, 1), [0.2, 0.5, 0.8])]:
-        spec = KernelSpec(h=h, T=1.0, N=0, index=ChaosIndex(n_vec), eps=0.1)
-        if kernel_eval(spec, u) != 0.0:
+        if kernel_eval(h, 0, 1.0, n_vec, u, eps=0.1) != 0.0:
             failures.append(f"odd index {n_vec} not exactly 0")
     # order-2 pairing vs central finite difference of the S-transform
     phi = TestFunction((GaussianBump(0.5, 0.2, 0.8),))
@@ -196,12 +193,11 @@ def test_criterion_8_kernel_structure():
     if rel >= 1e-3:
         failures.append(f"order-2 kernel vs finite difference: rel {rel:.3g}")
     # permutation invariance, bit-exact, 20 random permutations
-    spec4 = KernelSpec(h=h, T=1.0, N=0, index=ChaosIndex((4,)), eps=0.1)
     u4 = np.array([0.15, 0.4, 0.65, 0.9])
-    ref = kernel_eval(spec4, u4)
+    ref = kernel_eval(h, 0, 1.0, (4,), u4, eps=0.1)
     rng = np.random.default_rng(81)
     for _ in range(20):
-        if kernel_eval(spec4, rng.permutation(u4)) != ref:
+        if kernel_eval(h, 0, 1.0, (4,), rng.permutation(u4), eps=0.1) != ref:
             failures.append("permutation changed the kernel value")
             break
     _verdict(8, "kernel structure", not failures,

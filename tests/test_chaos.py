@@ -12,7 +12,6 @@ from mbmlt.chaos import (
     ChaosIndex,
     GaussianBump,
     HermiteCombination,
-    KernelSpec,
     TestFunction,
     _a_table,
     _graded_nodes,
@@ -28,7 +27,7 @@ from mbmlt.chaos import (
 from mbmlt.errors import AdmissibilityError, NumericalError
 from mbmlt.localtime import expected_local_time
 from mbmlt.operator import mh_indicator
-from mbmlt.specfun import HurstFunctional
+from mbmlt.specfun import HurstFunctional, truncation_bound
 
 from .oracles import exp_tail_series, mh_apply
 
@@ -105,24 +104,6 @@ class TestChaosIndex:
     def test_validation(self):
         with pytest.raises(ValueError):
             ChaosIndex((1, -1))
-
-
-class TestKernelSpec:
-    def test_unregularized_requires_bound(self, h_const_06):
-        # d = 3: bound is 1/3 at N = 0, so 0.6 is inadmissible
-        with pytest.raises(AdmissibilityError):
-            KernelSpec(h=h_const_06, T=1.0, N=0, index=ChaosIndex((0, 0, 0)))
-        # N = 2 raises the bound to 5/7 > 0.6
-        KernelSpec(h=h_const_06, T=1.0, N=2, index=ChaosIndex((0, 0, 0)))
-
-    def test_regularized_always_admissible(self, h_const_06):
-        KernelSpec(h=h_const_06, T=1.0, N=0, index=ChaosIndex((0, 0, 0)), eps=0.1)
-
-    def test_validation(self, h_const_06):
-        with pytest.raises(ValueError):
-            KernelSpec(h=h_const_06, T=-1.0, N=0, index=ChaosIndex((0,)))
-        with pytest.raises(ValueError):
-            KernelSpec(h=h_const_06, T=1.0, N=0, index=ChaosIndex((0,)), eps=0.0)
 
 
 class TestAVector:
@@ -297,10 +278,9 @@ class TestSTransformLocalTime:
         # the call must raise NumericalError
         h = HurstFunctional.constant(H)
         exact = (2 * math.pi) ** -0.5 / (1 - H)
-        spec = KernelSpec(h=h, T=1.0, N=0, index=ChaosIndex((0,)))
         for value in (lambda: expected_local_time(h, 0.0, 1.0, 1),
                       lambda: s_transform_local_time(h, 0, 1.0, TestFunction.zero(1)),
-                      lambda: kernel_eval(spec, [])):
+                      lambda: kernel_eval(h, 0, 1.0, (0,), [])):
             if H <= 0.975:
                 assert value() == pytest.approx(exact, rel=1e-12)
                 continue
@@ -319,12 +299,11 @@ class TestSTransformLocalTime:
         monkeypatch.setattr(mbmlt.chaos, "_a_table",
                             lambda *args: built.append(args) or _a_table(*args))
         h = HurstFunctional.constant(H)
-        spec = KernelSpec(h=h, T=1.0, N=0, index=ChaosIndex((0,)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for value in (lambda: s_transform_local_time(h, 0, 1.0, phi_1d),
                           lambda: chaos_pairing(h, 0, 1.0, phi_1d, 2),
-                          lambda: kernel_eval(spec, [])):
+                          lambda: kernel_eval(h, 0, 1.0, (0,), [])):
                 with pytest.raises(NumericalError):
                     value()
         assert built == []
@@ -360,48 +339,129 @@ class TestSTransformLocalTime:
         )
 
 
-class TestKernelEval:
-    def _spec(self, h, n_vec, N=0, eps=None, d=None):
-        return KernelSpec(h=h, T=1.0, N=N, index=ChaosIndex(n_vec), eps=eps)
+class TestArgumentChecks:
+    """Every t-integral checks its arguments in the time rule, before any
+    a(t) table is built."""
 
+    ROUTES = {
+        "s_transform_local_time":
+            lambda h, N, T, eps, phi: s_transform_local_time(h, N, T, phi, eps),
+        "chaos_pairing": lambda h, N, T, eps, phi: chaos_pairing(h, N, T, phi, 2, eps),
+        "kernel_eval": lambda h, N, T, eps, phi: kernel_eval(h, N, T, (2,), [0.3, 0.4], eps),
+        # no truncation order: d = 0 stands in for N = -1
+        "expected_local_time":
+            lambda h, N, T, eps, phi: expected_local_time(h, eps, T, phi.d if N >= 0 else 0),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("T, N, eps", [
+        (0.0, 0, 0.0), (0.0, 0, 0.1), (1.5, 0, 0.1), (1.0, -1, 0.1), (1.0, 0, -0.1),
+    ], ids=["T=0,eps=0", "T=0", "T>h.T", "N=-1", "eps<0"])
+    def test_rejected_before_any_table(self, route, T, N, eps, h_const_07, phi_1d,
+                                       monkeypatch):
+        built = []
+        monkeypatch.setattr(mbmlt.chaos, "_a_table",
+                            lambda *args: built.append(args) or _a_table(*args))
+        with pytest.raises(ValueError) as exc:
+            self.ROUTES[route](h_const_07, N, T, eps, phi_1d)
+        assert exc.type is ValueError  # not the AdmissibilityError subclass
+        assert built == []
+
+
+#: Hurst functions of the kernel grid test, and its cases: eps = 0 only
+#: where the truncation bound holds at the test's N = 1
+GRID_HURST = {
+    "const": HurstFunctional.constant(0.7),
+    "linear": HurstFunctional.linear(0.55, 0.2),
+    "sin": HurstFunctional.sinusoidal(0.7, 0.15, 6.0),
+}
+GRID_CASES = [(name, n_vec, eps) for name, h in GRID_HURST.items()
+              for n_vec in [(2,), (4,), (2, 2), (2, 0)] for eps in (0.1, 0.0)
+              if eps > 0 or h.sup < truncation_bound(1, len(n_vec))]
+
+
+class TestKernelEval:
     def test_odd_index_is_exact_zero(self, h_const_07):
-        spec = self._spec(h_const_07, (1,), eps=0.1)
-        assert kernel_eval(spec, [0.3]) == 0.0
-        spec2 = self._spec(h_const_07, (2, 1), eps=0.1)
-        assert kernel_eval(spec2, [0.3, 0.4, 0.5]) == 0.0
+        assert kernel_eval(h_const_07, 0, 1.0, (1,), [0.3], eps=0.1) == 0.0
+        assert kernel_eval(h_const_07, 0, 1.0, (2, 1), [0.3, 0.4, 0.5], eps=0.1) == 0.0
 
     def test_below_truncation_is_zero(self, h_const_07):
-        spec = self._spec(h_const_07, (0,), N=1, eps=0.1)
-        assert kernel_eval(spec, []) == 0.0
+        assert kernel_eval(h_const_07, 1, 1.0, (0,), [], eps=0.1) == 0.0
 
     def test_order_zero_is_expectation(self, h_linear):
-        spec = self._spec(h_linear, (0,), eps=0.2)
-        got = kernel_eval(spec, [])
+        got = kernel_eval(h_linear, 0, 1.0, (0,), [], eps=0.2)
         assert got == pytest.approx(
             expected_local_time(h_linear, 0.2, 1.0, 1), rel=1e-6
         )
 
     def test_permutation_invariance(self, h_const_07):
-        spec = self._spec(h_const_07, (2,), eps=0.1)
         u = [0.3, 0.8]
-        assert kernel_eval(spec, u) == kernel_eval(spec, u[::-1])
-        spec4 = self._spec(h_const_07, (4,), eps=0.1)
+        assert (kernel_eval(h_const_07, 0, 1.0, (2,), u, eps=0.1)
+                == kernel_eval(h_const_07, 0, 1.0, (2,), u[::-1], eps=0.1))
         u4 = [0.2, 0.5, 0.7, 0.9]
-        assert kernel_eval(spec4, u4) == kernel_eval(spec4, [0.7, 0.2, 0.9, 0.5])
+        assert (kernel_eval(h_const_07, 0, 1.0, (4,), u4, eps=0.1)
+                == kernel_eval(h_const_07, 0, 1.0, (4,), [0.7, 0.2, 0.9, 0.5], eps=0.1))
 
     def test_sign_alternation(self, h_const_07):
         # (-1/2)^n prefactor: order 2 negative, order 4 positive at the
         # positive bulk of the kernel
-        u2 = [0.3, 0.4]
-        u4 = [0.3, 0.4, 0.5, 0.6]
-        k2 = kernel_eval(self._spec(h_const_07, (2,), eps=0.1), u2)
-        k4 = kernel_eval(self._spec(h_const_07, (4,), eps=0.1), u4)
+        k2 = kernel_eval(h_const_07, 0, 1.0, (2,), [0.3, 0.4], eps=0.1)
+        k4 = kernel_eval(h_const_07, 0, 1.0, (4,), [0.3, 0.4, 0.5, 0.6], eps=0.1)
         assert k2 < 0 < k4
 
     def test_argument_count(self, h_const_07):
-        spec = self._spec(h_const_07, (2,), eps=0.1)
         with pytest.raises(ValueError):
-            kernel_eval(spec, [0.3])
+            kernel_eval(h_const_07, 0, 1.0, (2,), [0.3], eps=0.1)
+        with pytest.raises(ValueError):
+            kernel_eval(h_const_07, 0, 1.0, (2,), np.zeros((5, 3)), eps=0.1)
+
+    def test_unregularized_requires_bound_at_N(self, h_const_06):
+        # d = 3: bound is 1/3 at N = 0, so 0.6 is inadmissible, for the
+        # zero kernels of odd or truncated-away indices as well
+        for n_vec, u in [((0, 0, 0), []), ((1, 0, 0), [0.3])]:
+            with pytest.raises(AdmissibilityError):
+                kernel_eval(h_const_06, 0, 1.0, n_vec, u)
+        # N = 1 gives bound 3/5, not above 0.6, although the order-2 kernel
+        # alone would meet its bound 5/7
+        with pytest.raises(AdmissibilityError):
+            kernel_eval(h_const_06, 1, 1.0, (4, 0, 0), [0.2, 0.4, 0.6, 0.8])
+        # N = 2 raises the bound to 5/7 > 0.6
+        assert kernel_eval(h_const_06, 2, 1.0, (0, 0, 0), []) == 0.0
+        assert math.isfinite(kernel_eval(h_const_06, 2, 1.0, (4, 0, 0), [0.2, 0.4, 0.6, 0.8]))
+
+    def test_regularized_always_admissible(self, h_const_06):
+        assert kernel_eval(h_const_06, 0, 1.0, (0, 0, 0), [], eps=0.1) > 0
+
+    def test_bad_horizon_and_dimension(self, h_const_06):
+        # checked before the exact zero of an odd index as well
+        for n_vec, u in [((0,), []), ((1,), [0.3])]:
+            with pytest.raises(ValueError):
+                kernel_eval(h_const_06, 0, -1.0, n_vec, u, eps=0.1)
+        with pytest.raises(ValueError):
+            kernel_eval(h_const_06, 0, 1.0, (), [], eps=0.1)
+
+    def test_rule_graded_for_the_kernel_order(self):
+        # at h = 0.98, d = 1 the N = 0 rule leaves the float range; the
+        # order-2 kernel runs on its own, softer grading, and a kernel
+        # truncated away is 0 without any rule
+        h = HurstFunctional.constant(0.98)
+        with pytest.raises(NumericalError):
+            _TimeRule(h, 1.0, 0, 1, 0.0)
+        assert math.isfinite(kernel_eval(h, 0, 1.0, (2,), [0.3, 0.3]))
+        assert kernel_eval(HurstFunctional.constant(0.999), 1, 1.0, (0,), []) == 0.0
+
+    @pytest.mark.parametrize("name, n_vec, eps", GRID_CASES)
+    def test_grid_matches_points(self, name, n_vec, eps):
+        # the (m, 2n) grid form runs every point on one time rule; it must
+        # give the values of the one-point calls bit for bit
+        h = GRID_HURST[name]
+        rng = np.random.default_rng(sum(n_vec) * 10 + len(n_vec))
+        u = rng.uniform(-0.3, 1.3, (50, sum(n_vec)))
+        grid = kernel_eval(h, 1, 1.0, n_vec, u, eps)
+        assert grid.shape == (50,) and np.all(grid != 0.0)
+        assert np.array_equal(grid, [kernel_eval(h, 1, 1.0, n_vec, p, eps) for p in u])
+        permuted = u[:, rng.permutation(u.shape[1])]
+        assert np.array_equal(kernel_eval(h, 1, 1.0, n_vec, permuted, eps), grid)
 
     def test_pairing_matches_second_derivative(self, h_const_07, phi_1d):
         # 1/2 d^2/dlam^2 S(lam phi)|_0 equals the order-2 chaos pairing;

@@ -80,6 +80,20 @@ class TestCovarianceCommand:
         ref = covariance_matrix(np.arange(1, 9) / 8.0, h).values
         assert np.array_equal(vals, ref)
 
+    def test_one_eigvalsh(self, tmp_path, monkeypatch):
+        # the manifest writes the eigenvalue the PSD check computed
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args, **kw: calls.append(1) or eigvalsh(a, *args, **kw))
+        code, out = _run(tmp_path, "covariance", {"hurst": {"linear": {"a": 0.55, "b": 0.2}},
+                                                  "s": 64})
+        assert code == 0
+        assert calls == [1]
+        vals = np.loadtxt(out / "covariance.csv", delimiter=",", skiprows=1)[:, 1:]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["min_eigenvalue"] == eigvalsh(vals)[0]
+
 
 class TestLocalTimeCommand:
     def test_eps_sweep(self, tmp_path):
@@ -178,6 +192,29 @@ class TestKernelsCommand:
         assert rows[0] == "u1,u2,value"
         assert len(rows) == 3
 
+    def test_kernel_eps_zero_is_unregularized(self, tmp_path):
+        from mbmlt.chaos import kernel_eval
+        from mbmlt.specfun import HurstFunctional
+
+        cfg = {"hurst": {"const": 0.6}, "d": 1, "N": 1, "kernel_index": [2],
+               "u_grid": [[0.2, 0.3], [0.5, 0.6], [-0.1, 1.2]]}
+        code, out = _run(tmp_path, "kernels", cfg)
+        assert code == 0
+        absent = (out / "kernels.csv").read_bytes()
+        vals = np.loadtxt(out / "kernels.csv", delimiter=",", skiprows=1)
+        ref = kernel_eval(HurstFunctional.constant(0.6), 1, 1.0, (2,), cfg["u_grid"])
+        assert np.array_equal(vals[:, 2], ref)
+        code, out = _run(tmp_path, "kernels", {**cfg, "kernel_eps": 0})
+        assert code == 0
+        assert (out / "kernels.csv").read_bytes() == absent
+
+    def test_zero_dimension_is_config_error(self, tmp_path, capsys):
+        cfg = {"hurst": {"const": 0.7}, "d": 0, "kernel_index": [], "kernel_eps": 0.1,
+               "u_grid": [[]]}
+        code, _ = _run(tmp_path, "kernels", cfg)
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
+
 
 class TestConvergeCommand:
     def test_gap_table(self, tmp_path):
@@ -209,6 +246,13 @@ class TestConvergeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["limit"] == 0.0
         assert manifest["rel_gap"] == [None, None]
+
+
+    def test_empty_eps_list_is_config_error(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, "converge", {"hurst": {"const": 0.7}, "d": 1, "N": 1,
+                                              "eps": []})
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
 
 
 class TestExitCodes:

@@ -150,7 +150,8 @@ class TestCovarianceMatrix:
     def test_psd_linear_h(self, h_linear):
         grid = np.linspace(1 / 64, 1.0, 64)
         cov = covariance_matrix(grid, h_linear)
-        assert cov.min_eigenvalue() >= -1e-8 * np.trace(cov.values)
+        assert cov.min_eigenvalue == np.linalg.eigvalsh(cov.values)[0]
+        assert cov.min_eigenvalue >= -1e-8 * np.trace(cov.values)
 
     @pytest.mark.parametrize("h", [
         HurstFunctional.linear(0.55, 0.2),

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from mbmlt.errors import AdmissibilityError
 from mbmlt.specfun import (
     HurstFunctional,
-    TruncationParams,
-    check_A2,
     gamma_factor,
     hermite_function,
     minimal_truncation,
     normalizing_constant,
     require_truncation_bound,
+    truncation_bound,
 )
 
 from .oracles import gauss_hermite_inner, hermite_direct
@@ -163,14 +162,21 @@ class TestHurstFunctional:
 
 
 class TestCheckA2:
+    """The truncation bound sup h < (1+2N)/(2N+d), condition A2."""
+
     def test_d1_passes(self, h_const_06):
-        ok, diag = check_A2(h_const_06, N=0, d=1)
-        assert ok and diag["bound"] == 1.0
+        assert truncation_bound(0, 1) == 1.0
+        require_truncation_bound(h_const_06, N=0, d=1)
 
     def test_d3_fails(self, h_const_06):
-        ok, diag = check_A2(h_const_06, N=0, d=3)
-        assert not ok
-        assert diag["bound"] == pytest.approx(1 / 3)
+        assert truncation_bound(0, 3) == pytest.approx(1 / 3)
+        with pytest.raises(AdmissibilityError):
+            require_truncation_bound(h_const_06, N=0, d=3)
+
+    @pytest.mark.parametrize("N, d", [(-1, 1), (0, 0), (2, -1)])
+    def test_domain(self, N, d):
+        with pytest.raises(ValueError):
+            truncation_bound(N, d)
 
     def test_require_truncation_bound(self, h_const_06):
         require_truncation_bound(h_const_06, N=2, d=3)
@@ -180,7 +186,7 @@ class TestCheckA2:
     def test_minimal_truncation_d3(self, h_const_06):
         # N=1 gives bound 3/5 = 0.6, not strictly above; N=2 gives 5/7
         assert minimal_truncation(h_const_06, d=3) == 2
-        assert check_A2(h_const_06, N=2, d=3)[0]
+        assert h_const_06.sup < truncation_bound(2, 3)
 
     @given(st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True),
            st.integers(min_value=1, max_value=5))
@@ -191,7 +197,7 @@ class TestCheckA2:
         N = minimal_truncation(h, d)
 
         def admits(n):
-            return sup < TruncationParams(N=n, d=d).bound
+            return sup < truncation_bound(n, d)
 
         assert admits(N)
         assert N == 0 or not admits(N - 1)
@@ -201,10 +207,10 @@ class TestCheckA2:
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_N(self, N, d):
         h = HurstFunctional.constant(0.72)
-        if check_A2(h, N, d)[0]:
-            assert check_A2(h, N + 1, d)[0]
+        if h.sup < truncation_bound(N, d):
+            assert h.sup < truncation_bound(N + 1, d)
 
     def test_bound_nondecreasing(self):
         for d in (1, 2, 3):
-            bounds = [TruncationParams(N=N, d=d).bound for N in range(10)]
+            bounds = [truncation_bound(N, d) for N in range(10)]
             assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
