@@ -228,8 +228,13 @@ def exp_trunc(N: int, x):
 #: nodes per pass of the a(t) table.  A pass holds ~520 points per node, so
 #: blocks keep its arrays near 17k entries; one pass over a whole mesh
 #: (~250k points per component) raised the peak RSS of a two-component
-#: `converge` run from 56 to 73 MB
+#: `converge` run from 56 to 73 MB.  kernel_eval takes its u points in
+#: passes of the same size
 _A_BLOCK = 32
+
+#: panels per piece, and Gauss-Legendre points per panel, of the a(t) rule
+_A_PANELS = 12
+_A_GL = 10
 
 
 def _piece_edges(p_lo, p_hi, k0, n_panels: int) -> np.ndarray:
@@ -272,8 +277,7 @@ def _pieces(lo: float, hi: float, t: float) -> list:
     return out
 
 
-def _kinked_rule(lo: float, hi: float, t: np.ndarray, n_panels: int = 12,
-                 n_gl: int = 10):
+def _kinked_rule(lo: float, hi: float, t: np.ndarray):
     """Points and weights of the composite Gauss-Legendre rule for the
     integral over [lo, hi] at each node t > 0, one row per node.
 
@@ -284,11 +288,11 @@ def _kinked_rule(lo: float, hi: float, t: np.ndarray, n_panels: int = 12,
     width = max(map(len, pieces))
     slots = [i * width + k for i, ps in enumerate(pieces) for k in range(len(ps))]
     p_lo, p_hi, k0 = np.array([p for ps in pieces for p in ps]).T
-    edges = _piece_edges(p_lo, p_hi, k0, n_panels)
+    edges = _piece_edges(p_lo, p_hi, k0, _A_PANELS)
     mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
     halves = 0.5 * np.abs(np.diff(edges, axis=1))
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
-    x = np.zeros((len(t) * width, n_panels + 1, n_gl))
+    xg, wg = np.polynomial.legendre.leggauss(_A_GL)
+    x = np.zeros((len(t) * width, _A_PANELS + 1, _A_GL))
     w = np.zeros_like(x)
     x[slots] = mids[..., None] + halves[..., None] * xg
     w[slots] = halves[..., None] * wg
@@ -389,7 +393,7 @@ class _TimeRule:
         if not 0.0 < T <= h.T + 1e-12:
             raise ValueError(f"bad horizon: T must be in (0, {h.T}]")
         truncation_bound(N, d)  # raises unless N >= 0 and d >= 1
-        if eps < 0:
+        if not eps >= 0:  # NaN fails too
             raise ValueError("eps must be nonnegative")
         if eps == 0.0:
             require_truncation_bound(h, N, d)
@@ -422,7 +426,7 @@ def s_transform_delta(h: HurstFunctional, t: float, phi: TestFunction,
     """
     if not 0.0 < t <= h.T + 1e-12:
         raise ValueError(f"t must be in (0, {h.T}]")
-    if eps < 0:
+    if not eps >= 0:  # NaN fails too
         raise ValueError("eps must be nonnegative")
     var = eps + t ** (2.0 * h(t))
     a = a_vector(h, t, phi)
@@ -431,32 +435,24 @@ def s_transform_delta(h: HurstFunctional, t: float, phi: TestFunction,
     )
 
 
-def _quadratures(h: HurstFunctional, N: int, T: float, phi: TestFunction,
-                 eps_list: Sequence[float]) -> list[tuple[_TimeRule, np.ndarray]]:
-    """The time rule of each eps with its a(t) table, tabulated once per
-    grading since a(t) does not depend on eps: every eps > 0 shares grading 2,
-    and eps = 0 shares it unless the truncation needs a harder grading.  Every
-    rule is built, and so checked, before any table."""
-    rules = [_TimeRule(h, T, N, phi.d, eps) for eps in eps_list]
-    meshes = {rule.gamma: rule.nodes for rule in rules}
-    tables = {gamma: _a_table(h, nodes, phi) for gamma, nodes in meshes.items()}
-    return [(rule, tables[rule.gamma]) for rule in rules]
-
-
-def _s_transform_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
-                     eps_list: Sequence[float]) -> list[float]:
-    """s_transform_local_time at each eps of the list, one a(t) table per mesh."""
-    return [rule.direct(a, N) for rule, a in _quadratures(h, N, T, phi, eps_list)]
-
-
 def s_transform_local_time(h: HurstFunctional, N: int, T: float,
-                           phi: TestFunction, eps: float = 0.0) -> float:
+                           phi: TestFunction, eps: float | Sequence[float] = 0.0
+                           ) -> float | list[float]:
     """S-transform of the order-N-truncated (optionally regularized) local time.
 
     Graded-mesh Gauss-Legendre time quadrature; eps = 0 requires the
-    truncation bound, else the integral diverges at t = 0.
+    truncation bound, else the integral diverges at t = 0.  ``eps`` is one
+    value, which gives a float, or a sequence, which gives a list.  Every
+    eps's rule is built, and so checked, before any a(t) table, and a(t) is
+    tabulated once per grading since it does not depend on eps: every
+    eps > 0 shares grading 2, and eps = 0 shares it unless the truncation
+    needs a harder grading.
     """
-    return _s_transform_eps(h, N, T, phi, [eps])[0]
+    rules = [_TimeRule(h, T, N, phi.d, e) for e in (eps if np.ndim(eps) else [eps])]
+    meshes = {rule.gamma: rule.nodes for rule in rules}
+    tables = {gamma: _a_table(h, nodes, phi) for gamma, nodes in meshes.items()}
+    values = [rule.direct(tables[rule.gamma], N) for rule in rules]
+    return values if np.ndim(eps) else values[0]
 
 
 def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
@@ -489,13 +485,17 @@ def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
         values = np.zeros(len(points))  # odd, or truncated away
     else:
         rule = _TimeRule(h, T, n, index.d, eps)  # graded for the order n
-        # symmetric kernel: sorting makes the invariance bit-exact.  One
-        # sqrt(var) per indicator kernel, bounded near 0 as in chaos_term
-        ratio = (mh_indicator(rule.hvals[:, None], rule.nodes[:, None],
-                              np.sort(points, axis=1)[:, None, :])
-                 / np.sqrt(rule.var)[:, None])
-        integrand = rule.weights * rule.base * np.prod(ratio, axis=2)
-        values = (-0.5) ** n / half.factorial * np.sum(integrand, axis=1)
+        # symmetric kernel: sorting makes the invariance bit-exact
+        points = np.sort(points, axis=1)
+        sums = np.empty(len(points))
+        for start in range(0, len(points), _A_BLOCK):
+            block = points[start:start + _A_BLOCK, None, :]
+            # one sqrt(var) per indicator kernel, bounded near 0 as in chaos_term
+            ratio = (mh_indicator(rule.hvals[:, None], rule.nodes[:, None], block)
+                     / np.sqrt(rule.var)[:, None])
+            integrand = rule.weights * rule.base * np.prod(ratio, axis=2)
+            sums[start:start + _A_BLOCK] = np.sum(integrand, axis=1)
+        values = (-0.5) ** n / half.factorial * sums
     return values if u.ndim == 2 else float(values[0])
 
 
@@ -508,7 +508,8 @@ def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     Kernel pairings factorize through the tabulated a_j(t), so the cost is
     O(n_max * nodes) per diagonal plus the multi-index combinatorics.
     """
-    rule, a = _quadratures(h, N, T, phi, [eps])[0]
+    rule = _TimeRule(h, T, N, phi.d, eps)
+    a = _a_table(h, rule.nodes, phi)
     partial = []
     acc = 0.0
     for n in range(N, n_max + 1):
@@ -545,8 +546,8 @@ def convergence_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     """
     if not eps_list:
         raise ValueError("eps list must not be empty")
-    if any(eps <= 0 for eps in eps_list):
+    if not all(eps > 0 for eps in eps_list):  # NaN fails too
         raise ValueError("eps entries must be positive")
-    limit, *values = _s_transform_eps(h, N, T, phi, [0.0, *eps_list])
+    limit, *values = s_transform_local_time(h, N, T, phi, [0.0, *eps_list])
     return [ConvergenceRow(eps=eps, value=val, gap=abs(val - limit), limit=limit)
             for eps, val in zip(eps_list, values)]

@@ -162,14 +162,14 @@ def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
 
 
 def _cmd_stransform(cfg: dict, outdir: Path) -> dict:
-    from .chaos import TestFunction, _s_transform_eps
+    from .chaos import TestFunction, s_transform_local_time
 
     h, d, phi = _build(cfg)
     if phi is None:
         phi = TestFunction.zero(d)
     N = int(cfg.get("N", 0))
     eps_list = [float(e) for e in cfg.get("eps", [0.0])]
-    values = _s_transform_eps(h, N, h.T, phi, eps_list)
+    values = s_transform_local_time(h, N, h.T, phi, eps_list)
     rows = [(eps, N, val) for eps, val in zip(eps_list, values)]
     _write_csv(outdir / "stransform.csv", ["eps", "N", "value"], rows)
     return {"N": N}

@@ -44,7 +44,7 @@ class RegularizationParams:
     N: int = 0
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN fails too
             raise ValueError("eps must be positive")
         if self.N not in (0, 1):
             raise ValueError("Monte-Carlo estimation supports N in {0, 1} only")
@@ -63,16 +63,15 @@ class LocalTimeEstimate:
             raise NumericalError("invalid local-time estimate")
 
 
-def delta_eps(x, eps: float, d: int = None):
+def delta_eps(x, eps: float):
     """Isotropic Gaussian kernel (2 pi eps)^{-d/2} exp(-|x|^2/(2 eps)).
 
     ``x`` is a d-vector or an array whose last axis is the d components.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise ValueError("eps must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if d is None:
-        d = x.shape[-1]
+    d = x.shape[-1]
     sq = np.einsum("...j,...j->...", x, x)
     out = (2.0 * np.pi * eps) ** (-d / 2.0) * np.exp(-sq / (2.0 * eps))
     if out.ndim == 0:

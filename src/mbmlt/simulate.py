@@ -45,6 +45,8 @@ __all__ = [
 #: eigenvalue floor for the circulant embedding (unit-variance increments)
 EMBED_TOL = 1e-9
 MAX_DOUBLINGS = 4
+#: spacing of the Hurst-level grid of the Wood-Chan field
+_LEVEL_SPACING = 0.02
 
 
 @dataclass(frozen=True)
@@ -213,12 +215,12 @@ def simulate_wood_chan_fbm(H: float, s: int, T: float, n_paths: int,
     return simulate_wood_chan_mbm(config)
 
 
-def _hurst_levels(h: HurstFunctional, grid: np.ndarray, spacing: float = 0.02):
-    vals = h(grid)
-    lo, hi = float(vals.min()), float(vals.max())
+def _hurst_levels(hvals: np.ndarray) -> np.ndarray:
+    """The Hurst levels spanning the values of h on the grid."""
+    lo, hi = float(hvals.min()), float(hvals.max())
     if hi - lo < 1e-14:
         return np.array([lo])
-    n = max(2, int(np.ceil((hi - lo) / spacing)) + 1)
+    n = max(2, int(np.ceil((hi - lo) / _LEVEL_SPACING)) + 1)
     return np.linspace(lo, hi, n)
 
 
@@ -253,8 +255,8 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     what simulate_wood_chan_fbm returns for the same seed.
     """
     s, n_paths = config.s, config.n_paths
-    levels = _hurst_levels(config.h, config.grid)
     hvals = config.h(config.grid)
+    levels = _hurst_levels(hvals)
     scale = (config.T / s) ** levels  # array pow; libm's scalar pow can differ by 1 ulp
     if len(levels) == 1:  # the one level is stored with weight 1 - 0
         idx, w = np.zeros(s, dtype=int), np.zeros(s)

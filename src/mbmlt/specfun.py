@@ -93,17 +93,6 @@ def hermite_function(k: int, x):
 
 
 @dataclass(frozen=True)
-class _BuiltinRule:
-    """A built-in parametrization: one numpy expression that takes a scalar
-    time or a whole array of times."""
-
-    rule: Callable
-
-    def __call__(self, t):
-        return self.rule(t)
-
-
-@dataclass(frozen=True)
 class HurstFunctional:
     """The parameter function h: [0, T] -> (1/2, 1).
 
@@ -112,13 +101,12 @@ class HurstFunctional:
     two-resolution continuity check guards against wildly discontinuous
     callables.
 
-    The built-in parametrizations (constant, linear, sinusoidal) evaluate an
-    array of times in one numpy expression; any other ``eval`` is a scalar
-    callable applied point by point.
+    ``eval`` maps an array of times to an array of the same shape, as one
+    numpy expression; a scalar-only callable fails on the validation grid.
     """
 
     T: float
-    eval: Callable[[float], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     description: str = ""
     _sup: float = field(init=False, repr=False, default=float("nan"))
 
@@ -147,10 +135,10 @@ class HurstFunctional:
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-12) or np.any(t > self.T + 1e-12):
             raise ValueError(f"t outside [0, {self.T}]")
-        if isinstance(self.eval, _BuiltinRule):
-            out = self.eval(t)
-        else:
-            out = np.vectorize(self.eval, otypes=[float])(t)
+        out = np.asarray(self.eval(t), dtype=float)
+        if out.shape != t.shape:
+            raise ValueError(f"eval must map an array of times to an array of the "
+                             f"same shape: shape {t.shape} gave {out.shape}")
         if np.any((out <= 0.5) | (out >= 1.0)):
             raise AdmissibilityError("A1 violated at a requested point")
         if out.ndim == 0:
@@ -166,18 +154,17 @@ class HurstFunctional:
 
     @classmethod
     def constant(cls, H: float, T: float = 1.0) -> "HurstFunctional":
-        rule = _BuiltinRule(lambda t: np.full(np.shape(t), H))
-        return cls(T=T, eval=rule, description=f"const {H:g}")
+        return cls(T=T, eval=lambda t: np.full(np.shape(t), H),
+                   description=f"const {H:g}")
 
     @classmethod
     def linear(cls, a: float, b: float, T: float = 1.0) -> "HurstFunctional":
-        rule = _BuiltinRule(lambda t: a + b * t)
-        return cls(T=T, eval=rule, description=f"linear {a:g}+{b:g}t")
+        return cls(T=T, eval=lambda t: a + b * t, description=f"linear {a:g}+{b:g}t")
 
     @classmethod
     def sinusoidal(cls, a: float, b: float, omega: float, T: float = 1.0) -> "HurstFunctional":
-        rule = _BuiltinRule(lambda t: a + b * np.sin(omega * t))
-        return cls(T=T, eval=rule, description=f"sin {a:g}+{b:g}sin({omega:g}t)")
+        return cls(T=T, eval=lambda t: a + b * np.sin(omega * t),
+                   description=f"sin {a:g}+{b:g}sin({omega:g}t)")
 
     @classmethod
     def from_config(cls, spec: dict, T: float = 1.0) -> "HurstFunctional":

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -197,9 +198,14 @@ class TestATable:
         table = _a_table(h_linear, nodes, TestFunction.zero(2))
         assert np.array_equal(table, np.zeros((len(nodes), 2)))
 
-    def test_convergence_builds_one_table_per_mesh(self, monkeypatch):
-        # the chaos-gap benchmark config: eps = 0 grades with 8.75, and every
-        # eps > 0 shares one grading-2 mesh
+    # the chaos-gap benchmark config: eps = 0 grades with 8.75, and every
+    # eps > 0 shares one grading-2 mesh
+    GAP_H = HurstFunctional.linear(0.55, 0.15)
+    GAP_PHI = TestFunction((GaussianBump(1.0, 1.0, 0.3), GaussianBump(1.0, 1.5, 0.3)))
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The node count of every a(t) table built in the test."""
         built = []
 
         def counting(h, nodes, phi):
@@ -207,11 +213,20 @@ class TestATable:
             return _a_table(h, nodes, phi)
 
         monkeypatch.setattr(mbmlt.chaos, "_a_table", counting)
-        h = HurstFunctional.linear(0.55, 0.15)
-        phi = TestFunction((GaussianBump(1.0, 1.0, 0.3), GaussianBump(1.0, 1.5, 0.3)))
-        rows = convergence_eps(h, 1, 1.0, phi, (0.1, 0.01, 0.001, 1e-4))
+        return built
+
+    def test_convergence_builds_one_table_per_mesh(self, built):
+        rows = convergence_eps(self.GAP_H, 1, 1.0, self.GAP_PHI, (0.1, 0.01, 0.001, 1e-4))
         assert len(rows) == 4
         assert len(built) == 2
+
+    def test_eps_list_matches_scalar_calls(self, built):
+        eps_list = [0.0, 0.1, 0.01]
+        values = s_transform_local_time(self.GAP_H, 1, 1.0, self.GAP_PHI, eps_list)
+        assert len(built) == 2
+        assert values == [s_transform_local_time(self.GAP_H, 1, 1.0, self.GAP_PHI, eps)
+                          for eps in eps_list]
+        assert all(type(v) is float for v in values)
 
 
 class TestSTransformDelta:
@@ -248,8 +263,9 @@ class TestSTransformDelta:
     def test_domain(self, h_const_07, phi_1d):
         with pytest.raises(ValueError):
             s_transform_delta(h_const_07, 0.0, phi_1d)
-        with pytest.raises(ValueError):
-            s_transform_delta(h_const_07, 0.5, phi_1d, eps=-1.0)
+        for eps in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                s_transform_delta(h_const_07, 0.5, phi_1d, eps=eps)
 
 
 class TestSTransformLocalTime:
@@ -356,7 +372,8 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("T, N, eps", [
         (0.0, 0, 0.0), (0.0, 0, 0.1), (1.5, 0, 0.1), (1.0, -1, 0.1), (1.0, 0, -0.1),
-    ], ids=["T=0,eps=0", "T=0", "T>h.T", "N=-1", "eps<0"])
+        (1.0, 0, math.nan),
+    ], ids=["T=0,eps=0", "T=0", "T>h.T", "N=-1", "eps<0", "eps=nan"])
     def test_rejected_before_any_table(self, route, T, N, eps, h_const_07, phi_1d,
                                        monkeypatch):
         built = []
@@ -462,6 +479,19 @@ class TestKernelEval:
         assert np.array_equal(grid, [kernel_eval(h, 1, 1.0, n_vec, p, eps) for p in u])
         permuted = u[:, rng.permutation(u.shape[1])]
         assert np.array_equal(kernel_eval(h, 1, 1.0, n_vec, permuted, eps), grid)
+
+    def test_grid_memory_bounded(self):
+        # points go in blocks: a large grid holds no (points x nodes x order)
+        # broadcast at once
+        u = np.random.default_rng(3).uniform(-0.3, 1.3, (5000, 4))
+        kernel_eval(GRID_HURST["sin"], 1, 1.0, (2, 2), u[:10], 0.1)  # warm-up
+        tracemalloc.start()
+        try:
+            kernel_eval(GRID_HURST["sin"], 1, 1.0, (2, 2), u, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
 
     def test_pairing_matches_second_derivative(self, h_const_07, phi_1d):
         # 1/2 d^2/dlam^2 S(lam phi)|_0 equals the order-2 chaos pairing;

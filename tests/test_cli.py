@@ -311,6 +311,17 @@ class TestExitCodes:
         assert report["error"] == "internal"
         assert type(exc).__name__ in report["reason"]
 
+    @pytest.mark.parametrize("command, cfg, extra", [
+        ("stransform", {}, ["--eps", "nan"]),
+        ("converge", {"N": 1}, ["--eps", "nan"]),
+        ("localtime", {"s": 8, "n_paths": 4}, ["--eps", "nan"]),
+        ("kernels", {"kernel_index": [2], "u_grid": [[0.2, 0.3]], "kernel_eps": math.nan}, []),
+    ], ids=["stransform", "converge", "localtime", "kernels"])
+    def test_nan_eps_is_config_error(self, tmp_path, capsys, command, cfg, extra):
+        code, _ = _run(tmp_path, command, {"hurst": {"const": 0.7}, "d": 1, **cfg}, *extra)
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

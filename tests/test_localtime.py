@@ -41,14 +41,16 @@ class TestDeltaEps:
         assert out.shape == (5, 7)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            delta_eps(np.zeros(1), 0.0)
+        for eps in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                delta_eps(np.zeros(1), eps)
 
 
 class TestRegularizationParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RegularizationParams(eps=-1.0)
+        for eps in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                RegularizationParams(eps=eps)
         with pytest.raises(ValueError):
             RegularizationParams(eps=0.1, N=2)
 

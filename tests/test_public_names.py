@@ -1,5 +1,7 @@
 """Guards against public names going stale: the README's library example
-runs, and every module's __all__ names something that exists."""
+runs, every module's __all__ names something that exists, and no module
+imports a name it does not use."""
+import ast
 import importlib
 import pkgutil
 import re
@@ -14,6 +16,7 @@ from mbmlt.cli import _THREAD_VARS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mbmlt.__path__))
+SOURCES = sorted(Path(mbmlt.__file__).parent.glob("*.py"))
 
 
 def test_readme_library_example_runs(monkeypatch):
@@ -30,3 +33,20 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(f"mbmlt.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_imports(path):
+    # every imported name is used in its module or re-exported by __all__
+    tree = ast.parse(path.read_text())
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            exported |= set(ast.literal_eval(node.value))
+    assert sorted(imported - used - exported) == []

@@ -193,8 +193,8 @@ def _materialized_wood_chan(config):
     """The field construction with every level held at once: all levels of
     fGn, then cumsum, then dt ** levels, then the two-level interpolation."""
     grid = config.grid
-    levels = _hurst_levels(config.h, grid)
     hvals = config.h(grid)
+    levels = _hurst_levels(hvals)
     dt = config.T / config.s
     m, eigs = _embedding_size(levels, config.s)
     M = 2 * m
@@ -243,7 +243,7 @@ class TestWoodChanStreaming:
     def test_matches_materialized_field(self, hurst, d, s, n_paths):
         cfg = SimulationConfig(h=self.HURST[hurst], s=s, n_paths=n_paths, d=d,
                                seed=9, method="wood_chan")
-        levels = _hurst_levels(cfg.h, cfg.grid)
+        levels = _hurst_levels(cfg.h(cfg.grid))
         assert levels[-1] == cfg.h(cfg.grid).max()
         streamed = simulate_wood_chan_mbm(cfg).values
         assert np.array_equal(streamed, _materialized_wood_chan(cfg))
@@ -266,7 +266,7 @@ class TestWoodChanStreaming:
         h = self.HURST["sin"]
         cfg = SimulationConfig(h=h, s=1024, n_paths=500, d=2, seed=1,
                                method="wood_chan")
-        assert len(_hurst_levels(h, cfg.grid)) == 16
+        assert len(_hurst_levels(h(cfg.grid))) == 16
         tracemalloc.start()
         try:
             values = simulate_wood_chan_mbm(cfg).values

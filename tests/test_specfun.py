@@ -117,7 +117,7 @@ class TestHurstFunctional:
             HurstFunctional.sinusoidal(0.4, 0.5, 5 * math.pi)
 
     def test_discontinuous_rejected(self):
-        step = lambda t: 0.6 if t < 0.5 else 0.8
+        step = lambda t: np.where(t < 0.5, 0.6, 0.8)
         with pytest.raises(AdmissibilityError):
             HurstFunctional(T=1.0, eval=step)
 
@@ -134,12 +134,20 @@ class TestHurstFunctional:
         assert h(0.3) == pytest.approx(float(reference(np.float64(0.3))), rel=1e-15)
         assert isinstance(h(0.3), float)
 
-    def test_custom_callable_evaluates_pointwise(self):
-        # math.cos accepts only scalars, so this runs the point-by-point path
-        h = HurstFunctional(T=1.0, eval=lambda t: 0.7 + 0.1 * math.cos(3.0 * t))
+    def test_custom_eval_takes_arrays(self):
+        h = HurstFunctional(T=1.0, eval=lambda t: 0.7 + 0.1 * np.cos(3.0 * t))
         grid = np.linspace(0.0, 1.0, 101)
-        assert np.array_equal(h(grid), [0.7 + 0.1 * math.cos(3.0 * t) for t in grid])
+        assert np.array_equal(h(grid), 0.7 + 0.1 * np.cos(3.0 * grid))
+        assert h(0.3) == pytest.approx(0.7 + 0.1 * math.cos(0.9), rel=1e-15)
         assert h.sup == pytest.approx(0.8)
+
+    def test_scalar_only_eval_rejected_at_construction(self):
+        # eval must map an array of times to an array of the same shape
+        with pytest.raises(TypeError):
+            HurstFunctional(T=1.0, eval=lambda t: 0.7 + 0.1 * math.cos(3.0 * t))
+        with pytest.raises(ValueError, match="same shape") as exc:
+            HurstFunctional(T=1.0, eval=lambda t: 0.7)
+        assert exc.type is ValueError  # not the AdmissibilityError subclass
 
     def test_call_and_sup(self, h_linear):
         assert h_linear(0.0) == pytest.approx(0.55)
