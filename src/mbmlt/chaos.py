@@ -38,7 +38,6 @@ __all__ = [
     "ChaosIndex",
     "exp_trunc",
     "a_vector",
-    "s_transform_delta",
     "s_transform_local_time",
     "kernel_eval",
     "chaos_pairing",
@@ -402,37 +401,14 @@ class _TimeRule:
         """int_0^T base(t) pairing(t) dt; pairing is one value per node, or 1."""
         return float(np.sum(self.weights * self.base * pairing))
 
+    def exponent(self, a: np.ndarray) -> np.ndarray:
+        """y = |a(t)|^2 / (2 var) at the nodes, from the a(t) table; it stays
+        bounded at the graded nodes near 0 where var alone is tiny."""
+        return np.sum(a * a, axis=1) / (2.0 * self.var)
+
     def direct(self, a: np.ndarray, N: int) -> float:
         """The order-N-truncated S-transform from the a(t) table on the nodes."""
-        y = np.sum(a * a, axis=1) / (2.0 * self.var)
-        return self.integral(exp_trunc(N, -y))
-
-    def chaos_term(self, a: np.ndarray, n_vec: Sequence[int]) -> float:
-        """Pairing of one kernel with the matching phi tensor power."""
-        index = ChaosIndex(n_vec)
-        # group each a_j^2 with a factor of var: a_j^2/var stays bounded at
-        # the graded nodes near 0 where var alone is tiny
-        ratio = a ** 2 / self.var[:, None]
-        prod = np.prod(ratio ** np.array(n_vec), axis=1)
-        return ((-0.5) ** index.total / index.factorial
-                * float(np.sum(self.weights * (self.base * prod))))
-
-
-def s_transform_delta(h: HurstFunctional, t: float, phi: TestFunction,
-                      eps: float = 0.0) -> float:
-    """S-transform of the (regularized) delta of the process at time t.
-
-    (2 pi (eps + t^{2h(t)}))^{-d/2} exp(-|a(t)|^2 / (2 (eps + t^{2h(t)}))).
-    """
-    if not 0.0 < t <= h.T + 1e-12:
-        raise ValueError(f"t must be in (0, {h.T}]")
-    if not eps >= 0:  # NaN fails too
-        raise ValueError("eps must be nonnegative")
-    var = eps + t ** (2.0 * h(t))
-    a = a_vector(h, t, phi)
-    return (2.0 * np.pi * var) ** (-phi.d / 2.0) * math.exp(
-        -float(np.dot(a, a)) / (2.0 * var)
-    )
+        return self.integral(exp_trunc(N, -self.exponent(a)))
 
 
 def s_transform_local_time(h: HurstFunctional, N: int, T: float,
@@ -442,13 +418,15 @@ def s_transform_local_time(h: HurstFunctional, N: int, T: float,
 
     Graded-mesh Gauss-Legendre time quadrature; eps = 0 requires the
     truncation bound, else the integral diverges at t = 0.  ``eps`` is one
-    value, which gives a float, or a sequence, which gives a list.  Every
-    eps's rule is built, and so checked, before any a(t) table, and a(t) is
-    tabulated once per grading since it does not depend on eps: every
-    eps > 0 shares grading 2, and eps = 0 shares it unless the truncation
-    needs a harder grading.
+    value, which gives a float, or a nonempty sequence, which gives a list.
+    Every eps's rule is built, and so checked, before any a(t) table, and
+    a(t) is tabulated once per grading since it does not depend on eps:
+    every eps > 0 shares grading 2, and eps = 0 shares it unless the
+    truncation needs a harder grading.
     """
     rules = [_TimeRule(h, T, N, phi.d, e) for e in (eps if np.ndim(eps) else [eps])]
+    if not rules:
+        raise ValueError("eps list must not be empty")
     meshes = {rule.gamma: rule.nodes for rule in rules}
     tables = {gamma: _a_table(h, nodes, phi) for gamma, nodes in meshes.items()}
     values = [rule.direct(tables[rule.gamma], N) for rule in rules]
@@ -490,7 +468,8 @@ def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
         sums = np.empty(len(points))
         for start in range(0, len(points), _A_BLOCK):
             block = points[start:start + _A_BLOCK, None, :]
-            # one sqrt(var) per indicator kernel, bounded near 0 as in chaos_term
+            # one sqrt(var) per indicator kernel: each ratio stays bounded
+            # near 0, as y = |a|^2 / (2 var) does
             ratio = (mh_indicator(rule.hvals[:, None], rule.nodes[:, None], block)
                      / np.sqrt(rule.var)[:, None])
             integrand = rule.weights * rule.base * np.prod(ratio, axis=2)
@@ -505,28 +484,15 @@ def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
 
     Entry i is the sum of kernel pairings over all multi-indices with total
     order in [N, N + i]; the sums converge to the direct S-transform value.
-    Kernel pairings factorize through the tabulated a_j(t), so the cost is
-    O(n_max * nodes) per diagonal plus the multi-index combinatorics.
+    Kernel pairings factorize through the tabulated a_j(t), and by the
+    multinomial theorem the pairings of one order n sum to one time integral,
+    int base (-y)^n / n! dt with y = |a(t)|^2 / (2 var), so the cost is
+    O(n_max * nodes) after the a(t) table.
     """
     rule = _TimeRule(h, T, N, phi.d, eps)
-    a = _a_table(h, rule.nodes, phi)
-    partial = []
-    acc = 0.0
-    for n in range(N, n_max + 1):
-        for n_vec in _compositions(n, phi.d):
-            acc += rule.chaos_term(a, n_vec)
-        partial.append(acc)
-    return np.array(partial)
-
-
-def _compositions(n: int, d: int):
-    """All d-tuples of nonnegative integers summing to n."""
-    if d == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, d - 1):
-            yield (head,) + rest
+    y = rule.exponent(_a_table(h, rule.nodes, phi))
+    return np.cumsum([rule.integral((-y) ** n / math.factorial(n))
+                      for n in range(N, n_max + 1)])
 
 
 @dataclass(frozen=True)

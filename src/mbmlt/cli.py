@@ -140,19 +140,22 @@ def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
     from .simulate import SimulationConfig, simulate
 
     h, d, _ = _build(cfg)
+    N = int(cfg.get("N", 0))
+    # checked before the paths exist, so a bad eps costs no simulation
+    params = [RegularizationParams(eps=float(e), N=N) for e in cfg.get("eps", [0.1])]
+    if not params:
+        raise ValueError("eps list must not be empty")
     sim = SimulationConfig(
         h=h, s=int(cfg.get("s", 256)), n_paths=int(cfg.get("n_paths", 1000)),
         d=d, seed=int(cfg.get("seed", 0)), method=cfg.get("method", "exact"),
     )
     paths = simulate(sim)
-    N = int(cfg.get("N", 0))
     rows, targets, z = [], [], []
-    for eps in [float(e) for e in cfg.get("eps", [0.1])]:
-        est = local_time_mc(paths, RegularizationParams(eps=eps, N=N))
-        rows.append((est.params.eps, est.params.N, est.estimate, est.stderr,
-                     est.n_paths))
+    for p in params:
+        est = local_time_mc(paths, p)
+        rows.append((p.eps, p.N, est.estimate, est.stderr, est.n_paths))
         # the N = 1 estimate is already centered on its expectation
-        target = 0.0 if N == 1 else expected_local_time(h, eps, sim.T, d)
+        target = 0.0 if N == 1 else expected_local_time(h, p.eps, sim.T, d)
         targets.append(target)
         z.append((est.estimate - target) / est.stderr if est.stderr > 0 else None)
     _write_csv(outdir / "localtime.csv",

@@ -27,7 +27,6 @@ __all__ = [
     "delta_eps",
     "local_time_mc",
     "expected_local_time",
-    "occupation_histogram",
 ]
 
 #: expected_local_time returns once two successive panel counts agree to this
@@ -128,33 +127,3 @@ def expected_local_time(h: HurstFunctional, eps: float, T: float, d: int) -> flo
             return val
     raise NumericalError(f"expected_local_time not converged: successive "
                          f"values differ by {abs(val - prev):g}")
-
-
-def occupation_histogram(paths: MbmPathSet, bins) -> tuple[np.ndarray, np.ndarray]:
-    """Time-weighted occupation density over spatial bins (1-d paths).
-
-    Each grid time carries its trapezoidal weight; the histogram of path
-    values with those weights, divided by bin width and averaged over paths,
-    estimates the occupation density.  Summed times bin widths it recovers T
-    when the bins cover the full path range.
-    """
-    cfg = paths.config
-    if cfg.d != 1:
-        raise ValueError("occupation histogram is defined for d = 1 paths")
-    edges = np.asarray(bins, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bins must be an increasing array of edges")
-    vals = paths.with_origin()[:, 0, :]  # (n, s+1)
-    if vals.size == 0:
-        raise ValueError("empty path set")
-    tgrid = np.concatenate([[0.0], cfg.grid])
-    w = np.empty_like(tgrid)
-    w[1:-1] = 0.5 * (tgrid[2:] - tgrid[:-2])
-    w[0] = 0.5 * (tgrid[1] - tgrid[0])
-    w[-1] = 0.5 * (tgrid[-1] - tgrid[-2])
-    counts = np.zeros(len(edges) - 1)
-    for row in vals:
-        c, _ = np.histogram(row, bins=edges, weights=w)
-        counts += c
-    density = counts / (len(vals) * np.diff(edges))
-    return edges, density

@@ -1,4 +1,5 @@
-"""The fractional operator M_H, the h-weighted inner product, and covariances.
+"""The fractional operator M_H and the covariance R_h, its h-weighted inner
+product of indicators.
 
 Fourier convention, fixed once for the whole package:
     u_hat(xi) = integral u(x) exp(-i xi x) dx.
@@ -17,7 +18,6 @@ from .specfun import HurstFunctional, gamma_factor, normalizing_constant
 
 __all__ = [
     "mh_indicator",
-    "h_inner_product",
     "covariance_matrix",
     "CovarianceMatrix",
 ]
@@ -50,27 +50,6 @@ def mh_indicator(H, t, u):
     return out
 
 
-def h_inner_product(t: float, s: float, h: HurstFunctional) -> float:
-    """Exact covariance R_h(t, s) of the process, in closed form.
-
-    R_h(t,s) = C((h(t)+h(s))/2)^2 / (C(h(t)) C(h(s)))
-               * (t^a + s^a - |t-s|^a) / 2,   a = h(t) + h(s).
-
-    Symmetric by construction; R_h(t, t) = t^{2h(t)}.
-    """
-    if t < 0 or s < 0:
-        raise ValueError("times must be nonnegative")
-    if t == 0.0 or s == 0.0:
-        return 0.0
-    ht = h(t)
-    hs = h(s)
-    a = ht + hs
-    ratio = normalizing_constant(0.5 * a) ** 2 / (
-        normalizing_constant(ht) * normalizing_constant(hs)
-    )
-    return ratio * 0.5 * (t ** a + s ** a - abs(t - s) ** a)
-
-
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Covariance of the process on a strictly increasing time grid, with
@@ -89,13 +68,15 @@ class CovarianceMatrix:
 
 
 def _covariance_values(grid: np.ndarray, h: HurstFunctional) -> np.ndarray:
-    """R_h on a strictly increasing grid in (0, T], with no checks.
+    """R_h on a strictly increasing grid in (0, T], with no checks:
 
-    All entries come from one broadcast of the h_inner_product formula over
-    the grid (h evaluated once per grid point), so assembly is O(s^2) array
+        R_h(t,s) = C((h(t)+h(s))/2)^2 / (C(h(t)) C(h(s)))
+                   * (t^a + s^a - |t-s|^a) / 2,   a = h(t) + h(s),
+
+    so R_h(t, t) = t^{2h(t)}.  All entries come from one broadcast over the
+    grid (h evaluated once per grid point), so assembly is O(s^2) array
     work.  The expression is symmetric in (i, j) operation by operation, so
-    the matrix is exactly symmetric.  h_inner_product is the scalar
-    reference for each entry.
+    the matrix is exactly symmetric.
     """
     hv = h(grid)
     A = hv[:, None] + hv[None, :]

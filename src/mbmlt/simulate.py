@@ -37,7 +37,6 @@ __all__ = [
     "SimulationConfig",
     "MbmPathSet",
     "simulate_exact",
-    "simulate_wood_chan_fbm",
     "simulate_wood_chan_mbm",
     "simulate",
 ]
@@ -202,19 +201,6 @@ def _embedding_size(H_levels, s: int) -> tuple[int, dict]:
     )
 
 
-def simulate_wood_chan_fbm(H: float, s: int, T: float, n_paths: int,
-                           seed: int) -> MbmPathSet:
-    """Constant-index paths via circulant embedding; exact in law.
-
-    fBm is the constant-h, d = 1 case of the field construction, so this
-    returns simulate_wood_chan_mbm on that config.  H outside (1/2, 1)
-    raises AdmissibilityError (a ValueError).
-    """
-    config = SimulationConfig(h=HurstFunctional.constant(H, T=T), s=s,
-                              n_paths=n_paths, d=1, seed=seed, method="wood_chan")
-    return simulate_wood_chan_mbm(config)
-
-
 def _hurst_levels(hvals: np.ndarray) -> np.ndarray:
     """The Hurst levels spanning the values of h on the grid."""
     lo, hi = float(hvals.min()), float(hvals.max())
@@ -251,8 +237,8 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     n_pairs = ceil(n_paths / 2) and M the embedding size.
 
     Approximate for non-constant h.  For constant h there is a single level
-    and no interpolation, so the result is exact in law; with d = 1 it is
-    what simulate_wood_chan_fbm returns for the same seed.
+    and no interpolation, so the result is exact in law: fBm is the
+    constant-h, d = 1 case.
     """
     s, n_paths = config.s, config.n_paths
     hvals = config.h(config.grid)

@@ -1,15 +1,20 @@
 """Independent numerical oracles used by the test suite.
 
-Everything here is deliberately written against the defining integrals, not
+Most of these are deliberately written against the defining integrals, not
 the closed forms or the time rule under test: scipy adaptive quadrature,
 Fourier-side integrals with oscillatory-weight rules, and brute-force series.
+Two are closed-form references term by term: h_inner_product, one entry of
+R_h at a time, and chaos_term, one multi-index of the chaos pairing at a
+time, on a given time rule.
 """
+import math
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
 from mbmlt.errors import NumericalError
-from mbmlt.specfun import gamma_factor
+from mbmlt.specfun import gamma_factor, normalizing_constant
 
 
 def norm_const(x: float) -> float:
@@ -51,16 +56,12 @@ def fourier_inner_product(t: float, s: float, ht: float, hs: float) -> float:
 
 def exp_tail_series(N: int, x: float, terms: int = 50) -> float:
     """sum_{n=N}^{N+terms} x^n / n! by direct accumulation."""
-    import math
-
     return sum(x ** n / math.factorial(n) for n in range(N, N + terms))
 
 
 def hermite_direct(k: int, x: float) -> float:
     """(2^k k! sqrt(pi))^{-1/2} H_k(x) exp(-x^2/2) via the physicists'
     polynomial from numpy (independent of the recurrence under test)."""
-    import math
-
     coeffs = np.zeros(k + 1)
     coeffs[k] = 1.0
     Hk = np.polynomial.hermite.hermval(x, coeffs)
@@ -152,3 +153,34 @@ def expected_local_time_quad(h, eps: float, T: float, d: int) -> float:
     if err > 1e-8 * max(1.0, abs(val)):
         raise NumericalError(f"quadrature error {err:g} too large")
     return val
+
+
+def h_inner_product(t: float, s: float, h) -> float:
+    """Exact covariance R_h(t, s) of the process, one scalar entry:
+
+    R_h(t,s) = C((h(t)+h(s))/2)^2 / (C(h(t)) C(h(s)))
+               * (t^a + s^a - |t-s|^a) / 2,   a = h(t) + h(s).
+    """
+    ht = h(t)
+    hs = h(s)
+    a = ht + hs
+    ratio = normalizing_constant(0.5 * a) ** 2 / (
+        normalizing_constant(ht) * normalizing_constant(hs)
+    )
+    return ratio * 0.5 * (t ** a + s ** a - abs(t - s) ** a)
+
+
+def chaos_term(rule, a: np.ndarray, n_vec) -> float:
+    """Pairing of the chaos kernel of index 2 n_vec with the matching phi
+    tensor power, one multi-index:
+
+        (-1/2)^n / n_vec! int base prod_j (a_j^2 / var)^{n_j} dt,
+
+    on the nodes, weights, base and var of a time rule, with a the a(t)
+    table on its nodes.  Each a_j^2 is grouped with a factor of var, since
+    a_j^2/var stays bounded at the graded nodes near 0 where var alone is tiny.
+    """
+    n_vec = np.asarray(n_vec)
+    prod = np.prod((a ** 2 / rule.var[:, None]) ** n_vec, axis=1)
+    return ((-0.5) ** int(n_vec.sum()) / math.prod(map(math.factorial, n_vec))
+            * float(np.sum(rule.weights * (rule.base * prod))))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -22,7 +23,6 @@ from mbmlt.chaos import (
     convergence_eps,
     exp_trunc,
     kernel_eval,
-    s_transform_delta,
     s_transform_local_time,
 )
 from mbmlt.errors import AdmissibilityError, NumericalError
@@ -30,7 +30,7 @@ from mbmlt.localtime import expected_local_time
 from mbmlt.operator import mh_indicator
 from mbmlt.specfun import HurstFunctional, truncation_bound
 
-from .oracles import exp_tail_series, mh_apply
+from .oracles import chaos_term, exp_tail_series, mh_apply
 
 
 class TestExpTrunc:
@@ -227,45 +227,6 @@ class TestATable:
         assert values == [s_transform_local_time(self.GAP_H, 1, 1.0, self.GAP_PHI, eps)
                           for eps in eps_list]
         assert all(type(v) is float for v in values)
-
-
-class TestSTransformDelta:
-    def test_zero_phi_reduction(self, h_linear):
-        for t in (0.2, 1.0):
-            var = t ** (2 * h_linear(t))
-            target = (2 * math.pi * var) ** -0.5
-            got = s_transform_delta(h_linear, t, TestFunction.zero(1))
-            assert got == pytest.approx(target, rel=1e-12)
-
-    def test_frozen_zero_phi_value(self):
-        # h = 0.6, t = 1: (2 pi)^{-1/2} = 0.3989422804014327
-        h = HurstFunctional.constant(0.6)
-        got = s_transform_delta(h, 1.0, TestFunction.zero(1))
-        assert got == pytest.approx((2 * math.pi) ** -0.5, rel=1e-13)
-
-    def test_log_is_quadratic_in_scale(self, h_const_07, phi_1d):
-        # log S(lam phi) = c0 - c2 lam^2 exactly
-        lams = np.array([0.0, 0.5, 1.0, 2.0])
-        logs = np.array([
-            math.log(s_transform_delta(h_const_07, 0.7, phi_1d.scaled(l)))
-            for l in lams
-        ])
-        coeffs = np.polyfit(lams ** 2, logs, 1)
-        fit = np.polyval(coeffs, lams ** 2)
-        assert np.allclose(fit, logs, atol=1e-10)
-        assert coeffs[0] < 0  # decreasing in the scale
-
-    def test_regularization_lowers_peak(self, h_const_07, phi_1d):
-        bare = s_transform_delta(h_const_07, 0.3, phi_1d)
-        reg = s_transform_delta(h_const_07, 0.3, phi_1d, eps=0.5)
-        assert reg < bare
-
-    def test_domain(self, h_const_07, phi_1d):
-        with pytest.raises(ValueError):
-            s_transform_delta(h_const_07, 0.0, phi_1d)
-        for eps in (-1.0, math.nan):
-            with pytest.raises(ValueError):
-                s_transform_delta(h_const_07, 0.5, phi_1d, eps=eps)
 
 
 class TestSTransformLocalTime:
@@ -538,6 +499,23 @@ class TestChaosPairing:
         gaps = np.abs(partial - direct)
         assert gaps[-1] < 1e-10
         assert gaps[-1] < gaps[0]
+
+    @pytest.mark.parametrize("N", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_chaos_term_oracle(self, d, N, h_linear):
+        # one time integral per order equals the sum of its multi-index terms
+        phi = TestFunction((GaussianBump(0.6, 0.0, 1.0), GaussianBump(0.4, 0.5, 0.7),
+                            HermiteCombination((0.3, -0.2, 0.1)))[:d])
+        eps = 0.01
+        rule = _TimeRule(h_linear, 1.0, N, d, eps)
+        a = _a_table(h_linear, rule.nodes, phi)
+        n_max = N + 8
+        orders = [sum(chaos_term(rule, a, n_vec)
+                      for n_vec in itertools.product(range(n + 1), repeat=d)
+                      if sum(n_vec) == n)
+                  for n in range(N, n_max + 1)]
+        got = chaos_pairing(h_linear, N, 1.0, phi, n_max, eps)
+        assert np.allclose(got, np.cumsum(orders), rtol=1e-13, atol=0.0)
 
     def test_unregularized_gating(self, h_const_06, phi_2d):
         h3 = HurstFunctional.constant(0.6)

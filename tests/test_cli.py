@@ -248,11 +248,13 @@ class TestConvergeCommand:
         assert manifest["rel_gap"] == [None, None]
 
 
-    def test_empty_eps_list_is_config_error(self, tmp_path, capsys):
-        code, _ = _run(tmp_path, "converge", {"hurst": {"const": 0.7}, "d": 1, "N": 1,
-                                              "eps": []})
+    @pytest.mark.parametrize("command", ["stransform", "localtime", "converge"])
+    def test_empty_eps_list_is_config_error(self, tmp_path, capsys, command):
+        cfg = {"hurst": {"const": 0.7}, "d": 1, "N": 1, "s": 8, "n_paths": 4, "eps": []}
+        code, out = _run(tmp_path, command, cfg)
         assert code == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
+        assert not any(out.glob("*.csv"))
 
 
 class TestExitCodes:
@@ -319,6 +321,17 @@ class TestExitCodes:
     ], ids=["stransform", "converge", "localtime", "kernels"])
     def test_nan_eps_is_config_error(self, tmp_path, capsys, command, cfg, extra):
         code, _ = _run(tmp_path, command, {"hurst": {"const": 0.7}, "d": 1, **cfg}, *extra)
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
+
+    def test_localtime_eps_checked_before_simulating(self, tmp_path, capsys, monkeypatch):
+        import mbmlt.simulate
+
+        def boom(config):
+            raise RuntimeError("simulated before the eps check")
+
+        monkeypatch.setattr(mbmlt.simulate, "simulate", boom)
+        code, _ = _run(tmp_path, "localtime", {"hurst": {"const": 0.7}, "s": 8}, "--eps", "-1")
         assert code == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
 

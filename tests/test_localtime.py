@@ -5,12 +5,10 @@ import pytest
 
 from mbmlt.errors import AdmissibilityError
 from mbmlt.localtime import (
-    LocalTimeEstimate,
     RegularizationParams,
     delta_eps,
     expected_local_time,
     local_time_mc,
-    occupation_histogram,
 )
 from mbmlt.simulate import SimulationConfig, simulate_exact
 from mbmlt.specfun import HurstFunctional
@@ -144,38 +142,3 @@ class TestLocalTimeMC:
         paths = simulate_exact(cfg)
         with pytest.warns(UserWarning, match="resolution"):
             local_time_mc(paths, RegularizationParams(eps=1e-4))
-
-
-class TestOccupationHistogram:
-    def test_total_mass_is_horizon(self, h_const_07):
-        cfg = SimulationConfig(h=h_const_07, s=128, n_paths=50, seed=200)
-        paths = simulate_exact(cfg)
-        edges = np.linspace(-6, 6, 61)  # covers every path comfortably
-        edges_out, dens = occupation_histogram(paths, edges)
-        assert np.array_equal(edges_out, edges)
-        assert np.sum(dens * np.diff(edges)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_agrees_with_gaussian_local_time(self, h_const_07):
-        # smoothing the histogram near 0 with the eps-kernel approximates
-        # the regularized local time at the origin
-        cfg = SimulationConfig(h=h_const_07, s=256, n_paths=2000, seed=201)
-        paths = simulate_exact(cfg)
-        edges = np.linspace(-6, 6, 401)
-        _, dens = occupation_histogram(paths, edges)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        eps = 0.2
-        smoothed = np.sum(dens * delta_eps(centers[:, None], eps) * np.diff(edges))
-        est = local_time_mc(paths, RegularizationParams(eps=eps))
-        assert smoothed == pytest.approx(est.estimate, rel=2e-2)
-
-    def test_requires_1d(self, h_const_07):
-        cfg = SimulationConfig(h=h_const_07, s=8, n_paths=2, d=2, seed=202)
-        paths = simulate_exact(cfg)
-        with pytest.raises(ValueError):
-            occupation_histogram(paths, np.linspace(-3, 3, 10))
-
-    def test_bad_bins(self, h_const_07):
-        cfg = SimulationConfig(h=h_const_07, s=8, n_paths=2, seed=203)
-        paths = simulate_exact(cfg)
-        with pytest.raises(ValueError):
-            occupation_histogram(paths, [0.0, -1.0, 1.0])

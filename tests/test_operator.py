@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mbmlt.errors import NumericalError
-from mbmlt.operator import (
-    covariance_matrix,
-    h_inner_product,
-    mh_indicator,
-)
+from mbmlt.operator import covariance_matrix, mh_indicator
 from mbmlt.specfun import HurstFunctional, gamma_factor
 
-from .oracles import fourier_inner_product, isometry_quadrature, mh_apply
+from .oracles import fourier_inner_product, h_inner_product, isometry_quadrature, mh_apply
 
 
 class TestMhIndicator:
@@ -107,10 +102,9 @@ class TestMhApply:
 
 class TestHInnerProduct:
     def test_diagonal(self, h_linear):
-        for t in (0.2, 0.7, 1.0):
-            assert h_inner_product(t, t, h_linear) == pytest.approx(
-                t ** (2 * h_linear(t)), rel=1e-12
-            )
+        grid = np.array([0.2, 0.7, 1.0])
+        R = covariance_matrix(grid, h_linear).values
+        assert np.diag(R) == pytest.approx(grid ** (2 * h_linear(grid)), rel=1e-12)
 
     def test_constant_h_reduces_to_fbm(self, h_const_07):
         H = 0.7
@@ -118,21 +112,17 @@ class TestHInnerProduct:
             fbm = 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
             assert h_inner_product(t, s, h_const_07) == pytest.approx(fbm, rel=1e-12)
 
-    def test_symmetry(self, h_linear):
-        assert h_inner_product(0.3, 0.7, h_linear) == h_inner_product(0.7, 0.3, h_linear)
-
     def test_fourier_oracle_linear_h(self, h_linear):
         t, s = 0.3, 0.7
         oracle = fourier_inner_product(t, s, h_linear(t), h_linear(s))
-        assert h_inner_product(t, s, h_linear) == pytest.approx(oracle, rel=1e-4)
+        R = covariance_matrix([t, s], h_linear).values
+        assert R[0, 1] == pytest.approx(oracle, rel=1e-4)
 
     def test_fourier_oracle_constant_h(self, h_const_07):
         for t, s in [(0.3, 0.7), (0.2, 1.0)]:
             oracle = fourier_inner_product(t, s, 0.7, 0.7)
-            assert h_inner_product(t, s, h_const_07) == pytest.approx(oracle, rel=1e-4)
-
-    def test_zero_time(self, h_const_07):
-        assert h_inner_product(0.0, 0.5, h_const_07) == 0.0
+            R = covariance_matrix([t, s], h_const_07).values
+            assert R[0, 1] == pytest.approx(oracle, rel=1e-4)
 
 
 class TestCovarianceMatrix:

@@ -1,6 +1,6 @@
 """Guards against public names going stale: the README's library example
-runs, every module's __all__ names something that exists, and no module
-imports a name it does not use."""
+runs, every module's __all__ names something that exists, and no module of
+the package or the tests imports a name it does not use."""
 import ast
 import importlib
 import pkgutil
@@ -16,7 +16,8 @@ from mbmlt.cli import _THREAD_VARS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mbmlt.__path__))
-SOURCES = sorted(Path(mbmlt.__file__).parent.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted(Path(mbmlt.__file__).parent.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def test_readme_library_example_runs(monkeypatch):
@@ -35,7 +36,8 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: f"tests/{p.name}" if p.parent == TESTS else p.name)
 def test_no_dead_imports(path):
     # every imported name is used in its module or re-exported by __all__
     tree = ast.parse(path.read_text())

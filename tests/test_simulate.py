@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mbmlt.operator import covariance_matrix, h_inner_product
+from mbmlt.operator import covariance_matrix
 from mbmlt.simulate import (
-    MbmPathSet,
     SimulationConfig,
     _embedding_size,
     _hurst_levels,
     _level_runs,
     simulate,
     simulate_exact,
-    simulate_wood_chan_fbm,
     simulate_wood_chan_mbm,
 )
 from mbmlt.specfun import HurstFunctional
+
+from .oracles import h_inner_product
 
 
 class TestConfig:
@@ -145,21 +145,20 @@ class TestExactFactorization:
             assert np.array_equal(values[:, j, :], (L @ Z).T)
 
 
+def _fbm(H, s, n_paths, seed):
+    """Constant-index Wood-Chan paths: fBm is the constant-h, d = 1 case."""
+    return simulate_wood_chan_mbm(SimulationConfig(
+        h=HurstFunctional.constant(H), s=s, n_paths=n_paths, d=1, seed=seed,
+        method="wood_chan"))
+
+
 class TestWoodChan:
     N_PATHS = 4000
-
-    def test_constant_h_reduces_to_fbm(self):
-        fbm = simulate_wood_chan_fbm(H=0.7, s=64, T=1.0, n_paths=4, seed=5)
-        h = HurstFunctional.constant(0.7)
-        mbm = simulate_wood_chan_mbm(
-            SimulationConfig(h=h, s=64, n_paths=4, seed=5, method="wood_chan")
-        )
-        assert np.array_equal(fbm.values, mbm.values)
 
     def test_increment_variance(self):
         # stationary increments: Var(B_{t+dt} - B_t) = dt^{2H}
         H, s = 0.8, 128
-        ps = simulate_wood_chan_fbm(H=H, s=s, T=1.0, n_paths=self.N_PATHS, seed=6)
+        ps = _fbm(H, s, self.N_PATHS, seed=6)
         inc = np.diff(ps.with_origin()[:, 0, :], axis=1)
         target = (1.0 / s) ** (2 * H)
         sample = np.mean(inc ** 2, axis=0)
@@ -169,7 +168,7 @@ class TestWoodChan:
     def test_loglog_slope(self):
         # log E B_t^2 vs log t has slope 2H
         H, s = 0.65, 256
-        ps = simulate_wood_chan_fbm(H=H, s=s, T=1.0, n_paths=self.N_PATHS, seed=7)
+        ps = _fbm(H, s, self.N_PATHS, seed=7)
         grid = ps.grid
         var = np.mean(ps.values[:, 0, :] ** 2, axis=0)
         slope = np.polyfit(np.log(grid), np.log(var), 1)[0]
@@ -186,7 +185,7 @@ class TestWoodChan:
 
     def test_fbm_domain(self):
         with pytest.raises(ValueError):
-            simulate_wood_chan_fbm(H=0.4, s=16, T=1.0, n_paths=1, seed=0)
+            _fbm(0.4, 16, 1, seed=0)
 
 
 def _materialized_wood_chan(config):
