@@ -487,8 +487,10 @@ def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     Kernel pairings factorize through the tabulated a_j(t), and by the
     multinomial theorem the pairings of one order n sum to one time integral,
     int base (-y)^n / n! dt with y = |a(t)|^2 / (2 var), so the cost is
-    O(n_max * nodes) after the a(t) table.
+    O(n_max * nodes) after the a(t) table.  n_max < N is a ValueError.
     """
+    if n_max < N:
+        raise ValueError(f"n_max = {n_max} is below the truncation order N = {N}")
     rule = _TimeRule(h, T, N, phi.d, eps)
     y = rule.exponent(_a_table(h, rule.nodes, phi))
     return np.cumsum([rule.integral((-y) ** n / math.factorial(n))

@@ -14,12 +14,11 @@ printed first).  Every failure ends stderr with a one-line JSON reason.
 BLAS runs on one thread: main() sets every BLAS/OpenMP thread variable to 1
 before numpy is loaded, so outputs are byte-identical regardless of the
 ambient OMP/BLAS environment (a threaded Cholesky changes the last bits of
-the exact paths).  MBMLT_NUM_THREADS no longer sets the BLAS thread count.
-The pinning takes effect only when the CLI is the process entry point
-(`mbmlt ...` or `python -m mbmlt.cli`); a main() called after numpy has
-been imported does not pin.  main() restores the caller's values of those
-variables when it returns, so an in-process caller's environment is left
-as it was.
+the exact paths).  The CLI does not read MBMLT_NUM_THREADS.  The pinning
+takes effect only when the CLI is the process entry point (`mbmlt ...` or
+`python -m mbmlt.cli`); a main() called after numpy has been imported does
+not pin.  main() restores the caller's values of those variables when it
+returns, so an in-process caller's environment is left as it was.
 """
 from __future__ import annotations
 
@@ -32,6 +31,7 @@ import traceback
 from contextlib import contextmanager
 from pathlib import Path
 
+from . import __version__
 from .errors import AdmissibilityError, NumericalError
 
 FMT = "%.17g"
@@ -80,24 +80,23 @@ def _build(cfg: dict):
     return h, d, phi
 
 
-def _write_manifest(outdir: Path, cfg: dict, extra: dict, t0: float) -> None:
-    from . import __version__
+def _write_csv(path: Path, header: list, blocks, labels=None) -> None:
+    """Write a header line, then every row of each 2-D float block.
 
-    manifest = {
-        "config": cfg,
-        "version": __version__,
-        "wall_time_s": round(time.time() - t0, 3),
-        **extra,
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    All six tables are written here, every value as FMT: 17 significant
+    digits, so doubles round-trip exactly.  A block is
+    formatted whole, by one row template repeated once per row; labels[i],
+    if given, is text that starts each row of block i (the path index of
+    paths.csv), so it is never formatted as a float.
+    """
+    import numpy as np
 
-
-def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(FMT % v if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        for i, block in enumerate(blocks):
+            block = np.asarray(block, dtype=float)
+            row = ("" if labels is None else labels[i]) + ",".join([FMT] * block.shape[1])
+            fh.write((row + "\n") * len(block) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +113,16 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
         h=h, s=int(cfg.get("s", 256)), n_paths=int(cfg.get("n_paths", 1)),
         d=d, seed=int(cfg.get("seed", 0)), method=cfg.get("method", "exact"),
     )
-    paths = simulate(sim)
-    paths.to_csv(outdir / "paths.csv")
+    values, grid = simulate(sim).values, sim.grid
+    _write_csv(outdir / "paths.csv", ["path", "t", *(f"v{j+1}" for j in range(d))],
+               (np.column_stack([grid, v.T]) for v in values),
+               labels=[f"{p}," for p in range(sim.n_paths)])
     # mean square over paths and components, relative to t^{2h(t)}
-    sample = np.einsum("ijk,ijk->k", paths.values, paths.values) / (sim.n_paths * d)
-    rel = sample / sim.grid ** (2.0 * h(sim.grid)) - 1.0
-    return {**paths.metadata(), "variance_rel_rms": float(np.sqrt(np.mean(rel * rel)))}
+    sample = np.einsum("ijk,ijk->k", values, values) / (sim.n_paths * d)
+    rel = sample / grid ** (2.0 * h(grid)) - 1.0
+    return {"method": sim.method, "seed": sim.seed, "s": sim.s, "n_paths": sim.n_paths,
+            "d": d, "T": sim.T, "hurst": h.description,
+            "variance_rel_rms": float(np.sqrt(np.mean(rel * rel)))}
 
 
 def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
@@ -129,9 +132,12 @@ def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
 
     h, _, _ = _build(cfg)
     s = int(cfg.get("s", 64))
+    if s < 1:
+        raise ValueError("s must be positive")
     grid = np.arange(1, s + 1) * (h.T / s)
     cov = covariance_matrix(grid, h)
-    cov.to_csv(outdir / "covariance.csv")
+    _write_csv(outdir / "covariance.csv", ["t", *(FMT % t for t in grid.tolist())],
+               [np.column_stack([grid, cov.values])])
     return {"grid_points": s, "min_eigenvalue": cov.min_eigenvalue}
 
 
@@ -159,7 +165,7 @@ def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
         targets.append(target)
         z.append((est.estimate - target) / est.stderr if est.stderr > 0 else None)
     _write_csv(outdir / "localtime.csv",
-               ["eps", "N", "estimate", "stderr", "n_paths"], rows)
+               ["eps", "N", "estimate", "stderr", "n_paths"], [rows])
     return {"n_paths": sim.n_paths, "seed": sim.seed, "method": sim.method,
             "target": targets, "z": z}
 
@@ -174,7 +180,7 @@ def _cmd_stransform(cfg: dict, outdir: Path) -> dict:
     eps_list = [float(e) for e in cfg.get("eps", [0.0])]
     values = s_transform_local_time(h, N, h.T, phi, eps_list)
     rows = [(eps, N, val) for eps, val in zip(eps_list, values)]
-    _write_csv(outdir / "stransform.csv", ["eps", "N", "value"], rows)
+    _write_csv(outdir / "stransform.csv", ["eps", "N", "value"], [rows])
     return {"N": N}
 
 
@@ -196,7 +202,7 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
     values = kernel_eval(h, int(cfg.get("N", 0)), h.T, n_vec, u,
                          float(cfg.get("kernel_eps") or 0.0))
     _write_csv(outdir / "kernels.csv", [f"u{i+1}" for i in range(order)] + ["value"],
-               [(*p, v) for p, v in zip(u.tolist(), values.tolist())])
+               [np.column_stack([u, values])])
     return {"index": n_vec, "order": order}
 
 
@@ -210,7 +216,7 @@ def _cmd_converge(cfg: dict, outdir: Path) -> dict:
     eps_list = [float(e) for e in cfg.get("eps", [1e-1, 1e-2, 1e-3, 1e-4])]
     rows = convergence_eps(h, N, h.T, phi, eps_list)
     _write_csv(outdir / "converge.csv", ["eps", "value", "gap"],
-               [(r.eps, r.value, r.gap) for r in rows])
+               [[(r.eps, r.value, r.gap) for r in rows]])
     limit = rows[0].limit
     return {"N": N, "final_gap": rows[-1].gap, "limit": limit,
             "rel_gap": [r.gap / abs(limit) if limit else None for r in rows]}
@@ -275,7 +281,9 @@ def _main(argv) -> int:
         reason = repr(exc) if error == "internal" else str(exc)
         print(json.dumps({"error": error, "reason": reason}), file=sys.stderr)
         return code
-    _write_manifest(outdir, cfg, {"command": args.command, **extra}, t0)
+    manifest = {"command": args.command, "config": cfg, "version": __version__,
+                "wall_time_s": round(time.time() - t0, 3), **extra}
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return 0
 
 

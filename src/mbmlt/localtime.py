@@ -54,8 +54,6 @@ class LocalTimeEstimate:
     estimate: float
     stderr: float
     n_paths: int
-    grid_points: int
-    params: RegularizationParams
 
     def __post_init__(self):
         if not np.isfinite(self.estimate) or self.stderr < 0:
@@ -103,8 +101,6 @@ def local_time_mc(paths: MbmPathSet, params: RegularizationParams) -> LocalTimeE
         estimate=float(np.mean(per_path)),
         stderr=float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
         n_paths=n,
-        grid_points=cfg.s,
-        params=params,
     )
 
 

@@ -55,16 +55,8 @@ class CovarianceMatrix:
     """Covariance of the process on a strictly increasing time grid, with
     the smallest eigenvalue its PSD check computed."""
 
-    grid: np.ndarray
     values: np.ndarray
     min_eigenvalue: float
-
-    def to_csv(self, path) -> None:
-        """Row/column headers are the grid times, 17 significant digits."""
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(f"{t:.17g}" for t in self.grid) + "\n")
-            for ti, row in zip(self.grid, self.values):
-                fh.write(f"{ti:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _covariance_values(grid: np.ndarray, h: HurstFunctional) -> np.ndarray:
@@ -107,4 +99,4 @@ def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
             f"covariance not PSD: min eigenvalue {min_eig:g} "
             f"(tolerance {-PSD_TOL * np.trace(R):g}); invalid Hurst function?"
         )
-    return CovarianceMatrix(grid=grid, values=R, min_eigenvalue=min_eig)
+    return CovarianceMatrix(values=R, min_eigenvalue=min_eig)

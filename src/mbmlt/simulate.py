@@ -83,7 +83,6 @@ class MbmPathSet:
 
     config: SimulationConfig
     values: np.ndarray  # shape (n_paths, d, s)
-    method: str
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -99,29 +98,6 @@ class MbmPathSet:
         out = np.zeros((n, d, s + 1))
         out[:, :, 1:] = self.values
         return out
-
-    def to_csv(self, path) -> None:
-        """One row per (path, time), d value columns; formatted path by path."""
-        n, d, s = self.values.shape
-        with open(path, "w") as fh:
-            fh.write("path,t," + ",".join(f"v{j+1}" for j in range(d)) + "\n")
-            grid = self.grid
-            for p in range(n):
-                rows = (f"{p},%.17g" + ",%.17g" * d + "\n") * s
-                block = np.column_stack([grid, self.values[p].T])
-                fh.write(rows % tuple(block.ravel().tolist()))
-
-    def metadata(self) -> dict:
-        c = self.config
-        return {
-            "method": self.method,
-            "seed": c.seed,
-            "s": c.s,
-            "n_paths": c.n_paths,
-            "d": c.d,
-            "T": c.T,
-            "hurst": c.h.description,
-        }
 
 
 def simulate(config: SimulationConfig) -> MbmPathSet:
@@ -166,7 +142,7 @@ def simulate_exact(config: SimulationConfig) -> MbmPathSet:
         rng = np.random.default_rng(streams[j])
         Z = rng.standard_normal((config.s, config.n_paths))
         values[:, j, :] = (L @ Z).T
-    return MbmPathSet(config=config, values=values, method="exact")
+    return MbmPathSet(config=config, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -277,4 +253,4 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
             for r in upper:
                 F[:, r] *= w[r]
                 out[:, r] += F[:, r]
-    return MbmPathSet(config=config, values=values, method="wood_chan")
+    return MbmPathSet(config=config, values=values)

@@ -500,6 +500,11 @@ class TestChaosPairing:
         assert gaps[-1] < 1e-10
         assert gaps[-1] < gaps[0]
 
+    @pytest.mark.parametrize("n_max", [1, -5])
+    def test_n_max_below_N_rejected(self, n_max, h_const_07):
+        with pytest.raises(ValueError, match="n_max"):
+            chaos_pairing(h_const_07, 2, 1.0, TestFunction.zero(1), n_max=n_max, eps=0.1)
+
     @pytest.mark.parametrize("N", [0, 1])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_chaos_term_oracle(self, d, N, h_linear):

@@ -268,6 +268,14 @@ class TestExitCodes:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_nonpositive_covariance_s_is_config_error(self, tmp_path, capsys, s):
+        code, _ = _run(tmp_path, "covariance", {"hurst": {"const": 0.7}, "s": s})
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err.strip())["error"] == "config"
+
     def test_range_violation_is_domain_error(self, tmp_path):
         code, _ = _run(tmp_path, "simulate", {"hurst": {"const": 0.4}, "s": 8})
         assert code == 2

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mbmlt.cli import main
 from mbmlt.operator import covariance_matrix, mh_indicator
 from mbmlt.specfun import HurstFunctional, gamma_factor
 
@@ -162,11 +165,16 @@ class TestCovarianceMatrix:
             covariance_matrix([0.0, 0.5], h_const_07)
 
     def test_csv_roundtrip(self, h_const_07, tmp_path):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"hurst": {"const": 0.7}, "s": 4}))
+        assert main(["covariance", "--config", str(cfg_path), "--out", str(out)]) == 0
         grid = np.linspace(0.25, 1.0, 4)
         cov = covariance_matrix(grid, h_const_07)
-        path = tmp_path / "cov.csv"
-        cov.to_csv(path)
-        rows = path.read_text().strip().split("\n")
-        assert rows[0].startswith("t,")
+        text = (out / "covariance.csv").read_text()
+        expected = ["t," + ",".join(f"{t:.17g}" for t in grid)]
+        expected += [f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row)
+                     for t, row in zip(grid, cov.values)]
+        assert text == "\n".join(expected) + "\n"
+        rows = text.strip().split("\n")
         back = np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]])
         assert np.array_equal(back, cov.values)  # 17 digits round-trips doubles

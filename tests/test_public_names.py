@@ -52,3 +52,22 @@ def test_no_dead_imports(path):
         elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
             exported |= set(ast.literal_eval(node.value))
     assert sorted(imported - used - exported) == []
+
+
+#: calls that open or write a file
+_FILE_CALLS = {"open", "write_text", "write_bytes", "savetxt", "tofile"}
+
+
+def test_only_the_cli_writes_files():
+    # every output format lives in cli.py, so no library module touches a file
+    offenders = []
+    for path in sorted(Path(mbmlt.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in _FILE_CALLS:
+                    offenders.append(f"{path.name}:{node.lineno} {name}(")
+    assert offenders == []

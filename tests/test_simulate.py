@@ -1,9 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from mbmlt.cli import main
 from mbmlt.operator import covariance_matrix
 from mbmlt.simulate import (
     SimulationConfig,
@@ -34,6 +36,14 @@ class TestConfig:
             SimulationConfig(h=h_const_07, method="davies_harte")
 
 
+def _simulate_cli(tmp_path, cfg):
+    """Run the simulate subcommand on cfg; return its output directory."""
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out
+
+
 class TestPathSet:
     def test_with_origin(self, h_const_07):
         ps = simulate(SimulationConfig(h=h_const_07, s=8, n_paths=3, d=2, seed=1))
@@ -43,30 +53,32 @@ class TestPathSet:
         assert np.array_equal(full[:, :, 1:], ps.values)
 
     def test_csv(self, h_const_07, tmp_path):
+        cfg = {"hurst": {"const": 0.7}, "s": 4, "n_paths": 2, "d": 2, "seed": 1}
+        out = _simulate_cli(tmp_path, cfg)
         ps = simulate(SimulationConfig(h=h_const_07, s=4, n_paths=2, d=2, seed=1))
-        path = tmp_path / "paths.csv"
-        ps.to_csv(path)
-        rows = path.read_text().strip().split("\n")
+        rows = (out / "paths.csv").read_text().strip().split("\n")
         assert rows[0] == "path,t,v1,v2"
         assert len(rows) == 1 + 2 * 4
         first = rows[1].split(",")
         assert float(first[2]) == ps.values[0, 0, 0]
 
     def test_csv_matches_row_by_row_format(self, h_linear, tmp_path):
+        cfg = {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 5, "n_paths": 3,
+               "d": 3, "seed": 2, "method": "wood_chan"}
+        out = _simulate_cli(tmp_path, cfg)
         ps = simulate(SimulationConfig(h=h_linear, s=5, n_paths=3, d=3, seed=2,
                                        method="wood_chan"))
-        path = tmp_path / "paths.csv"
-        ps.to_csv(path)
         expected = ["path,t,v1,v2,v3"]
         for p in range(3):
             for k in range(5):
                 vals = ",".join(f"{ps.values[p, j, k]:.17g}" for j in range(3))
                 expected.append(f"{p},{ps.grid[k]:.17g},{vals}")
-        assert path.read_text() == "\n".join(expected) + "\n"
+        assert (out / "paths.csv").read_text() == "\n".join(expected) + "\n"
 
-    def test_metadata(self, h_linear):
-        ps = simulate(SimulationConfig(h=h_linear, s=8, seed=7))
-        meta = ps.metadata()
+    def test_metadata(self, tmp_path):
+        cfg = {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 8, "seed": 7}
+        meta = json.loads((_simulate_cli(tmp_path, cfg) / "manifest.json").read_text())
+        assert {"method", "seed", "s", "n_paths", "d", "T", "hurst"} <= meta.keys()
         assert meta["seed"] == 7 and meta["s"] == 8 and meta["method"] == "exact"
 
 
