@@ -59,6 +59,8 @@ class GaussianBump:
     width: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.center, self.width))):
+            raise ValueError("Gaussian bump parameters must be finite")
         if self.width <= 0:
             raise ValueError("width must be positive")
 
@@ -87,6 +89,8 @@ class HermiteCombination:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("need at least one coefficient")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("Hermite coefficients must be finite")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -387,13 +391,13 @@ class _TimeRule:
 
     @staticmethod
     def check(h: HurstFunctional, T: float, N: int, d: int, eps: float) -> None:
-        """Raise unless 0 < T <= h.T, N >= 0, d >= 1, eps >= 0 and, at
+        """Raise unless 0 < T <= h.T, N >= 0, d >= 1, 0 <= eps < inf and, at
         eps = 0, the truncation bound holds (AdmissibilityError)."""
         if not 0.0 < T <= h.T + 1e-12:
             raise ValueError(f"bad horizon: T must be in (0, {h.T}]")
         truncation_bound(N, d)  # raises unless N >= 0 and d >= 1
-        if not eps >= 0:  # NaN fails too
-            raise ValueError("eps must be nonnegative")
+        if not 0 <= eps < math.inf:  # NaN fails too
+            raise ValueError("eps must be nonnegative and finite")
         if eps == 0.0:
             require_truncation_bound(h, N, d)
 
@@ -457,6 +461,8 @@ def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
     if u.ndim > 2 or points.shape[1] != index.total:
         raise ValueError(f"kernel of order {index.total} needs points of "
                          f"{index.total} coordinates, got shape {u.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("kernel points must be finite")
     half = ChaosIndex(tuple(nj // 2 for nj in index.n_vec))
     n = half.total
     if any(nj % 2 == 1 for nj in index.n_vec) or n < N:

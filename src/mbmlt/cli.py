@@ -64,6 +64,13 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
+def _whole(value, name: str) -> int:
+    """value as an int; ValueError unless it is whole, so 1.5 is not read as 1."""
+    if not isinstance(value, (int, float)) or value % 1 != 0:  # NaN and inf too
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _build(cfg: dict):
     """Construct domain objects from the parsed configuration."""
     from .chaos import TestFunction
@@ -71,13 +78,23 @@ def _build(cfg: dict):
 
     T = float(cfg.get("T", 1.0))
     h = HurstFunctional.from_config(cfg["hurst"], T=T)
-    d = int(cfg.get("d", 1))
+    d = _whole(cfg.get("d", 1), "d")
     phi = None
     if "test_function" in cfg:
         phi = TestFunction.from_config(cfg["test_function"])
         if phi.d != d:
             raise ValueError(f"test function has {phi.d} components, d = {d}")
     return h, d, phi
+
+
+def _simulation(cfg: dict, h, d: int, n_paths: int):
+    """The SimulationConfig that cfg asks for; n_paths is the command's default."""
+    from .simulate import SimulationConfig
+
+    return SimulationConfig(h=h, s=_whole(cfg.get("s", 256), "s"), d=d,
+                            n_paths=_whole(cfg.get("n_paths", n_paths), "n_paths"),
+                            seed=_whole(cfg.get("seed", 0), "seed"),
+                            method=cfg.get("method", "exact"))
 
 
 def _write_csv(path: Path, header: list, blocks, labels=None) -> None:
@@ -106,13 +123,10 @@ def _write_csv(path: Path, header: list, blocks, labels=None) -> None:
 def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
     import numpy as np
 
-    from .simulate import SimulationConfig, simulate
+    from .simulate import simulate
 
     h, d, _ = _build(cfg)
-    sim = SimulationConfig(
-        h=h, s=int(cfg.get("s", 256)), n_paths=int(cfg.get("n_paths", 1)),
-        d=d, seed=int(cfg.get("seed", 0)), method=cfg.get("method", "exact"),
-    )
+    sim = _simulation(cfg, h, d, n_paths=1)
     values, grid = simulate(sim).values, sim.grid
     _write_csv(outdir / "paths.csv", ["path", "t", *(f"v{j+1}" for j in range(d))],
                (np.column_stack([grid, v.T]) for v in values),
@@ -131,7 +145,7 @@ def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
     from .operator import covariance_matrix
 
     h, _, _ = _build(cfg)
-    s = int(cfg.get("s", 64))
+    s = _whole(cfg.get("s", 64), "s")
     if s < 1:
         raise ValueError("s must be positive")
     grid = np.arange(1, s + 1) * (h.T / s)
@@ -142,32 +156,21 @@ def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
 
 
 def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
-    from .localtime import RegularizationParams, expected_local_time, local_time_mc
-    from .simulate import SimulationConfig, simulate
+    from .localtime import _check_mc_args, local_time_mc
+    from .simulate import simulate
 
     h, d, _ = _build(cfg)
-    N = int(cfg.get("N", 0))
-    # checked before the paths exist, so a bad eps costs no simulation
-    params = [RegularizationParams(eps=float(e), N=N) for e in cfg.get("eps", [0.1])]
-    if not params:
-        raise ValueError("eps list must not be empty")
-    sim = SimulationConfig(
-        h=h, s=int(cfg.get("s", 256)), n_paths=int(cfg.get("n_paths", 1000)),
-        d=d, seed=int(cfg.get("seed", 0)), method=cfg.get("method", "exact"),
-    )
-    paths = simulate(sim)
-    rows, targets, z = [], [], []
-    for p in params:
-        est = local_time_mc(paths, p)
-        rows.append((p.eps, p.N, est.estimate, est.stderr, est.n_paths))
-        # the N = 1 estimate is already centered on its expectation
-        target = 0.0 if N == 1 else expected_local_time(h, p.eps, sim.T, d)
-        targets.append(target)
-        z.append((est.estimate - target) / est.stderr if est.stderr > 0 else None)
-    _write_csv(outdir / "localtime.csv",
-               ["eps", "N", "estimate", "stderr", "n_paths"], [rows])
+    N = _whole(cfg.get("N", 0), "N")
+    eps = [float(e) for e in cfg.get("eps", [0.1])]
+    _check_mc_args(eps, N)  # before the paths exist, so a bad eps costs no simulation
+    sim = _simulation(cfg, h, d, n_paths=1000)
+    estimate, stderr, target = local_time_mc(simulate(sim), eps, N)
+    _write_csv(outdir / "localtime.csv", ["eps", "N", "estimate", "stderr", "n_paths"],
+               [[(e, N, est, se, sim.n_paths) for e, est, se in zip(eps, estimate, stderr)]])
+    z = [(e - t) / se if se > 0 else None
+         for e, se, t in zip(estimate.tolist(), stderr.tolist(), target.tolist())]
     return {"n_paths": sim.n_paths, "seed": sim.seed, "method": sim.method,
-            "target": targets, "z": z}
+            "target": target.tolist(), "z": z}
 
 
 def _cmd_stransform(cfg: dict, outdir: Path) -> dict:
@@ -176,7 +179,7 @@ def _cmd_stransform(cfg: dict, outdir: Path) -> dict:
     h, d, phi = _build(cfg)
     if phi is None:
         phi = TestFunction.zero(d)
-    N = int(cfg.get("N", 0))
+    N = _whole(cfg.get("N", 0), "N")
     eps_list = [float(e) for e in cfg.get("eps", [0.0])]
     values = s_transform_local_time(h, N, h.T, phi, eps_list)
     rows = [(eps, N, val) for eps, val in zip(eps_list, values)]
@@ -190,7 +193,7 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
     from .chaos import kernel_eval
 
     h, d, _ = _build(cfg)
-    n_vec = [int(n) for n in cfg["kernel_index"]]
+    n_vec = [_whole(n, "kernel index entry") for n in cfg["kernel_index"]]
     if len(n_vec) != d:
         raise ValueError(f"kernel index has {len(n_vec)} components, d = {d}")
     order = sum(n_vec)
@@ -199,7 +202,7 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
         raise ValueError(f"every u point needs {order} coordinates")
     u = np.array(points, dtype=float).reshape(len(points), order)
     # kernel_eps absent, null or 0: unregularized
-    values = kernel_eval(h, int(cfg.get("N", 0)), h.T, n_vec, u,
+    values = kernel_eval(h, _whole(cfg.get("N", 0), "N"), h.T, n_vec, u,
                          float(cfg.get("kernel_eps") or 0.0))
     _write_csv(outdir / "kernels.csv", [f"u{i+1}" for i in range(order)] + ["value"],
                [np.column_stack([u, values])])
@@ -212,7 +215,7 @@ def _cmd_converge(cfg: dict, outdir: Path) -> dict:
     h, d, phi = _build(cfg)
     if phi is None:
         phi = TestFunction.zero(d)
-    N = int(cfg.get("N", 0))
+    N = _whole(cfg.get("N", 0), "N")
     eps_list = [float(e) for e in cfg.get("eps", [1e-1, 1e-2, 1e-3, 1e-4])]
     rows = convergence_eps(h, N, h.T, phi, eps_list)
     _write_csv(outdir / "converge.csv", ["eps", "value", "gap"],

@@ -7,13 +7,16 @@ width eps evaluated along the path:
 
 Its expectation has the closed form int_0^T (2 pi (eps + t^{2h(t)}))^{-d/2} dt,
 which stays finite as eps -> 0 only when d * sup h < 1 (the N = 0 case of the
-truncation bound).  Removing the first chaos order (N = 1) subtracts exactly
-this expectation, so the centered Monte-Carlo estimate has mean zero.
+truncation bound).  local_time_mc estimates L_eps for a list of eps from one
+path set, each with the value it should average to: this expectation for
+N = 0, and 0 for N = 1, which subtracts the expectation (the first chaos
+order) path by path.
 """
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +25,6 @@ from .simulate import MbmPathSet
 from .specfun import HurstFunctional
 
 __all__ = [
-    "RegularizationParams",
-    "LocalTimeEstimate",
     "delta_eps",
     "local_time_mc",
     "expected_local_time",
@@ -35,29 +36,15 @@ _EXPECTATION_RTOL = 1e-10
 _EXPECTATION_DOUBLINGS = 8
 
 
-@dataclass(frozen=True)
-class RegularizationParams:
-    """Gaussian width eps and truncation order N (0 or 1 for MC)."""
-
-    eps: float
-    N: int = 0
-
-    def __post_init__(self):
-        if not self.eps > 0:  # NaN fails too
-            raise ValueError("eps must be positive")
-        if self.N not in (0, 1):
-            raise ValueError("Monte-Carlo estimation supports N in {0, 1} only")
-
-
-@dataclass(frozen=True)
-class LocalTimeEstimate:
-    estimate: float
-    stderr: float
-    n_paths: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.estimate) or self.stderr < 0:
-            raise NumericalError("invalid local-time estimate")
+def _check_mc_args(eps: Sequence[float], N: int) -> None:
+    """Raise ValueError unless eps is a nonempty list of positive finite
+    widths and N is 0 or 1, the orders local_time_mc can center."""
+    if len(eps) == 0:
+        raise ValueError("eps list must not be empty")
+    if not all(0 < e < math.inf for e in eps):  # NaN fails too
+        raise ValueError("eps must be positive and finite")
+    if N not in (0, 1):
+        raise ValueError("Monte-Carlo estimation supports N in {0, 1} only")
 
 
 def delta_eps(x, eps: float):
@@ -76,32 +63,39 @@ def delta_eps(x, eps: float):
     return out
 
 
-def local_time_mc(paths: MbmPathSet, params: RegularizationParams) -> LocalTimeEstimate:
+def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
     """Trapezoidal time integral of the Gaussian kernel along each path.
 
-    Returns the mean over paths and its standard error.  For N = 1 the
-    analytic expectation is subtracted, so the estimate is centered at 0.
+    ``eps`` is a nonempty sequence of widths.  Returns three arrays, one
+    entry per eps: the mean over paths, its standard error, and the value
+    the mean should be near: E[L_eps(T)] for N = 0, and 0 for N = 1, where
+    that expectation is subtracted from every path.  The arguments are
+    checked first; an eps below the grid resolution scale is warned about.
     """
+    _check_mc_args(eps, N)
     cfg = paths.config
-    h_min = float(np.min(cfg.h(np.linspace(0, cfg.T, 1001))))
-    if params.eps < (cfg.T / cfg.s) ** (2 * h_min):
-        warnings.warn(
-            f"eps={params.eps:g} below the grid resolution scale "
-            f"{(cfg.T / cfg.s) ** (2 * h_min):g}; estimate may be biased",
-            stacklevel=2,
-        )
-    vals = paths.with_origin()  # (n, d, s+1), time 0 included
-    dens = delta_eps(np.moveaxis(vals, 1, -1), params.eps)
+    floor = (cfg.T / cfg.s) ** (2 * float(np.min(cfg.h(np.linspace(0, cfg.T, 1001)))))
+    for e in eps:
+        if e < floor:
+            warnings.warn(f"eps={e:g} below the grid resolution scale {floor:g}; "
+                          "estimate may be biased", stacklevel=2)
+    n, d, s = paths.values.shape
+    padded = np.zeros((n, d, s + 1))  # time 0 included: B(0) = 0
+    padded[:, :, 1:] = paths.values
+    x = np.moveaxis(padded, 1, -1)
     tgrid = np.concatenate([[0.0], cfg.grid])
-    per_path = np.trapezoid(dens, tgrid, axis=1)
-    if params.N == 1:
-        per_path = per_path - expected_local_time(cfg.h, params.eps, cfg.T, cfg.d)
-    n = len(per_path)
-    return LocalTimeEstimate(
-        estimate=float(np.mean(per_path)),
-        stderr=float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-        n_paths=n,
-    )
+    out = np.empty((3, len(eps)))
+    for i, e in enumerate(eps):
+        per_path = np.trapezoid(delta_eps(x, e), tgrid, axis=1)
+        expected = expected_local_time(cfg.h, e, cfg.T, d)
+        if N == 1:
+            per_path = per_path - expected
+        estimate = float(np.mean(per_path))
+        stderr = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        if not np.isfinite(estimate) or stderr < 0:
+            raise NumericalError("invalid local-time estimate")
+        out[:, i] = estimate, stderr, 0.0 if N == 1 else expected
+    return tuple(out)
 
 
 def expected_local_time(h: HurstFunctional, eps: float, T: float, d: int) -> float:
@@ -113,7 +107,7 @@ def expected_local_time(h: HurstFunctional, eps: float, T: float, d: int) -> flo
     (otherwise the integral diverges at t = 0: AdmissibilityError); the
     rule checks that bound and the other arguments.
     """
-    # deferred: local_time_mc at N = 0 never needs the time rule
+    # deferred: importing localtime does not load the analytic routes
     from .chaos import _TimeRule
 
     val = np.nan

@@ -92,13 +92,6 @@ class MbmPathSet:
     def grid(self) -> np.ndarray:
         return self.config.grid
 
-    def with_origin(self) -> np.ndarray:
-        """Values with the implicit B(0) = 0 prepended on the time axis."""
-        n, d, s = self.values.shape
-        out = np.zeros((n, d, s + 1))
-        out[:, :, 1:] = self.values
-        return out
-
 
 def simulate(config: SimulationConfig) -> MbmPathSet:
     """Dispatch on config.method."""

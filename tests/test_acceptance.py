@@ -23,7 +23,7 @@ from mbmlt.chaos import (
     s_transform_local_time,
 )
 from mbmlt.errors import AdmissibilityError
-from mbmlt.localtime import RegularizationParams, expected_local_time, local_time_mc
+from mbmlt.localtime import expected_local_time, local_time_mc
 from mbmlt.operator import covariance_matrix, mh_indicator
 from mbmlt.simulate import SimulationConfig, simulate_exact, simulate_wood_chan_mbm
 from mbmlt.specfun import HurstFunctional, minimal_truncation, truncation_bound
@@ -91,14 +91,12 @@ def test_criterion_4_local_time_expectation():
     for d in (1, 2):
         cfg = SimulationConfig(h=h, s=512, n_paths=n, d=d, seed=41)
         paths = simulate_exact(cfg)
-        for eps in (0.1, 0.01):
-            est = local_time_mc(paths, RegularizationParams(eps=eps))
+        eps_list = (0.1, 0.01)
+        estimates, stderrs, _ = local_time_mc(paths, eps_list)
+        for eps, est, se in zip(eps_list, estimates, stderrs):
             target = expected_local_time(h, eps, 1.0, d)
-            if abs(est.estimate - target) >= 4 * est.stderr:
-                failures.append(
-                    f"d={d} eps={eps}: {est.estimate:.4g} vs {target:.4g} "
-                    f"(se {est.stderr:.2g})"
-                )
+            if abs(est - target) >= 4 * se:
+                failures.append(f"d={d} eps={eps}: {est:.4g} vs {target:.4g} (se {se:.2g})")
     _verdict(4, "local-time expectation", not failures,
              "; ".join(failures) or "all (eps, d) within 4 SE")
 

@@ -24,6 +24,15 @@ def _run(tmp_path, command, cfg, *extra):
     return code, out
 
 
+def _config_reason(capsys) -> str:
+    """The reason of the one-line JSON config error that ends stderr."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    report = json.loads(err.strip().splitlines()[-1])
+    assert report["error"] == "config"
+    return report["reason"]
+
+
 class TestSimulateCommand:
     def test_writes_paths_and_manifest(self, tmp_path):
         cfg = {"hurst": {"const": 0.7}, "s": 16, "n_paths": 2, "seed": 5}
@@ -280,6 +289,15 @@ class TestExitCodes:
         code, _ = _run(tmp_path, "simulate", {"hurst": {"const": 0.4}, "s": 8})
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "stransform"])
+    def test_nan_hurst_is_domain_error(self, tmp_path, capsys, command):
+        # NaN compares False both ways, so it must fail the range check itself
+        code, _ = _run(tmp_path, command, {"hurst": {"const": math.nan}, "s": 8, "eps": [0.1]})
+        assert code == 2
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "math-domain",
+                          "reason": "A1 violated: h(0) = nan outside (1/2, 1)"}
+
     def test_truncation_violation_is_domain_error(self, tmp_path):
         # d = 3, N = 0: bound 1/3 < 0.6, eps = 0 diverges
         cfg = {"hurst": {"const": 0.6}, "d": 3, "N": 0, "eps": [0.0]}
@@ -342,6 +360,61 @@ class TestExitCodes:
         code, _ = _run(tmp_path, "localtime", {"hurst": {"const": 0.7}, "s": 8}, "--eps", "-1")
         assert code == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
+        # the order N is checked with eps, also before simulating
+        code, _ = _run(tmp_path, "localtime", {"hurst": {"const": 0.7}, "s": 8, "N": 2})
+        assert code == 1
+        assert "N in {0, 1}" in _config_reason(capsys)
+
+    def test_nan_horizon_is_config_error(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, "simulate", {"hurst": {"const": 0.7}, "T": math.nan, "s": 8})
+        assert code == 1
+        assert "horizon" in _config_reason(capsys)
+
+    @pytest.mark.parametrize("component", [
+        {"gaussian": {"width": math.nan}},
+        {"gaussian": {"center": math.inf}},
+        {"hermite": {"coeffs": [1.0, math.nan]}},
+    ], ids=["nan-width", "inf-center", "nan-coefficient"])
+    def test_nonfinite_test_function_is_config_error(self, tmp_path, capsys, component):
+        cfg = {"hurst": {"const": 0.7}, "test_function": {"components": [component]}}
+        code, out = _run(tmp_path, "stransform", cfg, "--eps", "0.1")
+        assert code == 1
+        assert "finite" in _config_reason(capsys)
+        assert not (out / "stransform.csv").exists()
+
+    def test_nan_kernel_point_is_config_error(self, tmp_path, capsys):
+        cfg = {"hurst": {"const": 0.7}, "kernel_index": [2], "u_grid": [[0.2, 0.3], [0.1, math.nan]]}
+        code, out = _run(tmp_path, "kernels", cfg)
+        assert code == 1
+        assert "finite" in _config_reason(capsys)
+        assert not (out / "kernels.csv").exists()
+
+    @pytest.mark.parametrize("command, cfg, extra", [
+        ("stransform", {}, ["--eps", "inf"]),
+        ("converge", {"N": 1}, ["--eps", "inf"]),
+        ("localtime", {"s": 8, "n_paths": 4}, ["--eps", "inf"]),
+        ("kernels", {"kernel_index": [2], "u_grid": [[0.2, 0.3]], "kernel_eps": math.inf}, []),
+    ], ids=["stransform", "converge", "localtime", "kernels"])
+    def test_infinite_eps_is_config_error(self, tmp_path, capsys, command, cfg, extra):
+        code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, "d": 1, **cfg}, *extra)
+        assert code == 1
+        assert "finite" in _config_reason(capsys)
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("stransform", {"N": 1.5}),
+        ("localtime", {"s": 8.7, "n_paths": 4}),
+        ("localtime", {"s": 8, "n_paths": 4.5}),
+        ("simulate", {"s": 8, "d": 1.5}),
+        ("simulate", {"s": 8, "seed": 0.5}),
+        ("covariance", {"s": 8.2}),
+        ("kernels", {"kernel_index": [2.5], "u_grid": [[0.2, 0.3]]}),
+    ], ids=["N", "s", "n_paths", "d", "seed", "covariance-s", "kernel-index"])
+    def test_non_integral_value_is_config_error(self, tmp_path, capsys, command, cfg):
+        code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, **cfg})
+        assert code == 1
+        assert "whole number" in _config_reason(capsys)
+        assert not list(out.glob("*.csv"))
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from mbmlt.errors import AdmissibilityError
-from mbmlt.localtime import (
-    RegularizationParams,
-    delta_eps,
-    expected_local_time,
-    local_time_mc,
-)
+from mbmlt.localtime import _check_mc_args, delta_eps, expected_local_time, local_time_mc
 from mbmlt.simulate import SimulationConfig, simulate_exact
 from mbmlt.specfun import HurstFunctional
 
@@ -44,13 +39,23 @@ class TestDeltaEps:
                 delta_eps(np.zeros(1), eps)
 
 
-class TestRegularizationParams:
+class TestMcArgs:
     def test_validation(self):
-        for eps in (-1.0, math.nan):
+        for eps in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                RegularizationParams(eps=eps)
+                _check_mc_args([0.1, eps], 0)
+        for eps in ([], ()):
+            with pytest.raises(ValueError, match="empty"):
+                _check_mc_args(eps, 0)
         with pytest.raises(ValueError):
-            RegularizationParams(eps=0.1, N=2)
+            _check_mc_args([0.1], 2)
+        _check_mc_args([0.1, 1e-6], 1)
+
+    def test_local_time_mc_checks_first(self, h_const_07):
+        paths = simulate_exact(SimulationConfig(h=h_const_07, s=8, n_paths=4, seed=1))
+        for eps, N in (([-1.0], 0), ([0.1], 2), ([], 0)):
+            with pytest.raises(ValueError):
+                local_time_mc(paths, eps, N)
 
 
 class TestExpectedLocalTime:
@@ -109,36 +114,52 @@ class TestLocalTimeMC:
     @pytest.mark.parametrize("eps", [0.5, 0.1])
     def test_matches_expectation_d1(self, h_const_07, eps):
         paths = self._paths(h_const_07)
-        est = local_time_mc(paths, RegularizationParams(eps=eps))
-        target = expected_local_time(h_const_07, eps, 1.0, 1)
-        assert abs(est.estimate - target) < 4 * est.stderr
+        est, se, target = local_time_mc(paths, [eps])
+        assert target[0] == expected_local_time(h_const_07, eps, 1.0, 1)
+        assert abs(est[0] - target[0]) < 4 * se[0]
 
     def test_matches_expectation_d2(self, h_linear):
         paths = self._paths(h_linear, d=2, seed=101)
-        est = local_time_mc(paths, RegularizationParams(eps=0.1))
-        target = expected_local_time(h_linear, 0.1, 1.0, 2)
-        assert abs(est.estimate - target) < 4 * est.stderr
+        est, se, target = local_time_mc(paths, [0.1])
+        assert target[0] == expected_local_time(h_linear, 0.1, 1.0, 2)
+        assert abs(est[0] - target[0]) < 4 * se[0]
 
     def test_centered_when_truncated(self, h_const_07):
         paths = self._paths(h_const_07, seed=102)
-        est = local_time_mc(paths, RegularizationParams(eps=0.2, N=1))
-        assert abs(est.estimate) < 4 * est.stderr
+        est, se, target = local_time_mc(paths, [0.2], N=1)
+        assert target[0] == 0.0
+        assert abs(est[0]) < 4 * se[0]
 
     def test_truncation_shifts_by_expectation(self, h_const_07):
         paths = self._paths(h_const_07, seed=103)
-        raw = local_time_mc(paths, RegularizationParams(eps=0.2, N=0))
-        cen = local_time_mc(paths, RegularizationParams(eps=0.2, N=1))
+        raw, raw_se, raw_target = local_time_mc(paths, [0.2], N=0)
+        cen, cen_se, _ = local_time_mc(paths, [0.2], N=1)
         shift = expected_local_time(h_const_07, 0.2, 1.0, 1)
-        assert raw.estimate - cen.estimate == pytest.approx(shift, rel=1e-12)
+        assert raw_target[0] == shift
+        assert raw[0] - cen[0] == pytest.approx(shift, rel=1e-12)
+        assert cen_se[0] == pytest.approx(raw_se[0], rel=1e-12)
 
     def test_deterministic(self, h_const_07):
         paths = self._paths(h_const_07, seed=104)
-        a = local_time_mc(paths, RegularizationParams(eps=0.3))
-        b = local_time_mc(paths, RegularizationParams(eps=0.3))
-        assert a.estimate == b.estimate and a.stderr == b.stderr
+        a = local_time_mc(paths, [0.3])
+        b = local_time_mc(paths, [0.3])
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_eps_list_equals_one_call_per_eps(self, h_linear, N):
+        # a two-eps call is two one-eps calls, bit for bit, target included
+        paths = self._paths(h_linear, d=2, s=64, seed=106)
+        both = local_time_mc(paths, [0.2, 0.05], N)
+        singles = [local_time_mc(paths, [eps], N) for eps in (0.2, 0.05)]
+        for k in range(3):
+            assert both[k].tolist() == [single[k][0] for single in singles]
+        assert both[2].tolist() == ([0.0, 0.0] if N == 1 else
+                                    [expected_local_time(h_linear, e, 1.0, 2) for e in (0.2, 0.05)])
 
     def test_resolution_warning(self, h_const_07):
         cfg = SimulationConfig(h=h_const_07, s=8, n_paths=4, seed=105)
         paths = simulate_exact(cfg)
-        with pytest.warns(UserWarning, match="resolution"):
-            local_time_mc(paths, RegularizationParams(eps=1e-4))
+        with pytest.warns(UserWarning, match="resolution") as record:
+            local_time_mc(paths, [1e-4, 0.5, 1e-3])
+        # one warning per eps below the floor (8^-1.4 = 0.054)
+        assert [str(w.message).split()[0] for w in record] == ["eps=0.0001", "eps=0.001"]

@@ -45,13 +45,6 @@ def _simulate_cli(tmp_path, cfg):
 
 
 class TestPathSet:
-    def test_with_origin(self, h_const_07):
-        ps = simulate(SimulationConfig(h=h_const_07, s=8, n_paths=3, d=2, seed=1))
-        full = ps.with_origin()
-        assert full.shape == (3, 2, 9)
-        assert np.all(full[:, :, 0] == 0.0)
-        assert np.array_equal(full[:, :, 1:], ps.values)
-
     def test_csv(self, h_const_07, tmp_path):
         cfg = {"hurst": {"const": 0.7}, "s": 4, "n_paths": 2, "d": 2, "seed": 1}
         out = _simulate_cli(tmp_path, cfg)
@@ -171,7 +164,7 @@ class TestWoodChan:
         # stationary increments: Var(B_{t+dt} - B_t) = dt^{2H}
         H, s = 0.8, 128
         ps = _fbm(H, s, self.N_PATHS, seed=6)
-        inc = np.diff(ps.with_origin()[:, 0, :], axis=1)
+        inc = np.diff(ps.values[:, 0, :], axis=1, prepend=0.0)
         target = (1.0 / s) ** (2 * H)
         sample = np.mean(inc ** 2, axis=0)
         se = np.sqrt(2.0 / self.N_PATHS) * target
