@@ -35,7 +35,6 @@ __all__ = [
     "GaussianBump",
     "HermiteCombination",
     "TestFunction",
-    "ChaosIndex",
     "exp_trunc",
     "a_vector",
     "s_transform_local_time",
@@ -75,9 +74,6 @@ class GaussianBump:
         r = 12.0 * self.width
         return self.center - r, self.center + r
 
-    def scaled(self, lam: float) -> "GaussianBump":
-        return GaussianBump(self.amplitude * lam, self.center, self.width)
-
 
 @dataclass(frozen=True)
 class HermiteCombination:
@@ -108,9 +104,6 @@ class HermiteCombination:
         r = math.sqrt(2.0 * len(self.coeffs)) + 12.0
         return -r, r
 
-    def scaled(self, lam: float) -> "HermiteCombination":
-        return HermiteCombination(tuple(lam * c for c in self.coeffs))
-
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -127,9 +120,6 @@ class TestFunction:
     @property
     def d(self) -> int:
         return len(self.components)
-
-    def scaled(self, lam: float) -> "TestFunction":
-        return TestFunction(tuple(c.scaled(lam) for c in self.components))
 
     @classmethod
     def zero(cls, d: int) -> "TestFunction":
@@ -149,34 +139,6 @@ class TestFunction:
             else:
                 raise ValueError(f"unknown test-function component {c!r}")
         return cls(tuple(comps))
-
-
-# ---------------------------------------------------------------------------
-# chaos indices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChaosIndex:
-    """Multi-index over the d components; order per component."""
-
-    n_vec: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_vec", tuple(int(n) for n in self.n_vec))
-        if any(n < 0 for n in self.n_vec):
-            raise ValueError("multi-index entries must be nonnegative")
-
-    @property
-    def d(self) -> int:
-        return len(self.n_vec)
-
-    @property
-    def total(self) -> int:
-        return sum(self.n_vec)
-
-    @property
-    def factorial(self) -> int:
-        return math.prod(map(math.factorial, self.n_vec))
 
 
 # ---------------------------------------------------------------------------
@@ -447,28 +409,33 @@ def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
             prod_{j=1}^{2n} (M_{h(t)} 1_[0,t))(u_j) / sqrt(var(t)) dt,
 
     with var = eps + t^{2h(t)}, and eps = 0 unregularized, which needs the
-    truncation bound at N.  ``index`` holds the order per component.  ``u``
-    is one point of index-total coordinates, which gives a float, or an
-    (m, total) array of points, which gives m values from one time rule and
-    one indicator-kernel broadcast.  Any odd index entry gives exactly 0, as
-    does an order below the truncation; the arguments are checked first.
+    truncation bound at N.  ``index`` holds the order per component, each a
+    whole number >= 0, not a float or a bool.  ``u`` is one point of
+    index-total coordinates, which gives a float, or an (m, total) array of
+    points, which gives m values from one time rule and one indicator-kernel
+    broadcast.  Any odd index entry gives exactly 0, as does an order below
+    the truncation; the arguments are checked first.
     """
-    index = ChaosIndex(index)
-    _TimeRule.check(h, T, N, index.d, eps)  # the bound at N, before any zero
+    index = tuple(index)
+    if not all(isinstance(nj, (int, np.integer)) and not isinstance(nj, bool)
+               and nj >= 0 for nj in index):
+        raise ValueError(f"index entries must be whole numbers >= 0, got {index!r}")
+    _TimeRule.check(h, T, N, len(index), eps)  # the bound at N, before any zero
     # C order: the node sums then run along rows, as for one point
     u = np.asarray(u, dtype=float, order="C")
     points = np.atleast_2d(u)
-    if u.ndim > 2 or points.shape[1] != index.total:
-        raise ValueError(f"kernel of order {index.total} needs points of "
-                         f"{index.total} coordinates, got shape {u.shape}")
+    total = sum(index)
+    if u.ndim > 2 or points.shape[1] != total:
+        raise ValueError(f"kernel of order {total} needs points of "
+                         f"{total} coordinates, got shape {u.shape}")
     if not np.isfinite(points).all():
         raise ValueError("kernel points must be finite")
-    half = ChaosIndex(tuple(nj // 2 for nj in index.n_vec))
-    n = half.total
-    if any(nj % 2 == 1 for nj in index.n_vec) or n < N:
+    half = [nj // 2 for nj in index]
+    n = sum(half)
+    if any(nj % 2 == 1 for nj in index) or n < N:
         values = np.zeros(len(points))  # odd, or truncated away
     else:
-        rule = _TimeRule(h, T, n, index.d, eps)  # graded for the order n
+        rule = _TimeRule(h, T, n, len(index), eps)  # graded for the order n
         # symmetric kernel: sorting makes the invariance bit-exact
         points = np.sort(points, axis=1)
         sums = np.empty(len(points))
@@ -480,7 +447,7 @@ def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
                      / np.sqrt(rule.var)[:, None])
             integrand = rule.weights * rule.base * np.prod(ratio, axis=2)
             sums[start:start + _A_BLOCK] = np.sum(integrand, axis=1)
-        values = (-0.5) ** n / half.factorial * sums
+        values = (-0.5) ** n / math.prod(map(math.factorial, half)) * sums
     return values if u.ndim == 2 else float(values[0])
 
 

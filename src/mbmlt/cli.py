@@ -36,6 +36,10 @@ from .errors import AdmissibilityError, NumericalError
 
 FMT = "%.17g"
 
+#: the top-level config keys, as the README's example lists them
+_CONFIG_KEYS = frozenset({"hurst", "T", "d", "N", "s", "n_paths", "seed", "method",
+                          "eps", "test_function", "kernel_index", "kernel_eps", "u_grid"})
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -65,8 +69,10 @@ def _load_config(path: str) -> dict:
 
 
 def _whole(value, name: str) -> int:
-    """value as an int; ValueError unless it is whole, so 1.5 is not read as 1."""
-    if not isinstance(value, (int, float)) or value % 1 != 0:  # NaN and inf too
+    """value as an int; ValueError unless it is whole, so neither 1.5 nor
+    true is read as 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or value % 1 != 0):  # NaN and inf too
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -135,7 +141,7 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
     sample = np.einsum("ijk,ijk->k", values, values) / (sim.n_paths * d)
     rel = sample / grid ** (2.0 * h(grid)) - 1.0
     return {"method": sim.method, "seed": sim.seed, "s": sim.s, "n_paths": sim.n_paths,
-            "d": d, "T": sim.T, "hurst": h.description,
+            "d": d, "T": h.T,
             "variance_rel_rms": float(np.sqrt(np.mean(rel * rel)))}
 
 
@@ -276,6 +282,9 @@ def _main(argv) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         if "hurst" not in cfg:
             raise ValueError("config must define a 'hurst' entry")
+        unknown = sorted(set(cfg) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         extra = COMMANDS[args.command](cfg, outdir)
     except Exception as exc:
         error, code = _classify(exc)

@@ -74,7 +74,8 @@ def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
     """
     _check_mc_args(eps, N)
     cfg = paths.config
-    floor = (cfg.T / cfg.s) ** (2 * float(np.min(cfg.h(np.linspace(0, cfg.T, 1001)))))
+    T = cfg.h.T
+    floor = (T / cfg.s) ** (2 * float(np.min(cfg.h(np.linspace(0, T, 1001)))))
     for e in eps:
         if e < floor:
             warnings.warn(f"eps={e:g} below the grid resolution scale {floor:g}; "
@@ -87,7 +88,7 @@ def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
     out = np.empty((3, len(eps)))
     for i, e in enumerate(eps):
         per_path = np.trapezoid(delta_eps(x, e), tgrid, axis=1)
-        expected = expected_local_time(cfg.h, e, cfg.T, d)
+        expected = expected_local_time(cfg.h, e, T, d)
         if N == 1:
             per_path = per_path - expected
         estimate = float(np.mean(per_path))

@@ -68,13 +68,9 @@ class SimulationConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
     @property
-    def T(self) -> float:
-        return self.h.T
-
-    @property
     def grid(self) -> np.ndarray:
         """t_k = k T / s for k = 1..s; time 0 is implicit (value 0)."""
-        return np.arange(1, self.s + 1) * (self.T / self.s)
+        return np.arange(1, self.s + 1) * (self.h.T / self.s)
 
 
 @dataclass(frozen=True)
@@ -87,10 +83,6 @@ class MbmPathSet:
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise NumericalError("simulated values contain non-finite entries")
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.config.grid
 
 
 def simulate(config: SimulationConfig) -> MbmPathSet:
@@ -107,14 +99,11 @@ def simulate(config: SimulationConfig) -> MbmPathSet:
 def _cholesky_with_jitter(R: np.ndarray) -> np.ndarray:
     """Cholesky factor, escalating diagonal jitter up to 1e-10 * trace."""
     trace = float(np.trace(R))
-    jitter = 0.0
-    for _ in range(5):
+    for rung in (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10):
         try:
-            return np.linalg.cholesky(R + jitter * np.eye(len(R)))
+            return np.linalg.cholesky(R + rung * trace * np.eye(len(R)))
         except np.linalg.LinAlgError:
-            jitter = 1e-14 * trace if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-10 * trace:
-                break
+            pass
     raise NumericalError(
         "covariance factorization failed after jitter escalation; invalid h?"
     )
@@ -212,7 +201,7 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     s, n_paths = config.s, config.n_paths
     hvals = config.h(config.grid)
     levels = _hurst_levels(hvals)
-    scale = (config.T / s) ** levels  # array pow; libm's scalar pow can differ by 1 ulp
+    scale = (config.h.T / s) ** levels  # array pow; libm's scalar pow can differ by 1 ulp
     if len(levels) == 1:  # the one level is stored with weight 1 - 0
         idx, w = np.zeros(s, dtype=int), np.zeros(s)
     else:  # per time index: the bracketing levels and the weight of the upper

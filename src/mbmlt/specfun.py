@@ -107,7 +107,6 @@ class HurstFunctional:
 
     T: float
     eval: Callable[[np.ndarray], np.ndarray]
-    description: str = ""
     _sup: float = field(init=False, repr=False, default=float("nan"))
 
     def __post_init__(self):
@@ -150,17 +149,15 @@ class HurstFunctional:
 
     @classmethod
     def constant(cls, H: float, T: float = 1.0) -> "HurstFunctional":
-        return cls(T=T, eval=lambda t: np.full(np.shape(t), H),
-                   description=f"const {H:g}")
+        return cls(T=T, eval=lambda t: np.full(np.shape(t), H))
 
     @classmethod
     def linear(cls, a: float, b: float, T: float = 1.0) -> "HurstFunctional":
-        return cls(T=T, eval=lambda t: a + b * t, description=f"linear {a:g}+{b:g}t")
+        return cls(T=T, eval=lambda t: a + b * t)
 
     @classmethod
     def sinusoidal(cls, a: float, b: float, omega: float, T: float = 1.0) -> "HurstFunctional":
-        return cls(T=T, eval=lambda t: a + b * np.sin(omega * t),
-                   description=f"sin {a:g}+{b:g}sin({omega:g}t)")
+        return cls(T=T, eval=lambda t: a + b * np.sin(omega * t))
 
     @classmethod
     def from_config(cls, spec: dict, T: float = 1.0) -> "HurstFunctional":

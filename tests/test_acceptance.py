@@ -163,18 +163,18 @@ def test_criterion_6_eps_convergence():
     eps_list = (1e-1, 1e-2, 1e-3, 1e-4)
     failures = []
     details = []
-    for h in (HurstFunctional.constant(0.6),
-              HurstFunctional.sinusoidal(0.6, 0.05, 3.0)):
+    for label, h in (("const 0.6", HurstFunctional.constant(0.6)),
+                     ("sin 0.6+0.05sin(3t)", HurstFunctional.sinusoidal(0.6, 0.05, 3.0))):
         rows = convergence_eps(h, 1, 1.0, phi, eps_list)
         limit = s_transform_local_time(h, 1, 1.0, phi)
         gaps = [r.gap for r in rows]
         decreasing = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         final_rel = gaps[-1] / abs(limit)
-        details.append(f"{h.description}: final rel gap {final_rel:.3g}")
+        details.append(f"{label}: final rel gap {final_rel:.3g}")
         if not decreasing:
-            failures.append(f"{h.description}: gaps not strictly decreasing")
+            failures.append(f"{label}: gaps not strictly decreasing")
         if final_rel > 1e-2:
-            failures.append(f"{h.description}: final rel gap {final_rel:.3g} > 1e-2")
+            failures.append(f"{label}: final rel gap {final_rel:.3g} > 1e-2")
     _verdict(6, "eps -> 0 convergence", not failures,
              "; ".join(failures or details))
 
@@ -217,7 +217,8 @@ def test_criterion_8_kernel_structure():
     pair2 = chaos_pairing(h, 1, 1.0, phi, n_max=1, eps=eps)[0]
     lam = 0.05
     s0 = s_transform_local_time(h, 0, 1.0, TestFunction.zero(1), eps=eps)
-    s1 = s_transform_local_time(h, 0, 1.0, phi.scaled(lam), eps=eps)
+    scaled = TestFunction((GaussianBump(0.5 * lam, 0.2, 0.8),))  # lam phi
+    s1 = s_transform_local_time(h, 0, 1.0, scaled, eps=eps)
     fd = (s1 - s0) / lam ** 2  # S is even in lam: central 2nd difference / 2
     rel = abs(fd - pair2) / abs(pair2)
     if rel >= 1e-3:
@@ -242,7 +243,7 @@ def test_criterion_9_wood_chan():
             h=HurstFunctional.constant(H), s=4096, n_paths=1000, d=1, seed=91,
             method="wood_chan"))
         var = np.mean(ps.values[:, 0, :] ** 2, axis=0)
-        slope = np.polyfit(np.log(ps.grid), np.log(var), 1)[0]
+        slope = np.polyfit(np.log(ps.config.grid), np.log(var), 1)[0]
         if abs(slope / 2.0 - H) > 0.05:
             failures.append(f"H={H}: recovered {slope / 2.0:.3f}")
     h = HurstFunctional.linear(0.55, 0.2)

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 import mbmlt.chaos
 from mbmlt.chaos import (
-    ChaosIndex,
     GaussianBump,
     HermiteCombination,
     TestFunction,
@@ -71,7 +70,6 @@ class TestTestFunctions:
         g = GaussianBump(2.0, 1.0, 0.5)
         assert g(1.0) == 2.0
         assert g.l2_norm_sq() == pytest.approx(4.0 * 0.5 * math.sqrt(math.pi))
-        assert g.scaled(0.5)(1.0) == 1.0
         with pytest.raises(ValueError):
             GaussianBump(width=0.0)
 
@@ -95,16 +93,6 @@ class TestTestFunctions:
         assert phi.components[0](0.2) == 0.5
         with pytest.raises(ValueError):
             TestFunction.from_config({"components": [{"wavelet": {}}]})
-
-
-class TestChaosIndex:
-    def test_basics(self):
-        m = ChaosIndex((2, 0, 1))
-        assert m.d == 3 and m.total == 3 and m.factorial == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChaosIndex((1, -1))
 
 
 class TestAVector:
@@ -133,7 +121,8 @@ class TestAVector:
 
     def test_linearity_in_phi(self, h_const_07, phi_1d):
         a1 = a_vector(h_const_07, 0.5, phi_1d)
-        a3 = a_vector(h_const_07, 0.5, phi_1d.scaled(3.0))
+        tripled = TestFunction((GaussianBump(1.5, 0.2, 0.8),))  # 3 phi_1d
+        a3 = a_vector(h_const_07, 0.5, tripled)
         assert a3 == pytest.approx(3.0 * a1, rel=1e-12)
 
 
@@ -393,6 +382,15 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             kernel_eval(h_const_07, 0, 1.0, (2,), np.zeros((5, 3)), eps=0.1)
 
+    def test_index_entries_are_whole_and_nonnegative(self, h_const_07):
+        # 2.7 is not truncated to 2, nor True read as 1
+        for index, u in [((2.7,), [0.2, 0.3]), ((True,), [0.3]), ((-1,), [])]:
+            with pytest.raises(ValueError, match="whole numbers"):
+                kernel_eval(h_const_07, 0, 1.0, index, u, 0.1)
+        # numpy integers are whole numbers
+        assert (kernel_eval(h_const_07, 0, 1.0, np.array([2]), [0.2, 0.3], 0.1)
+                == kernel_eval(h_const_07, 0, 1.0, (2,), [0.2, 0.3], 0.1))
+
     def test_unregularized_requires_bound_at_N(self, h_const_06):
         # d = 3: bound is 1/3 at N = 0, so 0.6 is inadmissible, for the
         # zero kernels of odd or truncated-away indices as well
@@ -463,8 +461,8 @@ class TestKernelEval:
         lam = 0.05
         s0 = s_transform_local_time(h_const_07, 0, 1.0, TestFunction.zero(1),
                                     eps=eps)
-        s1 = s_transform_local_time(h_const_07, 0, 1.0, phi_1d.scaled(lam),
-                                    eps=eps)
+        scaled = TestFunction((GaussianBump(0.5 * lam, 0.2, 0.8),))  # lam phi_1d
+        s1 = s_transform_local_time(h_const_07, 0, 1.0, scaled, eps=eps)
         fd = (s1 - s0) / lam ** 2
         assert fd == pytest.approx(pair2, rel=1e-3)
 

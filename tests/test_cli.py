@@ -416,6 +416,18 @@ class TestExitCodes:
         assert "whole number" in _config_reason(capsys)
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command, cfg, reason", [
+        ("stransform", {"N": True}, "whole number"),
+        ("simulate", {"s": 8, "d": True}, "whole number"),
+        ("stransform", {"esp": [0.5]}, "unknown config keys: ['esp']"),
+    ], ids=["N-true", "d-true", "esp-typo"])
+    def test_boolean_or_unknown_key_is_config_error(self, tmp_path, capsys, command,
+                                                    cfg, reason):
+        code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, **cfg})
+        assert code == 1
+        assert reason in _config_reason(capsys)
+        assert not list(out.glob("*.csv"))
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -1,8 +1,10 @@
 """Guards against public names going stale: the README's library example
-runs, every module's __all__ names something that exists, and no module of
-the package or the tests imports a name it does not use."""
+runs, its config example lists the keys the CLI accepts, every module's
+__all__ names something that exists, and no module of the package or the
+tests imports a name it does not use."""
 import ast
 import importlib
+import json
 import pkgutil
 import re
 import subprocess
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import mbmlt
-from mbmlt.cli import _THREAD_VARS
+from mbmlt.cli import _CONFIG_KEYS, _THREAD_VARS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mbmlt.__path__))
@@ -27,6 +29,12 @@ def test_readme_library_example_runs(monkeypatch):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 2
+
+
+def test_readme_config_example_lists_the_known_keys():
+    # the CLI rejects every other top-level key, so the two cannot drift apart
+    (example,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert set(json.loads(example)) == _CONFIG_KEYS
 
 
 @pytest.mark.parametrize("module", MODULES)

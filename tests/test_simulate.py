@@ -6,9 +6,11 @@ import pytest
 from scipy import stats
 
 from mbmlt.cli import main
+from mbmlt.errors import NumericalError
 from mbmlt.operator import covariance_matrix
 from mbmlt.simulate import (
     SimulationConfig,
+    _cholesky_with_jitter,
     _embedding_size,
     _hurst_levels,
     _level_runs,
@@ -25,7 +27,6 @@ class TestConfig:
     def test_grid(self, h_const_07):
         cfg = SimulationConfig(h=h_const_07, s=4)
         assert np.allclose(cfg.grid, [0.25, 0.5, 0.75, 1.0])
-        assert cfg.T == 1.0
 
     def test_validation(self, h_const_07):
         with pytest.raises(ValueError):
@@ -65,13 +66,14 @@ class TestPathSet:
         for p in range(3):
             for k in range(5):
                 vals = ",".join(f"{ps.values[p, j, k]:.17g}" for j in range(3))
-                expected.append(f"{p},{ps.grid[k]:.17g},{vals}")
+                expected.append(f"{p},{ps.config.grid[k]:.17g},{vals}")
         assert (out / "paths.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_metadata(self, tmp_path):
         cfg = {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 8, "seed": 7}
         meta = json.loads((_simulate_cli(tmp_path, cfg) / "manifest.json").read_text())
-        assert {"method", "seed", "s", "n_paths", "d", "T", "hurst"} <= meta.keys()
+        assert {"method", "seed", "s", "n_paths", "d", "T"} <= meta.keys()
+        assert "hurst" not in meta  # config.hurst records the spec
         assert meta["seed"] == 7 and meta["s"] == 8 and meta["method"] == "exact"
 
 
@@ -149,6 +151,15 @@ class TestExactFactorization:
             Z = np.random.default_rng(stream).standard_normal((64, 3))
             assert np.array_equal(values[:, j, :], (L @ Z).T)
 
+    def test_jitter_reaches_its_last_rung(self):
+        # only the jitter 1e-10 * trace lifts the -5e-11 pivot above 0
+        R = np.diag([1.0, -5e-11])
+        L = _cholesky_with_jitter(R)
+        trace = 1.0 - 5e-11
+        assert np.allclose(L @ L.T, R + 1e-10 * trace * np.eye(2), rtol=0, atol=1e-20)
+        with pytest.raises(NumericalError):
+            _cholesky_with_jitter(np.diag([1.0, -2e-10]))
+
 
 def _fbm(H, s, n_paths, seed):
     """Constant-index Wood-Chan paths: fBm is the constant-h, d = 1 case."""
@@ -174,7 +185,7 @@ class TestWoodChan:
         # log E B_t^2 vs log t has slope 2H
         H, s = 0.65, 256
         ps = _fbm(H, s, self.N_PATHS, seed=7)
-        grid = ps.grid
+        grid = ps.config.grid
         var = np.mean(ps.values[:, 0, :] ** 2, axis=0)
         slope = np.polyfit(np.log(grid), np.log(var), 1)[0]
         assert slope / 2.0 == pytest.approx(H, abs=0.05)
@@ -199,7 +210,7 @@ def _materialized_wood_chan(config):
     grid = config.grid
     hvals = config.h(grid)
     levels = _hurst_levels(hvals)
-    dt = config.T / config.s
+    dt = config.h.T / config.s
     m, eigs = _embedding_size(levels, config.s)
     M = 2 * m
     n_pairs = (config.n_paths + 1) // 2
