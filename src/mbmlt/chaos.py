@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .operator import mh_indicator
-from .specfun import (HurstFunctional, hermite_function, require_truncation_bound,
-                      truncation_bound)
+from .specfun import (HurstFunctional, _config_keys, _real, hermite_function,
+                      require_truncation_bound, truncation_bound)
 
 __all__ = [
     "GaussianBump",
@@ -127,15 +127,22 @@ class TestFunction:
 
     @classmethod
     def from_config(cls, spec: dict) -> "TestFunction":
+        """Parse {"components": [{"gaussian": {...}} | {"hermite": {"coeffs"}}]}.
+
+        A gaussian takes amplitude, center and width (defaults 1, 0, 1); any
+        other key, and a component with other than one kind, is a ValueError.
+        """
         comps = []
-        for c in spec["components"]:
+        for c in _config_keys(spec, ("components",), "test_function")["components"]:
+            if not isinstance(c, dict) or len(c) != 1:
+                raise ValueError(f"a test-function component needs one kind, got {c!r}")
             if "gaussian" in c:
-                g = c["gaussian"]
-                comps.append(GaussianBump(float(g.get("amplitude", 1.0)),
-                                          float(g.get("center", 0.0)),
-                                          float(g.get("width", 1.0))))
+                g = _config_keys(c["gaussian"], ("amplitude", "center", "width"), "gaussian")
+                comps.append(GaussianBump(**{k: _real(v, f"gaussian {k}") for k, v in g.items()}))
             elif "hermite" in c:
-                comps.append(HermiteCombination(tuple(c["hermite"]["coeffs"])))
+                coeffs = _config_keys(c["hermite"], ("coeffs",), "hermite")["coeffs"]
+                comps.append(HermiteCombination(tuple(_real(v, "hermite coefficient")
+                                                      for v in coeffs)))
             else:
                 raise ValueError(f"unknown test-function component {c!r}")
         return cls(tuple(comps))

@@ -64,8 +64,12 @@ def _pinned_threads():
 
 
 def _load_config(path: str) -> dict:
+    """The config file's JSON object; a config error unless it is an object
+    whose keys are all known."""
+    from .specfun import _config_keys
+
     with open(path) as fh:
-        return json.load(fh)
+        return _config_keys(json.load(fh), _CONFIG_KEYS, "config")
 
 
 def _whole(value, name: str) -> int:
@@ -80,9 +84,9 @@ def _whole(value, name: str) -> int:
 def _build(cfg: dict):
     """Construct domain objects from the parsed configuration."""
     from .chaos import TestFunction
-    from .specfun import HurstFunctional
+    from .specfun import HurstFunctional, _real
 
-    T = float(cfg.get("T", 1.0))
+    T = _real(cfg.get("T", 1.0), "T")
     h = HurstFunctional.from_config(cfg["hurst"], T=T)
     d = _whole(cfg.get("d", 1), "d")
     phi = None
@@ -91,6 +95,13 @@ def _build(cfg: dict):
         if phi.d != d:
             raise ValueError(f"test function has {phi.d} components, d = {d}")
     return h, d, phi
+
+
+def _eps_list(cfg: dict, default: list) -> list:
+    """The config's eps list, each entry a real number; default if absent."""
+    from .specfun import _real
+
+    return [_real(e, "eps") for e in cfg.get("eps", default)]
 
 
 def _simulation(cfg: dict, h, d: int, n_paths: int):
@@ -167,7 +178,7 @@ def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
 
     h, d, _ = _build(cfg)
     N = _whole(cfg.get("N", 0), "N")
-    eps = [float(e) for e in cfg.get("eps", [0.1])]
+    eps = _eps_list(cfg, [0.1])
     _check_mc_args(eps, N)  # before the paths exist, so a bad eps costs no simulation
     sim = _simulation(cfg, h, d, n_paths=1000)
     estimate, stderr, target = local_time_mc(simulate(sim), eps, N)
@@ -186,7 +197,7 @@ def _cmd_stransform(cfg: dict, outdir: Path) -> dict:
     if phi is None:
         phi = TestFunction.zero(d)
     N = _whole(cfg.get("N", 0), "N")
-    eps_list = [float(e) for e in cfg.get("eps", [0.0])]
+    eps_list = _eps_list(cfg, [0.0])
     values = s_transform_local_time(h, N, h.T, phi, eps_list)
     rows = [(eps, N, val) for eps, val in zip(eps_list, values)]
     _write_csv(outdir / "stransform.csv", ["eps", "N", "value"], [rows])
@@ -197,6 +208,7 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
     import numpy as np
 
     from .chaos import kernel_eval
+    from .specfun import _real
 
     h, d, _ = _build(cfg)
     n_vec = [_whole(n, "kernel index entry") for n in cfg["kernel_index"]]
@@ -206,10 +218,12 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
     points = [p if isinstance(p, list) else [p] for p in cfg["u_grid"]]
     if any(len(p) != order for p in points):
         raise ValueError(f"every u point needs {order} coordinates")
-    u = np.array(points, dtype=float).reshape(len(points), order)
+    u = np.array([[_real(x, "u_grid coordinate") for x in p] for p in points],
+                 dtype=float).reshape(len(points), order)
     # kernel_eps absent, null or 0: unregularized
+    kernel_eps = cfg.get("kernel_eps")
     values = kernel_eval(h, _whole(cfg.get("N", 0), "N"), h.T, n_vec, u,
-                         float(cfg.get("kernel_eps") or 0.0))
+                         0.0 if kernel_eps is None else _real(kernel_eps, "kernel_eps"))
     _write_csv(outdir / "kernels.csv", [f"u{i+1}" for i in range(order)] + ["value"],
                [np.column_stack([u, values])])
     return {"index": n_vec, "order": order}
@@ -222,7 +236,7 @@ def _cmd_converge(cfg: dict, outdir: Path) -> dict:
     if phi is None:
         phi = TestFunction.zero(d)
     N = _whole(cfg.get("N", 0), "N")
-    eps_list = [float(e) for e in cfg.get("eps", [1e-1, 1e-2, 1e-3, 1e-4])]
+    eps_list = _eps_list(cfg, [1e-1, 1e-2, 1e-3, 1e-4])
     rows = convergence_eps(h, N, h.T, phi, eps_list)
     _write_csv(outdir / "converge.csv", ["eps", "value", "gap"],
                [[(r.eps, r.value, r.gap) for r in rows]])
@@ -282,9 +296,6 @@ def _main(argv) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         if "hurst" not in cfg:
             raise ValueError("config must define a 'hurst' entry")
-        unknown = sorted(set(cfg) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
         extra = COMMANDS[args.command](cfg, outdir)
     except Exception as exc:
         error, code = _classify(exc)

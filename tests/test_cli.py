@@ -11,6 +11,10 @@ from mbmlt.cli import main
 from mbmlt.errors import NumericalError
 
 
+_TWO_BUMPS = {"components": [{"gaussian": {"amplitude": 1.0, "center": 0.5, "width": 0.3}},
+                              {"hermite": {"coeffs": [1.0, 0.0, -0.5]}}]}
+
+
 def _write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -428,6 +432,56 @@ class TestExitCodes:
         assert reason in _config_reason(capsys)
         assert not list(out.glob("*.csv"))
 
+    def test_non_object_config_is_config_error(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path, ["hurst"])
+        out = tmp_path / "out"
+        assert main(["stransform", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "config must be a JSON object" in _config_reason(capsys)
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, cfg, reason", [
+        ("stransform", {"eps": [True]}, "eps must be a real number"),
+        ("stransform", {"T": True}, "T must be a real number"),
+        ("kernels", {"kernel_index": [2], "u_grid": [[0.2, 0.3]], "kernel_eps": True},
+         "kernel_eps must be a real number"),
+        ("kernels", {"kernel_index": [2], "u_grid": [[0.2, True]]},
+         "u_grid coordinate must be a real number"),
+        ("stransform", {"hurst": {"const": True}}, "hurst const must be a real number"),
+        ("stransform", {"hurst": {"sin": {"a": 0.7, "b": 0.1, "omega": True}}},
+         "hurst sin omega must be a real number"),
+        ("stransform", {"test_function": {"components": [{"gaussian": {"width": True}}]}},
+         "gaussian width must be a real number"),
+        ("stransform", {"test_function": {"components": [{"hermite": {"coeffs": [1.0, True]}}]}},
+         "hermite coefficient must be a real number"),
+    ], ids=["eps", "T", "kernel_eps", "u_grid", "hurst-const", "hurst-sin", "gaussian",
+            "hermite"])
+    def test_boolean_real_is_config_error(self, tmp_path, capsys, command, cfg, reason):
+        code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, "d": 1, **cfg})
+        assert code == 1
+        assert reason in _config_reason(capsys)
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("cfg, reason", [
+        ({"test_function": {"components": [{"gaussian": {"amplitude": 1.0, "widht": 0.01}}]}},
+         "unknown gaussian keys: ['widht']"),
+        ({"test_function": {"components": [{"hermite": {"coeffs": [1.0], "scale": 2.0}}]}},
+         "unknown hermite keys: ['scale']"),
+        ({"test_function": {"components": [{"gaussian": {}, "hermite": {"coeffs": [1.0]}}]}},
+         "needs one kind"),
+        ({"test_function": {"components": [{"gaussian": {}}], "d": 1}},
+         "unknown test_function keys: ['d']"),
+        ({"hurst": {"linear": {"a": 0.55, "b": 0.2, "c": 0.1}}},
+         "unknown hurst linear keys: ['c']"),
+        ({"hurst": {"sin": {"a": 0.7, "b": 0.1, "omega": 3.0, "phase": 1.0}}},
+         "unknown hurst sin keys: ['phase']"),
+    ], ids=["gaussian-widht", "hermite", "two-kinds", "test_function", "linear", "sin"])
+    def test_unknown_nested_key_is_config_error(self, tmp_path, capsys, cfg, reason):
+        code, out = _run(tmp_path, "stransform", {"hurst": {"const": 0.7}, "d": 1,
+                                                  "eps": [0.1], **cfg})
+        assert code == 1
+        assert reason in _config_reason(capsys)
+        assert not (out / "stransform.csv").exists()
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -435,40 +489,42 @@ class TestExitCodes:
 
 class TestImports:
     def test_quadrature_module_not_loaded(self):
-        # scipy is slow to import: src/ never imports scipy.integrate (the
-        # time rule is Gauss-Legendre, and the quad oracles live in tests/),
-        # and scipy.special (which pulls in numpy.ma, f2py and numpy.testing)
-        # is used only by the covariance, the exact simulator and the chaos
-        # routes, each on first use
+        # scipy is slow to import, and src/ never imports it: the time rule is
+        # Gauss-Legendre, Gamma on [1, 3] is a polynomial in specfun, and the
+        # quad and Gamma oracles live in tests/
         code = ("import sys, mbmlt.cli, mbmlt.chaos, mbmlt.simulate, mbmlt.localtime; "
                 "sys.exit('scipy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("command, cfg, csv, needs_gamma", [
-        ("localtime", {"method": "wood_chan", "N": 0, "n_paths": 10}, "localtime.csv", False),
-        ("simulate", {"method": "wood_chan", "n_paths": 2}, "paths.csv", False),
-        ("covariance", {}, "covariance.csv", True),
-        ("localtime", {"method": "exact", "N": 0, "n_paths": 10}, "localtime.csv", True),
+    @pytest.mark.parametrize("command, cfg, csv", [
+        ("localtime", {"method": "wood_chan", "N": 0, "n_paths": 10}, "localtime.csv"),
+        ("simulate", {"method": "wood_chan", "n_paths": 2}, "paths.csv"),
+        ("covariance", {}, "covariance.csv"),
+        ("localtime", {"method": "exact", "N": 0, "n_paths": 10}, "localtime.csv"),
         # N = 1 subtracts expected_local_time, which runs on the time rule
-        ("localtime", {"method": "exact", "N": 1, "n_paths": 10}, "localtime.csv", True),
+        ("localtime", {"method": "exact", "N": 1, "n_paths": 10}, "localtime.csv"),
+        ("stransform", {"N": 1, "eps": [0.1], "test_function": _TWO_BUMPS}, "stransform.csv"),
+        ("kernels", {"N": 1, "kernel_index": [2, 0], "kernel_eps": 0.1,
+                     "u_grid": [[0.2, 0.3]]}, "kernels.csv"),
+        ("converge", {"N": 3, "eps": [0.1, 0.01], "test_function": _TWO_BUMPS},
+         "converge.csv"),
     ], ids=["localtime-wood_chan", "simulate-wood_chan", "covariance", "localtime-exact",
-            "localtime-exact-N1"])
-    def test_scipy_loaded_only_on_first_use(self, tmp_path, command, cfg, csv,
-                                            needs_gamma):
+            "localtime-exact-N1", "stransform", "kernels", "converge"])
+    def test_scipy_loaded_only_on_first_use(self, tmp_path, command, cfg, csv):
+        """No route loads any scipy module: scipy serves only the test oracles."""
         cfg_path = _write_cfg(tmp_path, {"hurst": {"sin": {"a": 0.7, "b": 0.15,
                                                            "omega": 6}},
                                          "d": 2, "s": 32, "seed": 3, **cfg})
         out = tmp_path / "out"
         code = ("import sys; from mbmlt.cli import main; code = main(sys.argv[1:]); "
-                "print(code, 'scipy' in sys.modules, 'scipy.special' in sys.modules, "
-                "'scipy.integrate' in sys.modules)")
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code, command, "--config",
                                cfg_path, "--out", str(out)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", str(needs_gamma), str(needs_gamma), "False"]
+        assert proc.stdout.split() == ["0", "[]"]
         assert (out / csv).stat().st_size > 0
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma as sp_gamma
 
 from mbmlt.errors import AdmissibilityError
 from mbmlt.specfun import (
     HurstFunctional,
+    _gamma_1_3,
     gamma_factor,
     hermite_function,
     minimal_truncation,
@@ -17,6 +19,27 @@ from mbmlt.specfun import (
 )
 
 from .oracles import gauss_hermite_inner, hermite_direct
+
+
+class TestGammaOneThree:
+    """Gamma on [1, 3], the only range the constants C(x) and gamma(H) need."""
+
+    def test_dense_grid_against_math_gamma(self):
+        x = np.linspace(1.0, 3.0, 200_001)
+        ref = np.array([math.gamma(v) for v in x.tolist()])
+        assert np.max(np.abs(_gamma_1_3(x) / ref - 1.0)) <= 4e-15
+
+    def test_exact_at_the_integers(self):
+        assert _gamma_1_3(np.array([1.0, 2.0, 3.0])).tolist() == [1.0, 1.0, 2.0]
+
+    def test_constants_match_the_scipy_formula(self):
+        x = np.linspace(0.0, 1.0, 20_001)[1:-1]
+        ref = np.sqrt(2 * np.pi / (sp_gamma(2 * x + 1) * np.sin(np.pi * x)))
+        assert np.max(np.abs(normalizing_constant(x) / ref - 1.0)) <= 4e-15
+        H = np.linspace(0.5, 1.0, 20_001)[1:-1]
+        ref = np.sqrt(sp_gamma(2 * H + 1) * np.sin(np.pi * H)) / (
+            2 * sp_gamma(H - 0.5) * np.cos(np.pi * (H - 0.5) / 2))
+        assert np.max(np.abs(gamma_factor(H) / ref - 1.0)) <= 4e-15
 
 
 class TestNormalizingConstant:
@@ -41,10 +64,8 @@ class TestNormalizingConstant:
     @given(st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=60, deadline=None)
     def test_defining_identity(self, x):
-        from scipy.special import gamma
-
         c = normalizing_constant(x)
-        assert c ** 2 * gamma(2 * x + 1) * math.sin(math.pi * x) == pytest.approx(
+        assert c ** 2 * sp_gamma(2 * x + 1) * math.sin(math.pi * x) == pytest.approx(
             2 * math.pi, rel=1e-12
         )
 
