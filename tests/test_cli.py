@@ -424,22 +424,6 @@ class TestExitCodes:
         ("stransform", {"N": True}, "whole number"),
         ("simulate", {"s": 8, "d": True}, "whole number"),
         ("stransform", {"esp": [0.5]}, "unknown config keys: ['esp']"),
-    ], ids=["N-true", "d-true", "esp-typo"])
-    def test_boolean_or_unknown_key_is_config_error(self, tmp_path, capsys, command,
-                                                    cfg, reason):
-        code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, **cfg})
-        assert code == 1
-        assert reason in _config_reason(capsys)
-        assert not list(out.glob("*.csv"))
-
-    def test_non_object_config_is_config_error(self, tmp_path, capsys):
-        cfg_path = _write_cfg(tmp_path, ["hurst"])
-        out = tmp_path / "out"
-        assert main(["stransform", "--config", cfg_path, "--out", str(out)]) == 1
-        assert "config must be a JSON object" in _config_reason(capsys)
-        assert not list(out.glob("*.csv"))
-
-    @pytest.mark.parametrize("command, cfg, reason", [
         ("stransform", {"eps": [True]}, "eps must be a real number"),
         ("stransform", {"T": True}, "T must be a real number"),
         ("kernels", {"kernel_index": [2], "u_grid": [[0.2, 0.3]], "kernel_eps": True},
@@ -453,34 +437,38 @@ class TestExitCodes:
          "gaussian width must be a real number"),
         ("stransform", {"test_function": {"components": [{"hermite": {"coeffs": [1.0, True]}}]}},
          "hermite coefficient must be a real number"),
-    ], ids=["eps", "T", "kernel_eps", "u_grid", "hurst-const", "hurst-sin", "gaussian",
-            "hermite"])
-    def test_boolean_real_is_config_error(self, tmp_path, capsys, command, cfg, reason):
-        code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, "d": 1, **cfg})
+        ("stransform", {"test_function": {"components": [
+            {"gaussian": {"amplitude": 1.0, "widht": 0.01}}]}},
+         "unknown gaussian keys: ['widht']"),
+        ("stransform", {"test_function": {"components": [
+            {"hermite": {"coeffs": [1.0], "scale": 2.0}}]}},
+         "unknown hermite keys: ['scale']"),
+        ("stransform", {"test_function": {"components": [
+            {"gaussian": {}, "hermite": {"coeffs": [1.0]}}]}},
+         "needs one kind"),
+        ("stransform", {"test_function": {"components": [{"gaussian": {}}], "d": 1}},
+         "unknown test_function keys: ['d']"),
+        ("stransform", {"hurst": {"linear": {"a": 0.55, "b": 0.2, "c": 0.1}}},
+         "unknown hurst linear keys: ['c']"),
+        ("stransform", {"hurst": {"sin": {"a": 0.7, "b": 0.1, "omega": 3.0, "phase": 1.0}}},
+         "unknown hurst sin keys: ['phase']"),
+    ], ids=["N-true", "d-true", "esp-typo", "eps-true", "T-true", "kernel_eps-true",
+            "u_grid-true", "hurst-const-true", "hurst-sin-true", "gaussian-true",
+            "hermite-true", "gaussian-widht", "hermite-key", "two-kinds",
+            "test_function-key", "linear-key", "sin-key"])
+    def test_boolean_or_unknown_key_is_config_error(self, tmp_path, capsys, command,
+                                                    cfg, reason):
+        code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, **cfg})
         assert code == 1
         assert reason in _config_reason(capsys)
         assert not list(out.glob("*.csv"))
 
-    @pytest.mark.parametrize("cfg, reason", [
-        ({"test_function": {"components": [{"gaussian": {"amplitude": 1.0, "widht": 0.01}}]}},
-         "unknown gaussian keys: ['widht']"),
-        ({"test_function": {"components": [{"hermite": {"coeffs": [1.0], "scale": 2.0}}]}},
-         "unknown hermite keys: ['scale']"),
-        ({"test_function": {"components": [{"gaussian": {}, "hermite": {"coeffs": [1.0]}}]}},
-         "needs one kind"),
-        ({"test_function": {"components": [{"gaussian": {}}], "d": 1}},
-         "unknown test_function keys: ['d']"),
-        ({"hurst": {"linear": {"a": 0.55, "b": 0.2, "c": 0.1}}},
-         "unknown hurst linear keys: ['c']"),
-        ({"hurst": {"sin": {"a": 0.7, "b": 0.1, "omega": 3.0, "phase": 1.0}}},
-         "unknown hurst sin keys: ['phase']"),
-    ], ids=["gaussian-widht", "hermite", "two-kinds", "test_function", "linear", "sin"])
-    def test_unknown_nested_key_is_config_error(self, tmp_path, capsys, cfg, reason):
-        code, out = _run(tmp_path, "stransform", {"hurst": {"const": 0.7}, "d": 1,
-                                                  "eps": [0.1], **cfg})
-        assert code == 1
-        assert reason in _config_reason(capsys)
-        assert not (out / "stransform.csv").exists()
+    def test_non_object_config_is_config_error(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path, ["hurst"])
+        out = tmp_path / "out"
+        assert main(["stransform", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "config must be a JSON object" in _config_reason(capsys)
+        assert not list(out.glob("*.csv"))
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
