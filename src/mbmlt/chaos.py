@@ -36,7 +36,6 @@ __all__ = [
     "HermiteCombination",
     "TestFunction",
     "exp_trunc",
-    "a_vector",
     "s_transform_local_time",
     "kernel_eval",
     "chaos_pairing",
@@ -67,9 +66,6 @@ class GaussianBump:
         z = (np.asarray(x, dtype=float) - self.center) / self.width
         return self.amplitude * np.exp(-0.5 * z * z)
 
-    def l2_norm_sq(self) -> float:
-        return self.amplitude ** 2 * self.width * math.sqrt(math.pi)
-
     def support(self) -> tuple[float, float]:
         r = 12.0 * self.width
         return self.center - r, self.center + r
@@ -95,9 +91,6 @@ class HermiteCombination:
             if c != 0.0:
                 out = out + c * hermite_function(k, x)
         return out
-
-    def l2_norm_sq(self) -> float:
-        return sum(c * c for c in self.coeffs)
 
     def support(self) -> tuple[float, float]:
         # Hermite functions live on |x| <~ sqrt(2(K+1)); pad generously
@@ -152,11 +145,22 @@ class TestFunction:
 # truncated exponential
 # ---------------------------------------------------------------------------
 
-def exp_trunc(N: int, x):
-    """exp(x) minus its first N Taylor terms, computed stably.
+def _power_term(N: int, x: np.ndarray) -> np.ndarray:
+    """x^N / N! as a running product, so that no factorial leaves the floats."""
+    term = np.ones_like(x)
+    for n in range(1, N + 1):
+        term *= x / n
+    return term
 
-    Tail series for |x| <= 0.5 (no cancellation); otherwise exp(x) minus the
-    compensated partial sum.
+
+def exp_trunc(N: int, x):
+    """exp(x) minus its first N Taylor terms, sum_{n >= N} x^n / n!.
+
+    For every N >= 0: where |x| <= N + 1 the terms of that tail series
+    never grow, and each element sums them until its last term is
+    below 2^-54 of its sum, so that no later term can move it: no
+    cancellation, full relative precision for either sign of x.  Elsewhere
+    it is exp(x) minus the compensated sum of the first N terms.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -164,21 +168,21 @@ def exp_trunc(N: int, x):
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.empty_like(x)
-    small = np.abs(x) <= 0.5
-    if np.any(small):
-        xs = x[small]
-        term = xs ** N / math.factorial(N)
+    tail = np.abs(x) <= N + 1.0
+    if np.any(tail):
+        xs = x[tail]
+        term = _power_term(N, xs)
         acc = term.copy()
+        live = np.arange(len(xs))  # elements whose sum can still move
         n = N
-        while np.max(np.abs(term)) > 1e-18 * max(1.0, np.max(np.abs(acc))):
+        while live.size:
             n += 1
-            term = term * xs / n
-            acc += term
-            if n > N + 120:
-                break
-        out[small] = acc
-    if np.any(~small):
-        xl = x[~small]
+            term[live] *= xs[live] / n
+            acc[live] += term[live]
+            live = live[np.abs(term[live]) > 2.0 ** -54 * np.abs(acc[live])]
+        out[tail] = acc
+    if not np.all(tail):
+        xl = x[~tail]
         head = np.zeros_like(xl)
         comp = np.zeros_like(xl)
         term = np.ones_like(xl)
@@ -189,7 +193,7 @@ def exp_trunc(N: int, x):
             comp = (t - head) - y
             head = t
             term = term * xl / (n + 1)
-        out[~small] = np.exp(xl) - head
+        out[~tail] = np.exp(xl) - head
     return float(out[0]) if scalar else out
 
 
@@ -251,7 +255,7 @@ def _pieces(lo: float, hi: float, t: float) -> list:
 
 def _kinked_rule(lo: float, hi: float, t: np.ndarray):
     """Points and weights of the composite Gauss-Legendre rule for the
-    integral over [lo, hi] at each node t > 0, one row per node.
+    integral over [lo, hi] at each node t >= 0, one row per node.
 
     Rows hold the panels of every piece of their node; a node with fewer
     pieces than the widest one in the block is padded with zero weights.
@@ -271,37 +275,22 @@ def _kinked_rule(lo: float, hi: float, t: np.ndarray):
     return x.reshape(len(t), -1), w.reshape(len(t), -1)
 
 
-def _a_table(h: HurstFunctional, nodes, phi: TestFunction) -> np.ndarray:
-    """a_j(t) at every node, shape (len(nodes), d); rows for t <= 0 are zero.
+def _a_table(nodes: np.ndarray, hvals: np.ndarray, phi: TestFunction) -> np.ndarray:
+    """a_j(t) at every node t >= 0, shape (len(nodes), d), with hvals = h(nodes).
 
-    h is evaluated once on the node array.  Nodes go in blocks of _A_BLOCK:
-    per block and component, the integrand phi_j(x) (M_{h(t)} 1_[0,t))(x)
-    is evaluated at all points of all nodes in one broadcast and summed per
-    node.
+    Nodes go in blocks of _A_BLOCK: per block and component, the integrand
+    phi_j(x) (M_{h(t)} 1_[0,t))(x) is evaluated at all points of all nodes
+    in one broadcast and summed per node.  At t = 0 the indicator kernel,
+    and so the row, is exactly zero.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    table = np.zeros((len(nodes), phi.d))
-    live = np.flatnonzero(nodes > 0)
-    hvals = h(nodes[live])
-    for start in range(0, len(live), _A_BLOCK):
-        rows = live[start:start + _A_BLOCK]
-        t, H = nodes[rows], hvals[start:start + _A_BLOCK]
+    table = np.empty((len(nodes), phi.d))
+    for start in range(0, len(nodes), _A_BLOCK):
+        t, H = nodes[start:start + _A_BLOCK], hvals[start:start + _A_BLOCK]
         for j, comp in enumerate(phi.components):
             x, w = _kinked_rule(*comp.support(), t)
             f = comp(x) * mh_indicator(H[:, None], t[:, None], x)
-            table[rows, j] = np.sum(w * f, axis=1)
+            table[start:start + _A_BLOCK, j] = np.sum(w * f, axis=1)
     return table
-
-
-def a_vector(h: HurstFunctional, t: float, phi: TestFunction) -> np.ndarray:
-    """a_j(t) = int phi_j(x) (M_{h(t)} 1_[0,t))(x) dx, one entry per component.
-
-    The integrand is smooth except for derivative singularities of the
-    indicator kernel at x = 0 and x = t; the composite rule grades its
-    panels toward those points.  This is the one-node case of the table
-    that the time rules use.
-    """
-    return _a_table(h, [t], phi)[0]
 
 
 #: Gauss-Legendre points per panel of the time rule
@@ -400,8 +389,8 @@ def s_transform_local_time(h: HurstFunctional, N: int, T: float,
     rules = [_TimeRule(h, T, N, phi.d, e) for e in (eps if np.ndim(eps) else [eps])]
     if not rules:
         raise ValueError("eps list must not be empty")
-    meshes = {rule.gamma: rule.nodes for rule in rules}
-    tables = {gamma: _a_table(h, nodes, phi) for gamma, nodes in meshes.items()}
+    meshes = {rule.gamma: rule for rule in rules}
+    tables = {gamma: _a_table(r.nodes, r.hvals, phi) for gamma, r in meshes.items()}
     values = [rule.direct(tables[rule.gamma], N) for rule in rules]
     return values if np.ndim(eps) else values[0]
 
@@ -472,9 +461,13 @@ def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     if n_max < N:
         raise ValueError(f"n_max = {n_max} is below the truncation order N = {N}")
     rule = _TimeRule(h, T, N, phi.d, eps)
-    y = rule.exponent(_a_table(h, rule.nodes, phi))
-    return np.cumsum([rule.integral((-y) ** n / math.factorial(n))
-                      for n in range(N, n_max + 1)])
+    x = -rule.exponent(_a_table(rule.nodes, rule.hvals, phi))
+    term = _power_term(N, x)
+    sums = []
+    for n in range(N, n_max + 1):
+        sums.append(rule.integral(term))
+        term *= x / (n + 1)
+    return np.cumsum(sums)
 
 
 @dataclass(frozen=True)

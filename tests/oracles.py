@@ -2,12 +2,14 @@
 
 Most of these are deliberately written against the defining integrals, not
 the closed forms or the time rule under test: scipy adaptive quadrature,
-Fourier-side integrals with oscillatory-weight rules, and brute-force series.
+Fourier-side integrals with oscillatory-weight rules, brute-force series,
+and an exact-rational series for the truncated exponential.
 Two are closed-form references term by term: h_inner_product, one entry of
 R_h at a time, and chaos_term, one multi-index of the chaos pairing at a
 time, on a given time rule.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -57,6 +59,24 @@ def fourier_inner_product(t: float, s: float, ht: float, hs: float) -> float:
 def exp_tail_series(N: int, x: float, terms: int = 50) -> float:
     """sum_{n=N}^{N+terms} x^n / n! by direct accumulation."""
     return sum(x ** n / math.factorial(n) for n in range(N, N + terms))
+
+
+def exp_trunc_exact(N: int, x: float) -> Fraction:
+    """sum_{n >= N} x^n / n! in exact rational arithmetic, for any N.
+
+    Terms are added until they shrink by at least half per step and fall
+    below 2^-80 of the sum, so the remainder is below 2^-79 of it.
+    """
+    x = Fraction(x)
+    term = Fraction(1)
+    for n in range(1, N + 1):
+        term *= x / n
+    total, n = term, N
+    while term != 0 and (n <= 2 * abs(x) or abs(term) > abs(total) / 2 ** 80):
+        n += 1
+        term *= x / n
+        total += term
+    return total
 
 
 def hermite_direct(k: int, x: float) -> float:

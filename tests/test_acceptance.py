@@ -148,7 +148,7 @@ def test_criterion_5_chaos_sum_consistency():
         kernel = kernel_eval(h, 1, 1.0, index, u, eps).reshape(len(x), len(x))
         paired = (w * comp(x)) @ kernel @ (w * comp(x))
         rule = _TimeRule(h, 1.0, 1, phi.d, eps)
-        oracle = chaos_term(rule, _a_table(h, rule.nodes, phi), [n // 2 for n in index])
+        oracle = chaos_term(rule, _a_table(rule.nodes, rule.hvals, phi), [n // 2 for n in index])
         kernel_worst = max(kernel_worst, abs(paired - oracle) / abs(oracle))
     _verdict(5, "chaos-sum consistency", worst < 1e-3 and kernel_worst <= 5e-3,
              f"worst relative gap {worst:.3g} over 6 settings (n_max=8); "

@@ -17,7 +17,6 @@ from mbmlt.chaos import (
     _a_table,
     _graded_nodes,
     _TimeRule,
-    a_vector,
     chaos_pairing,
     convergence_eps,
     exp_trunc,
@@ -29,7 +28,7 @@ from mbmlt.localtime import expected_local_time
 from mbmlt.operator import mh_indicator
 from mbmlt.specfun import HurstFunctional, truncation_bound
 
-from .oracles import chaos_term, exp_tail_series, mh_apply
+from .oracles import chaos_term, exp_tail_series, exp_trunc_exact, mh_apply
 
 
 class TestExpTrunc:
@@ -44,12 +43,12 @@ class TestExpTrunc:
     @pytest.mark.parametrize("N", [0, 1, 2, 5])
     @pytest.mark.parametrize("x", [-4.0, -0.3, -1e-4, 0.2, 3.0])
     def test_matches_series_oracle(self, N, x):
-        assert exp_trunc(N, x) == pytest.approx(exp_tail_series(N, x), rel=1e-12)
+        assert exp_trunc(N, x) == pytest.approx(exp_tail_series(N, x), rel=1e-12, abs=0.0)
 
     def test_no_cancellation_for_small_argument(self):
         # naive exp(x) - head loses all digits here; the tail series must not
         x = -1e-9
-        assert exp_trunc(3, x) == pytest.approx(x ** 3 / 6.0, rel=1e-9)
+        assert exp_trunc(3, x) == pytest.approx(x ** 3 / 6.0, rel=1e-9, abs=0.0)
 
     @given(st.integers(min_value=0, max_value=6),
            st.floats(min_value=-5.0, max_value=5.0))
@@ -64,18 +63,39 @@ class TestExpTrunc:
         with pytest.raises(ValueError):
             exp_trunc(-1, 0.0)
 
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, 10, 20, 30, 100, 171, 200])
+    def test_matches_exact_oracle(self, N):
+        # both branches and their boundary |x| = N + 1, for N past the
+        # factorials a float holds, wherever the result is a normal float.
+        # Tiny tails such as N = 20 at x = 0.3 or -1 must keep their
+        # relative precision, and their sign
+        x = np.array([-250.0, -100.0, -30.0, -10.0, -3.0, -1.0, -0.6, -0.5, -0.3, -1e-4,
+                      0.0, 1e-4, 0.3, 0.5, 0.6, 1.0, 3.0, 10.0, 30.0,
+                      N + 0.5, N + 1.0, N + 1.5, -N - 0.5, -N - 1.0, -N - 1.5])
+        got = exp_trunc(N, x)
+        checked = 0
+        for xi, gi in zip(x, got):
+            exact = exp_trunc_exact(N, xi)
+            if not np.finfo(float).tiny <= abs(exact) <= np.finfo(float).max:
+                continue
+            assert gi == pytest.approx(float(exact), rel=1e-13, abs=0.0), xi
+            assert exp_trunc(N, xi) == gi  # each element stops on its own
+            checked += 1
+        assert checked >= 14
+
 
 class TestTestFunctions:
     def test_gaussian_bump(self):
         g = GaussianBump(2.0, 1.0, 0.5)
         assert g(1.0) == 2.0
-        assert g.l2_norm_sq() == pytest.approx(4.0 * 0.5 * math.sqrt(math.pi))
+        norm_sq, _ = quad(lambda x: g(x) ** 2, -np.inf, np.inf)
+        assert norm_sq == pytest.approx(4.0 * 0.5 * math.sqrt(math.pi))
         with pytest.raises(ValueError):
             GaussianBump(width=0.0)
 
     def test_hermite_combination(self):
         hc = HermiteCombination((1.0, 0.0, 2.0))
-        assert hc.l2_norm_sq() == pytest.approx(5.0)
+        assert sum(c * c for c in hc.coeffs) == pytest.approx(5.0)  # orthonormal h_k
         val, _ = quad(lambda x: hc(x) ** 2, -15, 15, limit=200)
         assert val == pytest.approx(5.0, rel=1e-8)
 
@@ -95,9 +115,15 @@ class TestTestFunctions:
             TestFunction.from_config({"components": [{"wavelet": {}}]})
 
 
+def _a_at(h, t, phi):
+    """a_j(t) at one node: the one-row table."""
+    nodes = np.array([t])
+    return _a_table(nodes, h(nodes), phi)[0]
+
+
 class TestAVector:
     def test_zero_time(self, phi_2d):
-        assert np.array_equal(a_vector(HurstFunctional.constant(0.7), 0.0, phi_2d),
+        assert np.array_equal(_a_at(HurstFunctional.constant(0.7), 0.0, phi_2d),
                               np.zeros(2))
 
     @pytest.mark.parametrize("t", [1e-2, 0.3, 1.0])
@@ -108,7 +134,7 @@ class TestAVector:
         for a, b in [(-10.0, 0.0), (0.0, t), (t, 10.0)]:
             v, _ = quad(lambda x: comp(x) * mh_indicator(H, t, x), a, b, limit=400)
             oracle += v
-        got = a_vector(h_linear, t, phi_1d)[0]
+        got = _a_at(h_linear, t, phi_1d)[0]
         assert got == pytest.approx(oracle, rel=1e-6)
 
     def test_adjoint_route(self, h_const_07, phi_1d):
@@ -116,13 +142,13 @@ class TestAVector:
         t = 0.6
         comp = phi_1d.components[0]
         oracle, _ = quad(lambda x: mh_apply(0.7, comp, x), 0.0, t, limit=200)
-        got = a_vector(h_const_07, t, phi_1d)[0]
+        got = _a_at(h_const_07, t, phi_1d)[0]
         assert got == pytest.approx(oracle, rel=1e-5)
 
     def test_linearity_in_phi(self, h_const_07, phi_1d):
-        a1 = a_vector(h_const_07, 0.5, phi_1d)
+        a1 = _a_at(h_const_07, 0.5, phi_1d)
         tripled = TestFunction((GaussianBump(1.5, 0.2, 0.8),))  # 3 phi_1d
-        a3 = a_vector(h_const_07, 0.5, tripled)
+        a3 = _a_at(h_const_07, 0.5, tripled)
         assert a3 == pytest.approx(3.0 * a1, rel=1e-12)
 
 
@@ -172,7 +198,7 @@ class TestATable:
         phi = TestFunction((comp,))
         # a t = 0 row and 80 graded nodes: three blocks, the last one partial
         nodes = np.concatenate([[0.0], _graded_nodes(1.0, 16.0, 8)[0]])
-        table = _a_table(h_linear, nodes, phi)
+        table = _a_table(nodes, h_linear(nodes), phi)
         assert table.shape == (len(nodes), 1)
         assert table[0, 0] == 0.0
         lo, hi = comp.support()
@@ -184,7 +210,7 @@ class TestATable:
 
     def test_zero_test_function(self, h_linear):
         nodes = _graded_nodes(1.0, 2.0, 8)[0]
-        table = _a_table(h_linear, nodes, TestFunction.zero(2))
+        table = _a_table(nodes, h_linear(nodes), TestFunction.zero(2))
         assert np.array_equal(table, np.zeros((len(nodes), 2)))
 
     # the chaos-gap benchmark config: eps = 0 grades with 8.75, and every
@@ -194,13 +220,22 @@ class TestATable:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The node count of every a(t) table built in the test."""
-        built = []
+        """One entry per a(t) table built in the test: the number of h
+        evaluations made while it was built."""
+        built, h_calls = [], []
+        h_call = HurstFunctional.__call__
 
-        def counting(h, nodes, phi):
-            built.append(len(nodes))
-            return _a_table(h, nodes, phi)
+        def counting_h(h, t):
+            h_calls.append(t)
+            return h_call(h, t)
 
+        def counting(*args):
+            start = len(h_calls)
+            table = _a_table(*args)
+            built.append(len(h_calls) - start)
+            return table
+
+        monkeypatch.setattr(HurstFunctional, "__call__", counting_h)
         monkeypatch.setattr(mbmlt.chaos, "_a_table", counting)
         return built
 
@@ -208,6 +243,11 @@ class TestATable:
         rows = convergence_eps(self.GAP_H, 1, 1.0, self.GAP_PHI, (0.1, 0.01, 0.001, 1e-4))
         assert len(rows) == 4
         assert len(built) == 2
+
+    def test_tables_evaluate_no_h(self, built):
+        # a table reads the h values its time rule holds
+        convergence_eps(self.GAP_H, 1, 1.0, self.GAP_PHI, (0.1, 0.01, 0.001, 1e-4))
+        assert built == [0, 0]
 
     def test_eps_list_matches_scalar_calls(self, built):
         eps_list = [0.0, 0.1, 0.01]
@@ -278,7 +318,7 @@ class TestSTransformLocalTime:
     def _on_finer_rule(h, N, phi, n_panels):
         # the eps = 0 S-transform on a time rule with more than the 48 panels
         rule = _TimeRule(h, 1.0, N, phi.d, 0.0, n_panels=n_panels)
-        return rule.direct(_a_table(h, rule.nodes, phi), N)
+        return rule.direct(_a_table(rule.nodes, rule.hvals, phi), N)
 
     def test_mesh_refinement_stable(self, h_linear, phi_1d):
         coarse = s_transform_local_time(h_linear, 1, 1.0, phi_1d)
@@ -491,6 +531,15 @@ class TestChaosPairing:
         partial = chaos_pairing(h, N, 1.0, phi, n_max=N + 20, eps=eps)
         assert partial[-1] == pytest.approx(direct, rel=1e-3)
 
+    def test_high_order_matches_direct(self):
+        # N = 20: every exponent y <= 0.5 falls in the tail series of
+        # exp_trunc, which must keep its relative precision there
+        h = HurstFunctional.constant(0.995)
+        phi = TestFunction((GaussianBump(3.0, 0.5, 0.5),) * 3)
+        direct = s_transform_local_time(h, 20, 1.0, phi, eps=0.1)
+        partial = chaos_pairing(h, 20, 1.0, phi, n_max=60, eps=0.1)
+        assert direct == pytest.approx(partial[-1], rel=1e-12, abs=0.0)
+
     def test_partial_sums_converge(self, h_const_07, phi_1d):
         direct = s_transform_local_time(h_const_07, 0, 1.0, phi_1d, eps=0.1)
         partial = chaos_pairing(h_const_07, 0, 1.0, phi_1d, n_max=12, eps=0.1)
@@ -511,7 +560,7 @@ class TestChaosPairing:
                             HermiteCombination((0.3, -0.2, 0.1)))[:d])
         eps = 0.01
         rule = _TimeRule(h_linear, 1.0, N, d, eps)
-        a = _a_table(h_linear, rule.nodes, phi)
+        a = _a_table(rule.nodes, rule.hvals, phi)
         n_max = N + 8
         orders = [sum(chaos_term(rule, a, n_vec)
                       for n_vec in itertools.product(range(n + 1), repeat=d)

@@ -168,9 +168,9 @@ class TestSTransformCommand:
         built = []
         a_table = mbmlt.chaos._a_table
 
-        def counting(h, nodes, phi):
+        def counting(nodes, hvals, phi):
             built.append(len(nodes))
-            return a_table(h, nodes, phi)
+            return a_table(nodes, hvals, phi)
 
         monkeypatch.setattr(mbmlt.chaos, "_a_table", counting)
         spec = {"components": [
@@ -185,6 +185,17 @@ class TestSTransformCommand:
         for row, eps in zip(rows, cfg["eps"]):
             value = float(row.split(",")[2])
             assert value == s_transform_local_time(h, 1, 1.0, phi, eps=eps)
+
+    def test_order_past_float_factorials(self, tmp_path):
+        # N = 199 is the minimal truncation of const 0.995 at d = 3; 199!
+        # is no float
+        bump = {"gaussian": {"amplitude": 3.0, "center": 0.5, "width": 0.5}}
+        cfg = {"hurst": {"const": 0.995}, "d": 3, "N": 199, "eps": [0.1],
+               "test_function": {"components": [bump] * 3}}
+        code, out = _run(tmp_path, "stransform", cfg)
+        assert code == 0
+        (row,) = (out / "stransform.csv").read_text().strip().split("\n")[1:]
+        assert math.isfinite(float(row.split(",")[2]))
 
     def test_dimension_mismatch_is_config_error(self, tmp_path):
         cfg = {

@@ -1,7 +1,8 @@
 """Guards against public names going stale: the README's library example
 runs, its config example lists the keys the CLI accepts, every module's
-__all__ names something that exists, and no module of the package or the
-tests imports a name it does not use."""
+__all__ names something that exists, no module of the package or the
+tests imports a name it does not use, and every function or method of the
+package is exported or used by the package itself."""
 import ast
 import importlib
 import json
@@ -9,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,8 @@ from mbmlt.cli import _CONFIG_KEYS, _THREAD_VARS
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mbmlt.__path__))
 TESTS = Path(__file__).resolve().parent
-SOURCES = sorted(Path(mbmlt.__file__).parent.glob("*.py")) + sorted(TESTS.glob("*.py"))
+PACKAGE = sorted(Path(mbmlt.__file__).parent.glob("*.py"))
+SOURCES = PACKAGE + sorted(TESTS.glob("*.py"))
 
 
 def test_readme_library_example_runs(monkeypatch):
@@ -69,7 +72,7 @@ _FILE_CALLS = {"open", "write_text", "write_bytes", "savetxt", "tofile"}
 def test_only_the_cli_writes_files():
     # every output format lives in cli.py, so no library module touches a file
     offenders = []
-    for path in sorted(Path(mbmlt.__file__).parent.glob("*.py")):
+    for path in PACKAGE:
         if path.name == "cli.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -79,3 +82,31 @@ def test_only_the_cli_writes_files():
                 if name in _FILE_CALLS:
                     offenders.append(f"{path.name}:{node.lineno} {name}(")
     assert offenders == []
+
+
+def _references(tree) -> Counter:
+    """Every name and attribute read in a syntax tree, with its count."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_function_is_used_or_exported():
+    # a function or method that only tests call, or nothing calls, does not
+    # belong in the package: it must be in its module's __all__, be a dunder,
+    # or be referenced somewhere in the package outside its own body
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE}
+    used = sum(map(_references, trees.values()), Counter())
+    defs = []
+    for name, tree in trees.items():
+        exported = importlib.import_module(f"mbmlt.{name[:-3]}").__dict__.get("__all__", ())
+        defs += [(name, node) for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name not in exported
+                 and not (node.name.startswith("__") and node.name.endswith("__"))]
+    inner = Counter()  # a recursive call does not count as a use
+    for _, node in defs:
+        inner[node.name] += _references(node)[node.name]
+    unused = sorted(f"{name}:{node.lineno} {node.name}" for name, node in defs
+                    if used[node.name] - inner[node.name] <= 0)
+    assert unused == []
