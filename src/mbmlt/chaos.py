@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .operator import mh_indicator
-from .specfun import (HurstFunctional, _config_keys, _real, hermite_function,
-                      require_truncation_bound, truncation_bound)
+from .specfun import (HurstFunctional, _config_keys, _config_list, _real,
+                      hermite_function, require_truncation_bound, truncation_bound)
 
 __all__ = [
     "GaussianBump",
@@ -126,7 +126,8 @@ class TestFunction:
         other key, and a component with other than one kind, is a ValueError.
         """
         comps = []
-        for c in _config_keys(spec, ("components",), "test_function")["components"]:
+        components = _config_keys(spec, ("components",), "test_function")["components"]
+        for c in _config_list(components, "test_function components"):
             if not isinstance(c, dict) or len(c) != 1:
                 raise ValueError(f"a test-function component needs one kind, got {c!r}")
             if "gaussian" in c:
@@ -134,6 +135,7 @@ class TestFunction:
                 comps.append(GaussianBump(**{k: _real(v, f"gaussian {k}") for k, v in g.items()}))
             elif "hermite" in c:
                 coeffs = _config_keys(c["hermite"], ("coeffs",), "hermite")["coeffs"]
+                coeffs = _config_list(coeffs, "hermite coeffs")
                 comps.append(HermiteCombination(tuple(_real(v, "hermite coefficient")
                                                       for v in coeffs)))
             else:
@@ -222,56 +224,44 @@ def _piece_edges(p_lo, p_hi, k0, n_panels: int) -> np.ndarray:
     The ladder runs over the offsets from k0 between r0, the near end, and
     r1, the far end.  A piece that touches k0 (r0 = 0) starts its ladder at
     the floor r1 * 1e-12 and its first panel absorbs [0, floor]; for any
-    other piece that first panel is empty.  Rows toward a k0 above the piece
+    other piece that first panel is empty.  An empty piece has panels of
+    zero width, also at k0 (r0 = r1 = 0).  Rows toward a k0 above the piece
     descend.
     """
     up = k0 <= p_lo
     r0 = np.where(up, p_lo - k0, k0 - p_hi)
     r1 = np.where(up, p_hi - k0, k0 - p_lo)
     start = np.where(r0 == 0.0, r1 * 1e-12, r0)
+    ratio = np.divide(r1, start, out=np.ones_like(r1), where=start > 0.0)
     u = np.arange(n_panels + 1) / n_panels
-    offsets = np.column_stack([r0, start[:, None] * (r1 / start)[:, None] ** u])
+    offsets = np.column_stack([r0, start[:, None] * ratio[:, None] ** u])
     return k0[:, None] + np.where(up, 1.0, -1.0)[:, None] * offsets
 
 
-def _pieces(lo: float, hi: float, t: float) -> list:
-    """Pieces (p_lo, p_hi, k0) of [lo, hi] for the kinks 0 and t > 0.
+def _kinked_rule(lo: float, hi: float, t: np.ndarray, xg, wg):
+    """Points and weights of the composite rule, Gauss-Legendre nodes xg and
+    weights wg per panel, for the integral over [lo, hi] at each node
+    t >= 0, one row per node.
 
-    The kinks inside cut [lo, hi] into segments; each segment is graded
-    toward its nearest kink, and a segment between the two kinks is halved
-    and graded toward both.
+    Each node has four pieces, [lo, hi] clipped to [-inf, 0] and [0, m],
+    graded toward the kink 0, and to [m, t] and [t, inf], graded toward t.
+    If [lo, hi] holds [0, t], m = t / 2; otherwise the part [a, b] between
+    the kinks is one piece, graded toward the nearer kink: m = b if
+    a <= t - b, else m = a.  A piece column that is empty at every node is
+    dropped; an empty piece elsewhere has zero weights.
     """
-    kinks = (0.0, t)
-    cuts = sorted({lo, hi} | {k for k in kinks if lo < k < hi})
-    out = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if a in kinks and b in kinks:
-            mid = 0.5 * (a + b)
-            out += [(a, mid, a), (mid, b, b)]
-        else:
-            out.append((a, b, min(kinks, key=lambda k: min(abs(k - a), abs(k - b)))))
-    return out
-
-
-def _kinked_rule(lo: float, hi: float, t: np.ndarray):
-    """Points and weights of the composite Gauss-Legendre rule for the
-    integral over [lo, hi] at each node t >= 0, one row per node.
-
-    Rows hold the panels of every piece of their node; a node with fewer
-    pieces than the widest one in the block is padded with zero weights.
-    """
-    pieces = [_pieces(lo, hi, tk) for tk in t]
-    width = max(map(len, pieces))
-    slots = [i * width + k for i, ps in enumerate(pieces) for k in range(len(ps))]
-    p_lo, p_hi, k0 = np.array([p for ps in pieces for p in ps]).T
-    edges = _piece_edges(p_lo, p_hi, k0, _A_PANELS)
+    a, b = np.clip(lo, 0.0, t), np.clip(hi, 0.0, t)
+    m = np.where((lo <= 0.0) & (t <= hi), 0.5 * t, np.where(a <= t - b, b, a))
+    p_lo = np.column_stack([np.full_like(t, min(lo, 0.0)), a, m, np.maximum(lo, t)])
+    p_hi = np.column_stack([np.full_like(t, min(hi, 0.0)), m, b, np.maximum(hi, t)])
+    k0 = np.column_stack([np.zeros_like(t), np.zeros_like(t), t, t])
+    keep = np.any(p_lo < p_hi, axis=0)
+    edges = _piece_edges(p_lo[:, keep].ravel(), p_hi[:, keep].ravel(),
+                         k0[:, keep].ravel(), _A_PANELS)
     mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
     halves = 0.5 * np.abs(np.diff(edges, axis=1))
-    xg, wg = np.polynomial.legendre.leggauss(_A_GL)
-    x = np.zeros((len(t) * width, _A_PANELS + 1, _A_GL))
-    w = np.zeros_like(x)
-    x[slots] = mids[..., None] + halves[..., None] * xg
-    w[slots] = halves[..., None] * wg
+    x = mids[..., None] + halves[..., None] * xg
+    w = halves[..., None] * wg
     return x.reshape(len(t), -1), w.reshape(len(t), -1)
 
 
@@ -283,11 +273,12 @@ def _a_table(nodes: np.ndarray, hvals: np.ndarray, phi: TestFunction) -> np.ndar
     in one broadcast and summed per node.  At t = 0 the indicator kernel,
     and so the row, is exactly zero.
     """
+    xg, wg = np.polynomial.legendre.leggauss(_A_GL)
     table = np.empty((len(nodes), phi.d))
     for start in range(0, len(nodes), _A_BLOCK):
         t, H = nodes[start:start + _A_BLOCK], hvals[start:start + _A_BLOCK]
         for j, comp in enumerate(phi.components):
-            x, w = _kinked_rule(*comp.support(), t)
+            x, w = _kinked_rule(*comp.support(), t, xg, wg)
             f = comp(x) * mh_indicator(H[:, None], t[:, None], x)
             table[start:start + _A_BLOCK, j] = np.sum(w * f, axis=1)
     return table
@@ -485,7 +476,7 @@ def convergence_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     Requires the truncation bound (so the eps = 0 limit S_0, which every row
     carries, exists); the gap |S_eps - S_0| shrinks to 0 as eps decreases.
     """
-    if not eps_list:
+    if len(eps_list) == 0:
         raise ValueError("eps list must not be empty")
     if not all(eps > 0 for eps in eps_list):  # NaN fails too
         raise ValueError("eps entries must be positive")

@@ -99,9 +99,9 @@ def _build(cfg: dict):
 
 def _eps_list(cfg: dict, default: list) -> list:
     """The config's eps list, each entry a real number; default if absent."""
-    from .specfun import _real
+    from .specfun import _config_list, _real
 
-    return [_real(e, "eps") for e in cfg.get("eps", default)]
+    return [_real(e, "eps") for e in _config_list(cfg.get("eps", default), "eps")]
 
 
 def _simulation(cfg: dict, h, d: int, n_paths: int):
@@ -208,14 +208,16 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
     import numpy as np
 
     from .chaos import kernel_eval
-    from .specfun import _real
+    from .specfun import _config_list, _real
 
     h, d, _ = _build(cfg)
-    n_vec = [_whole(n, "kernel index entry") for n in cfg["kernel_index"]]
+    n_vec = [_whole(n, "kernel index entry")
+             for n in _config_list(cfg["kernel_index"], "kernel_index")]
     if len(n_vec) != d:
         raise ValueError(f"kernel index has {len(n_vec)} components, d = {d}")
     order = sum(n_vec)
-    points = [p if isinstance(p, list) else [p] for p in cfg["u_grid"]]
+    points = [p if isinstance(p, list) else [p]
+              for p in _config_list(cfg["u_grid"], "u_grid")]
     if any(len(p) != order for p in points):
         raise ValueError(f"every u point needs {order} coordinates")
     u = np.array([[_real(x, "u_grid coordinate") for x in p] for p in points],

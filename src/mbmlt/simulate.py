@@ -43,7 +43,6 @@ __all__ = [
 
 #: eigenvalue floor for the circulant embedding (unit-variance increments)
 EMBED_TOL = 1e-9
-MAX_DOUBLINGS = 4
 #: spacing of the Hurst-level grid of the Wood-Chan field
 _LEVEL_SPACING = 0.02
 
@@ -131,32 +130,29 @@ def simulate_exact(config: SimulationConfig) -> MbmPathSet:
 # circulant embedding (Wood-Chan)
 # ---------------------------------------------------------------------------
 
-def _fgn_autocov(H: float, m: int) -> np.ndarray:
-    """Unit-spacing fGn autocovariance rho(0..m-1)."""
-    k = np.arange(m, dtype=float)
-    return 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
-
-
 def _embedding_eigs(H: float, m: int) -> np.ndarray:
-    """Eigenvalues of the circulant embedding of size 2m."""
-    rho = _fgn_autocov(H, m + 1)
-    c = np.concatenate([rho[:-1], [rho[m]], rho[1:-1][::-1]])
-    return np.fft.fft(c).real
+    """Eigenvalues of the circulant embedding of size 2m: the FFT of the
+    unit-spacing fGn autocovariance rho(0..m), mirrored."""
+    k = np.arange(m + 1, dtype=float)
+    rho = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
+    return np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
 
 
-def _embedding_size(H_levels, s: int) -> tuple[int, dict]:
-    """Smallest half-size m >= s whose embedding is nonnegative for all levels."""
+def _embedding_size(H_levels, s: int) -> tuple[int, np.ndarray]:
+    """Half-size m, the power of two >= s, and the embedding eigenvalues
+    clipped at 0, one row per level.
+
+    For H in (1/2, 1) the fGn autocovariance is positive, decreasing and
+    convex, so every embedding size is nonnegative in exact arithmetic
+    (Dietrich & Newsam, 1997).  A negative eigenvalue beyond EMBED_TOL comes
+    from rounding in rho(k), which a larger m makes worse, so it raises.
+    """
     m = 1 << (s - 1).bit_length()  # power of two >= s, for FFT speed
-    for _ in range(MAX_DOUBLINGS + 1):
-        eigs = {H: _embedding_eigs(H, m) for H in H_levels}
-        if all(e.min() >= -EMBED_TOL for e in eigs.values()):
-            return m, {H: np.clip(e, 0.0, None) for H, e in eigs.items()}
-        m *= 2
-    worst = min(e.min() for e in eigs.values())
-    raise NumericalError(
-        f"circulant embedding not nonnegative after {MAX_DOUBLINGS} doublings "
-        f"(min eigenvalue {worst:g})"
-    )
+    eigs = np.array([_embedding_eigs(H, m) for H in H_levels])
+    if eigs.min() < -EMBED_TOL:
+        raise NumericalError(f"circulant embedding of size {2 * m} is not "
+                             f"nonnegative (min eigenvalue {eigs.min():g})")
+    return m, np.clip(eigs, 0.0, None)
 
 
 def _hurst_levels(hvals: np.ndarray) -> np.ndarray:
@@ -210,7 +206,7 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     runs = _level_runs(idx, len(levels))
     m, eigs = _embedding_size(levels, s)
     M = 2 * m
-    amps = np.sqrt(np.array([eigs[H] for H in levels]) / M)
+    amps = np.sqrt(eigs / M)
     n_pairs = (n_paths + 1) // 2
     zeta = np.empty((n_pairs, M), dtype=complex)
     spec = np.empty((n_pairs, M), dtype=complex)

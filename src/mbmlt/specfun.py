@@ -224,6 +224,13 @@ def _config_keys(spec, allowed, name: str) -> dict:
     return spec
 
 
+def _config_list(value, name: str) -> list:
+    """value, if it is a JSON array; otherwise a ValueError that names it."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    return value
+
+
 def truncation_bound(N: int, d: int) -> float:
     """The admissible supremum (1+2N)/(2N+d) of h for truncation order N in
     dimension d."""

@@ -190,6 +190,13 @@ class TestATable:
         # support [0.44, 1.16] starts inside (0, T): nodes below, inside and
         # above its left end get different panel layouts
         "bump_inside": GaussianBump(1.0, 0.8, 0.03),
+        # supports left of 0, inside (0, T), beyond T, starting exactly at 0,
+        # and straddling 0 to end inside (0, T)
+        "bump_left": GaussianBump(1.0, -3.0, 0.2),
+        "bump_narrow": GaussianBump(1.0, 0.5, 0.01),
+        "bump_beyond": GaussianBump(1.0, 3.0, 0.1),
+        "bump_from_0": GaussianBump(1.0, 3.0, 0.25),
+        "bump_straddle": GaussianBump(1.0, -0.5, 0.05),
     }
 
     @pytest.mark.parametrize("name", sorted(COMPONENTS))
@@ -583,6 +590,8 @@ class TestConvergenceEps:
         rows = convergence_eps(h_linear, 1, 1.0, phi_1d, self.EPS_LIST)
         gaps = [r.gap for r in rows]
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
+        # a numpy eps array is a sequence too
+        assert convergence_eps(h_linear, 1, 1.0, phi_1d, np.array(self.EPS_LIST)) == rows
 
     def test_final_gap_small(self, h_linear, phi_1d):
         rows = convergence_eps(h_linear, 1, 1.0, phi_1d, self.EPS_LIST)

@@ -463,10 +463,19 @@ class TestExitCodes:
          "unknown hurst linear keys: ['c']"),
         ("stransform", {"hurst": {"sin": {"a": 0.7, "b": 0.1, "omega": 3.0, "phase": 1.0}}},
          "unknown hurst sin keys: ['phase']"),
+        ("stransform", {"eps": 0.1}, "eps must be a JSON array, got 0.1"),
+        ("kernels", {"kernel_index": 2, "u_grid": [[0.2, 0.3]]},
+         "kernel_index must be a JSON array, got 2"),
+        ("kernels", {"kernel_index": [2], "u_grid": 0.2}, "u_grid must be a JSON array, got 0.2"),
+        ("stransform", {"test_function": {"components": [{"hermite": {"coeffs": 1.0}}]}},
+         "hermite coeffs must be a JSON array, got 1.0"),
+        ("stransform", {"test_function": {"components": {"gaussian": {}}}},
+         "test_function components must be a JSON array, got {'gaussian': {}}"),
     ], ids=["N-true", "d-true", "esp-typo", "eps-true", "T-true", "kernel_eps-true",
             "u_grid-true", "hurst-const-true", "hurst-sin-true", "gaussian-true",
             "hermite-true", "gaussian-widht", "hermite-key", "two-kinds",
-            "test_function-key", "linear-key", "sin-key"])
+            "test_function-key", "linear-key", "sin-key", "eps-scalar",
+            "kernel_index-scalar", "u_grid-scalar", "coeffs-scalar", "components-object"])
     def test_boolean_or_unknown_key_is_config_error(self, tmp_path, capsys, command,
                                                     cfg, reason):
         code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, **cfg})

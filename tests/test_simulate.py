@@ -203,6 +203,12 @@ class TestWoodChan:
         with pytest.raises(ValueError):
             _fbm(0.4, 16, 1, seed=0)
 
+    def test_negative_embedding_raises_at_first_size(self):
+        # every size is nonnegative in exact arithmetic; near H = 1 rounding
+        # in rho(k) gives -4.1e-6 at m = 16384, and larger m gives worse
+        with pytest.raises(NumericalError, match="size 32768 .* -4.1"):
+            _fbm(0.999999, 16384, 1, seed=0)
+
 
 def _materialized_wood_chan(config):
     """The field construction with every level held at once: all levels of
@@ -222,8 +228,8 @@ def _materialized_wood_chan(config):
         V = rng.standard_normal((n_pairs, M))
         zeta = U + 1j * V
         fgn = np.empty((len(levels), config.n_paths, config.s))
-        for i, H in enumerate(levels):
-            y = np.fft.fft(np.sqrt(eigs[H] / M) * zeta, axis=1)
+        for i in range(len(levels)):
+            y = np.fft.fft(np.sqrt(eigs[i] / M) * zeta, axis=1)
             pair = np.empty((2 * n_pairs, config.s))
             pair[0::2] = y.real[:, :config.s]
             pair[1::2] = y.imag[:, :config.s]
