@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .simulate import MbmPathSet
+from .simulate import _BLOCK_BYTES, MbmPathSet
 from .specfun import HurstFunctional
 
 __all__ = [
@@ -71,6 +71,9 @@ def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
     the mean should be near: E[L_eps(T)] for N = 0, and 0 for N = 1, where
     that expectation is subtracted from every path.  The arguments are
     checked first; an eps below the grid resolution scale is warned about.
+    Paths are reduced in blocks through one buffer of about _BLOCK_BYTES,
+    so working memory beyond the (len(eps), n_paths) per-path values does
+    not grow with the path set.
     """
     _check_mc_args(eps, N)
     cfg = paths.config
@@ -81,18 +84,23 @@ def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
             warnings.warn(f"eps={e:g} below the grid resolution scale {floor:g}; "
                           "estimate may be biased", stacklevel=2)
     n, d, s = paths.values.shape
-    padded = np.zeros((n, d, s + 1))  # time 0 included: B(0) = 0
-    padded[:, :, 1:] = paths.values
-    x = np.moveaxis(padded, 1, -1)
+    nb = min(n, max(1, _BLOCK_BYTES // (8 * d * (s + 1))))  # paths per block
+    padded = np.zeros((nb, d, s + 1))  # time 0 included: B(0) = 0
     tgrid = np.concatenate([[0.0], cfg.grid])
+    per_path = np.empty((len(eps), n))
+    for a in range(0, n, nb):
+        block = padded[:min(nb, n - a)]
+        block[:, :, 1:] = paths.values[a:a + nb]
+        x = np.moveaxis(block, 1, -1)
+        for i, e in enumerate(eps):
+            per_path[i, a:a + nb] = np.trapezoid(delta_eps(x, e), tgrid, axis=1)
     out = np.empty((3, len(eps)))
     for i, e in enumerate(eps):
-        per_path = np.trapezoid(delta_eps(x, e), tgrid, axis=1)
         expected = expected_local_time(cfg.h, e, T, d)
         if N == 1:
-            per_path = per_path - expected
-        estimate = float(np.mean(per_path))
-        stderr = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            per_path[i] -= expected
+        estimate = float(np.mean(per_path[i]))
+        stderr = float(np.std(per_path[i], ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         if not np.isfinite(estimate) or stderr < 0:
             raise NumericalError("invalid local-time estimate")
         out[:, i] = estimate, stderr, 0.0 if N == 1 else expected

@@ -10,10 +10,12 @@ Two generators:
 * wood_chan: FFT circulant embedding of the stationary increment process for
   constant Hurst index, extended to a time-varying index by simulating a
   field of constant-index paths on an index grid from shared noise and
-  interpolating.  Fast but approximate for non-constant h.  The levels are
-  streamed: each is synthesized, cumulated and folded into the output in
-  turn, in two buffers allocated once per call, so working memory is
-  O(n_paths * M) (M the embedding size), not O(levels * n_paths * s).
+  interpolating.  Fast but approximate for non-constant h.  Paths are
+  synthesized in blocks of pairs, and within a block the levels are
+  streamed: each is synthesized, cumulated and folded into the block's
+  output in turn.  Working memory is the noise, n_paths * M floats (M the
+  embedding size), plus block buffers of about 1 MB, not
+  O(levels * n_paths * s).
 
 All randomness flows from a single 64-bit seed through numpy SeedSequence
 spawning, so output does not depend on scheduling.  It is byte-identical
@@ -45,6 +47,10 @@ __all__ = [
 EMBED_TOL = 1e-9
 #: spacing of the Hurst-level grid of the Wood-Chan field
 _LEVEL_SPACING = 0.02
+#: bytes of one block buffer: the complex spectrum of a block of path pairs
+#: in the Wood-Chan synthesis, the zero-padded block of paths that
+#: localtime.local_time_mc reduces
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,10 +65,12 @@ class SimulationConfig:
     method: str = "exact"  # "exact" | "wood_chan"
 
     def __post_init__(self):
-        if self.s < 2:
-            raise ValueError("need at least 2 grid points")
-        if self.n_paths < 1 or self.d < 1:
-            raise ValueError("n_paths and d must be positive")
+        for name, least in (("s", 2), ("n_paths", 1), ("d", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ValueError(f"{name} must be a whole number >= {least}, "
+                                 f"got {value!r}")
         if self.method not in ("exact", "wood_chan"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -181,14 +189,18 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     linear interpolation in the index at each time.
 
     Per component one complex noise array drives every level, so paths vary
-    smoothly across levels.  The levels are streamed in increasing order:
-    level i is synthesized by one in-place FFT, cumulated and scaled by
-    dt ** H_i up to the last time it serves, then stored with weight 1 - w
-    on the runs of times whose lower neighbour it is and added with weight
-    w on the runs where it is the upper one.  Working memory is the noise
-    and two buffers, reused for every component and level: the spectrum,
-    (n_pairs, M) complex, and the cumulated field, (2 n_pairs, s), with
-    n_pairs = ceil(n_paths / 2) and M the embedding size.
+    smoothly across levels; it is drawn as its real part, then its imaginary
+    part, (2, n_pairs, M) floats with n_pairs = ceil(n_paths / 2) and M the
+    embedding size.  Pairs of paths are synthesized in blocks of B pairs,
+    B chosen so that the block's spectrum takes about _BLOCK_BYTES.  Within
+    a block the levels are streamed in increasing order: level i is
+    synthesized by one in-place FFT, cumulated and scaled by dt ** H_i up
+    to the last time it serves, then stored with weight 1 - w on the runs
+    of times whose lower neighbour it is and added with weight w on the
+    runs where it is the upper one.  Every step acts on each row alone, so
+    the output does not depend on B.  Working memory is the noise and two
+    block buffers, reused for every block, component and level: the
+    spectrum, (B, M) complex, and the cumulated field, (2B, s).
 
     Approximate for non-constant h.  For constant h there is a single level
     and no interpolation, so the result is exact in law: fBm is the
@@ -208,27 +220,30 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     M = 2 * m
     amps = np.sqrt(eigs / M)
     n_pairs = (n_paths + 1) // 2
-    zeta = np.empty((n_pairs, M), dtype=complex)
-    spec = np.empty((n_pairs, M), dtype=complex)
-    field = np.empty((2 * n_pairs, s))  # path 2p is Re, path 2p + 1 is Im
+    B = min(n_pairs, max(1, _BLOCK_BYTES // (16 * M)))
+    noise = np.empty((2, n_pairs, M))  # real parts, then imaginary parts
+    spec = np.empty((B, M), dtype=complex)
+    field = np.empty((2 * B, s))  # path 2p is Re, path 2p + 1 is Im
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((n_paths, config.d, s))
     for j in range(config.d):
-        rng = np.random.default_rng(streams[j])
-        zeta.real = rng.standard_normal((n_pairs, M))
-        zeta.imag = rng.standard_normal((n_pairs, M))
-        out = values[:, j, :]
-        for i, (lower, upper) in enumerate(runs):
-            K = max((r.stop for r in lower + upper), default=0)
-            np.multiply(amps[i], zeta, out=spec)
-            np.fft.fft(spec, axis=1, out=spec)
-            np.cumsum(spec.real[:, :K], axis=1, out=field[0::2, :K])
-            np.cumsum(spec.imag[:, :K], axis=1, out=field[1::2, :K])
-            F = field[:n_paths, :K]
-            F *= scale[i]
-            for r in lower:
-                np.multiply(1 - w[r], F[:, r], out=out[:, r])
-            for r in upper:
-                F[:, r] *= w[r]
-                out[:, r] += F[:, r]
+        np.random.default_rng(streams[j]).standard_normal(out=noise)
+        for a in range(0, n_pairs, B):
+            z = spec[:min(B, n_pairs - a)]
+            f = field[:2 * len(z)]
+            out = values[2 * a:2 * (a + B), j, :]  # the last pair may lack its Im path
+            for i, (lower, upper) in enumerate(runs):
+                K = max((r.stop for r in lower + upper), default=0)
+                np.multiply(noise[0, a:a + B], amps[i], out=z.real)
+                np.multiply(noise[1, a:a + B], amps[i], out=z.imag)
+                np.fft.fft(z, axis=1, out=z)
+                np.cumsum(z.real[:, :K], axis=1, out=f[0::2, :K])
+                np.cumsum(z.imag[:, :K], axis=1, out=f[1::2, :K])
+                F = f[:len(out), :K]
+                F *= scale[i]
+                for r in lower:
+                    np.multiply(1 - w[r], F[:, r], out=out[:, r])
+                for r in upper:
+                    F[:, r] *= w[r]
+                    out[:, r] += F[:, r]
     return MbmPathSet(config=config, values=values)

@@ -6,7 +6,8 @@ Fourier-side integrals with oscillatory-weight rules, brute-force series,
 and an exact-rational series for the truncated exponential.
 Two are closed-form references term by term: h_inner_product, one entry of
 R_h at a time, and chaos_term, one multi-index of the chaos pairing at a
-time, on a given time rule.
+time, on a given time rule.  local_time_mc_whole is the Monte-Carlo
+reduction with every path held at once.
 """
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
 from mbmlt.errors import NumericalError
+from mbmlt.localtime import delta_eps, expected_local_time
 from mbmlt.specfun import gamma_factor, normalizing_constant
 
 
@@ -173,6 +175,27 @@ def expected_local_time_quad(h, eps: float, T: float, d: int) -> float:
     if err > 1e-8 * max(1.0, abs(val)):
         raise NumericalError(f"quadrature error {err:g} too large")
     return val
+
+
+def local_time_mc_whole(paths, eps, N: int = 0):
+    """local_time_mc with all paths zero-padded and reduced in one array:
+    the trapezoid rule of delta_eps along each path, then the mean, its
+    standard error and the target per eps."""
+    cfg = paths.config
+    n, d, s = paths.values.shape
+    padded = np.zeros((n, d, s + 1))  # time 0 included: B(0) = 0
+    padded[:, :, 1:] = paths.values
+    x = np.moveaxis(padded, 1, -1)
+    tgrid = np.concatenate([[0.0], cfg.grid])
+    out = np.empty((3, len(eps)))
+    for i, e in enumerate(eps):
+        per_path = np.trapezoid(delta_eps(x, e), tgrid, axis=1)
+        expected = expected_local_time(cfg.h, e, cfg.h.T, d)
+        if N == 1:
+            per_path = per_path - expected
+        stderr = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        out[:, i] = float(np.mean(per_path)), stderr, 0.0 if N == 1 else expected
+    return tuple(out)
 
 
 def h_inner_product(t: float, s: float, h) -> float:

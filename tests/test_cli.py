@@ -434,6 +434,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, cfg, reason", [
         ("stransform", {"N": True}, "whole number"),
         ("simulate", {"s": 8, "d": True}, "whole number"),
+        ("simulate", {"s": 8, "seed": -1}, "seed must be a whole number >= 0, got -1"),
         ("stransform", {"esp": [0.5]}, "unknown config keys: ['esp']"),
         ("stransform", {"eps": [True]}, "eps must be a real number"),
         ("stransform", {"T": True}, "T must be a real number"),
@@ -471,9 +472,9 @@ class TestExitCodes:
          "hermite coeffs must be a JSON array, got 1.0"),
         ("stransform", {"test_function": {"components": {"gaussian": {}}}},
          "test_function components must be a JSON array, got {'gaussian': {}}"),
-    ], ids=["N-true", "d-true", "esp-typo", "eps-true", "T-true", "kernel_eps-true",
-            "u_grid-true", "hurst-const-true", "hurst-sin-true", "gaussian-true",
-            "hermite-true", "gaussian-widht", "hermite-key", "two-kinds",
+    ], ids=["N-true", "d-true", "seed-negative", "esp-typo", "eps-true", "T-true",
+            "kernel_eps-true", "u_grid-true", "hurst-const-true", "hurst-sin-true",
+            "gaussian-true", "hermite-true", "gaussian-widht", "hermite-key", "two-kinds",
             "test_function-key", "linear-key", "sin-key", "eps-scalar",
             "kernel_index-scalar", "u_grid-scalar", "coeffs-scalar", "components-object"])
     def test_boolean_or_unknown_key_is_config_error(self, tmp_path, capsys, command,
@@ -481,6 +482,14 @@ class TestExitCodes:
         code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, **cfg})
         assert code == 1
         assert reason in _config_reason(capsys)
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["simulate", "localtime"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):
+        cfg = {"hurst": {"const": 0.7}, "s": 8, "n_paths": 4}
+        code, out = _run(tmp_path, command, cfg, "--seed", "-1")
+        assert code == 1
+        assert _config_reason(capsys) == "seed must be a whole number >= 0, got -1"
         assert not list(out.glob("*.csv"))
 
     def test_non_object_config_is_config_error(self, tmp_path, capsys):

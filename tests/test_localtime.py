@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mbmlt import localtime as localtime_module
 from mbmlt.errors import AdmissibilityError
 from mbmlt.localtime import _check_mc_args, delta_eps, expected_local_time, local_time_mc
-from mbmlt.simulate import SimulationConfig, simulate_exact
+from mbmlt.simulate import MbmPathSet, SimulationConfig, simulate_exact
 from mbmlt.specfun import HurstFunctional
 
-from .oracles import expected_local_time_quad
+from .oracles import expected_local_time_quad, local_time_mc_whole
 
 
 class TestDeltaEps:
@@ -155,6 +157,31 @@ class TestLocalTimeMC:
             assert both[k].tolist() == [single[k][0] for single in singles]
         assert both[2].tolist() == ([0.0, 0.0] if N == 1 else
                                     [expected_local_time(h_linear, e, 1.0, 2) for e in (0.2, 0.05)])
+
+    # paths per block; None keeps the default, one block of all 7 paths
+    @pytest.mark.parametrize("block_paths", [None, 1, 3])
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_blocks_match_whole_array(self, h_linear, N, block_paths, monkeypatch):
+        cfg = SimulationConfig(h=h_linear, s=50, n_paths=7, d=2, seed=107)
+        paths = simulate_exact(cfg)
+        if block_paths is not None:  # a (paths, d, s + 1) float buffer per block
+            monkeypatch.setattr(localtime_module, "_BLOCK_BYTES", block_paths * 8 * 2 * 51)
+        blocked = local_time_mc(paths, [0.3, 0.05], N)
+        whole = local_time_mc_whole(paths, [0.3, 0.05], N)
+        assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
+
+    def test_peak_memory_bounded_by_input(self, h_linear, rng):
+        # the reduction holds one block of paths, not a padded copy of all
+        cfg = SimulationConfig(h=h_linear, s=1024, n_paths=500, d=2)
+        paths = MbmPathSet(cfg, rng.standard_normal((500, 2, 1024)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            local_time_mc(paths, [0.1, 0.01])
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert extra <= paths.values.nbytes / 2
 
     def test_resolution_warning(self, h_const_07):
         cfg = SimulationConfig(h=h_const_07, s=8, n_paths=4, seed=105)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mbmlt import simulate as simulate_module
 from mbmlt.cli import main
 from mbmlt.errors import NumericalError
 from mbmlt.operator import covariance_matrix
@@ -35,6 +36,23 @@ class TestConfig:
             SimulationConfig(h=h_const_07, n_paths=0)
         with pytest.raises(ValueError):
             SimulationConfig(h=h_const_07, method="davies_harte")
+
+    @pytest.mark.parametrize("field, value, least", [
+        ("s", 2.5, 2), ("s", 4.0, 2), ("s", True, 2),
+        ("n_paths", 2.0, 1), ("n_paths", False, 1),
+        ("d", 1.5, 1), ("d", 0, 1),
+        ("seed", -1, 0), ("seed", 0.5, 0), ("seed", True, 0),
+    ])
+    def test_whole_number_fields(self, h_const_07, field, value, least):
+        # s = 2.5 used to build the grid [0.4, 0.8, 1.2], past T; a negative
+        # seed failed inside numpy with a reason that named no field
+        with pytest.raises(ValueError) as err:
+            SimulationConfig(h=h_const_07, **{field: value})
+        assert str(err.value) == f"{field} must be a whole number >= {least}, got {value!r}"
+
+    def test_numpy_integers_are_whole(self, h_const_07):
+        cfg = SimulationConfig(h=h_const_07, s=np.int64(4), seed=np.uint32(3))
+        assert np.allclose(cfg.grid, [0.25, 0.5, 0.75, 1.0])
 
 
 def _simulate_cli(tmp_path, cfg):
@@ -246,6 +264,7 @@ def _materialized_wood_chan(config):
 
 
 class TestWoodChanStreaming:
+    SHAPES = [(64, 4), (100, 7), (257, 5), (8, 3)]  # (s, n_paths)
     HURST = {
         "const": HurstFunctional.constant(0.7),
         # peaks at t = T, a grid point, so the top level gets weight w = 1
@@ -258,14 +277,26 @@ class TestWoodChanStreaming:
         "steep": HurstFunctional.linear(0.52, 0.45),
     }
 
+    # block_pairs is the number of path pairs per synthesis block; None keeps
+    # the default, one block of all pairs at these sizes.  With 3, n_paths =
+    # 7 (4 pairs) splits into blocks of 3 and 1 pairs, and the last holds the
+    # lone real path 6.
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("hurst", ["const", "linear", "sin", "sin20", "steep"])
-    @pytest.mark.parametrize("s, n_paths", [(64, 4), (100, 7), (257, 5), (8, 3)])
-    def test_matches_materialized_field(self, hurst, d, s, n_paths):
+    @pytest.mark.parametrize("s, n_paths, block_pairs", [
+        *(pytest.param(s, n, None, id=f"{s}-{n}") for s, n in SHAPES),
+        *(pytest.param(s, n, 1, id=f"{s}-{n}-1pair") for s, n in SHAPES),
+        pytest.param(100, 7, 3, id="100-7-3pairs"),
+    ])
+    def test_matches_materialized_field(self, hurst, d, s, n_paths, block_pairs,
+                                        monkeypatch):
         cfg = SimulationConfig(h=self.HURST[hurst], s=s, n_paths=n_paths, d=d,
                                seed=9, method="wood_chan")
         levels = _hurst_levels(cfg.h(cfg.grid))
         assert levels[-1] == cfg.h(cfg.grid).max()
+        if block_pairs is not None:  # a (pairs, M) complex spectrum per block
+            M = 2 * _embedding_size(levels, s)[0]
+            monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", block_pairs * 16 * M)
         streamed = simulate_wood_chan_mbm(cfg).values
         assert np.array_equal(streamed, _materialized_wood_chan(cfg))
 
@@ -294,4 +325,5 @@ class TestWoodChanStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * values.nbytes
+        # noise and output, 2 * values.nbytes, plus about 1 MB of blocks
+        assert peak <= 3 * values.nbytes
