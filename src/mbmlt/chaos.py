@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .operator import mh_indicator
-from .specfun import (HurstFunctional, _config_keys, _config_list, _real,
+from .specfun import (HurstFunctional, _config_keys, _config_list, _real, _whole_number,
                       hermite_function, require_truncation_bound, truncation_bound)
 
 __all__ = [
@@ -109,6 +109,9 @@ class TestFunction:
     def __post_init__(self):
         if len(self.components) == 0:
             raise ValueError("need at least one component")
+        if not all(isinstance(c, (GaussianBump, HermiteCombination)) for c in self.components):
+            raise ValueError(f"components must be GaussianBump or HermiteCombination, "
+                             f"got {self.components!r}")
 
     @property
     def d(self) -> int:
@@ -116,6 +119,7 @@ class TestFunction:
 
     @classmethod
     def zero(cls, d: int) -> "TestFunction":
+        _whole_number(d, "d", 1)
         return cls(tuple(GaussianBump(amplitude=0.0) for _ in range(d)))
 
     @classmethod
@@ -164,8 +168,7 @@ def exp_trunc(N: int, x):
     cancellation, full relative precision for either sign of x.  Elsewhere
     it is exp(x) minus the compensated sum of the first N terms.
     """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    _whole_number(N, "N", 0)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -340,11 +343,11 @@ class _TimeRule:
 
     @staticmethod
     def check(h: HurstFunctional, T: float, N: int, d: int, eps: float) -> None:
-        """Raise unless 0 < T <= h.T, N >= 0, d >= 1, 0 <= eps < inf and, at
-        eps = 0, the truncation bound holds (AdmissibilityError)."""
+        """Raise unless 0 < T <= h.T, whole N >= 0 and d >= 1, 0 <= eps < inf
+        and, at eps = 0, the truncation bound holds (AdmissibilityError)."""
         if not 0.0 < T <= h.T + 1e-12:
             raise ValueError(f"bad horizon: T must be in (0, {h.T}]")
-        truncation_bound(N, d)  # raises unless N >= 0 and d >= 1
+        truncation_bound(N, d)  # checks N and d
         if not 0 <= eps < math.inf:  # NaN fails too
             raise ValueError("eps must be nonnegative and finite")
         if eps == 0.0:
@@ -449,9 +452,8 @@ def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     int base (-y)^n / n! dt with y = |a(t)|^2 / (2 var), so the cost is
     O(n_max * nodes) after the a(t) table.  n_max < N is a ValueError.
     """
-    if n_max < N:
-        raise ValueError(f"n_max = {n_max} is below the truncation order N = {N}")
     rule = _TimeRule(h, T, N, phi.d, eps)
+    _whole_number(n_max, "n_max", N)
     x = -rule.exponent(_a_table(rule.nodes, rule.hvals, phi))
     term = _power_term(N, x)
     sums = []

@@ -82,19 +82,19 @@ def _whole(value, name: str) -> int:
 
 
 def _build(cfg: dict):
-    """Construct domain objects from the parsed configuration."""
+    """h, d, N and the test function, zero when absent, of the parsed config."""
     from .chaos import TestFunction
     from .specfun import HurstFunctional, _real
 
     T = _real(cfg.get("T", 1.0), "T")
     h = HurstFunctional.from_config(cfg["hurst"], T=T)
     d = _whole(cfg.get("d", 1), "d")
-    phi = None
-    if "test_function" in cfg:
-        phi = TestFunction.from_config(cfg["test_function"])
-        if phi.d != d:
-            raise ValueError(f"test function has {phi.d} components, d = {d}")
-    return h, d, phi
+    N = _whole(cfg.get("N", 0), "N")
+    phi = (TestFunction.from_config(cfg["test_function"]) if "test_function" in cfg
+           else TestFunction.zero(d))
+    if phi.d != d:
+        raise ValueError(f"test function has {phi.d} components, d = {d}")
+    return h, d, N, phi
 
 
 def _eps_list(cfg: dict, default: list) -> list:
@@ -142,7 +142,7 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
 
     from .simulate import simulate
 
-    h, d, _ = _build(cfg)
+    h, d, _, _ = _build(cfg)
     sim = _simulation(cfg, h, d, n_paths=1)
     values, grid = simulate(sim).values, sim.grid
     _write_csv(outdir / "paths.csv", ["path", "t", *(f"v{j+1}" for j in range(d))],
@@ -160,11 +160,11 @@ def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
     import numpy as np
 
     from .operator import covariance_matrix
+    from .specfun import _whole_number
 
-    h, _, _ = _build(cfg)
+    h, _, _, _ = _build(cfg)
     s = _whole(cfg.get("s", 64), "s")
-    if s < 1:
-        raise ValueError("s must be positive")
+    _whole_number(s, "s", 1)
     grid = np.arange(1, s + 1) * (h.T / s)
     cov = covariance_matrix(grid, h)
     _write_csv(outdir / "covariance.csv", ["t", *(FMT % t for t in grid.tolist())],
@@ -176,8 +176,7 @@ def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
     from .localtime import _check_mc_args, local_time_mc
     from .simulate import simulate
 
-    h, d, _ = _build(cfg)
-    N = _whole(cfg.get("N", 0), "N")
+    h, d, N, _ = _build(cfg)
     eps = _eps_list(cfg, [0.1])
     _check_mc_args(eps, N)  # before the paths exist, so a bad eps costs no simulation
     sim = _simulation(cfg, h, d, n_paths=1000)
@@ -191,12 +190,9 @@ def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
 
 
 def _cmd_stransform(cfg: dict, outdir: Path) -> dict:
-    from .chaos import TestFunction, s_transform_local_time
+    from .chaos import s_transform_local_time
 
-    h, d, phi = _build(cfg)
-    if phi is None:
-        phi = TestFunction.zero(d)
-    N = _whole(cfg.get("N", 0), "N")
+    h, _, N, phi = _build(cfg)
     eps_list = _eps_list(cfg, [0.0])
     values = s_transform_local_time(h, N, h.T, phi, eps_list)
     rows = [(eps, N, val) for eps, val in zip(eps_list, values)]
@@ -210,21 +206,20 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
     from .chaos import kernel_eval
     from .specfun import _config_list, _real
 
-    h, d, _ = _build(cfg)
+    h, d, N, _ = _build(cfg)
     n_vec = [_whole(n, "kernel index entry")
              for n in _config_list(cfg["kernel_index"], "kernel_index")]
     if len(n_vec) != d:
         raise ValueError(f"kernel index has {len(n_vec)} components, d = {d}")
     order = sum(n_vec)
-    points = [p if isinstance(p, list) else [p]
-              for p in _config_list(cfg["u_grid"], "u_grid")]
+    points = [_config_list(p, "u_grid point") for p in _config_list(cfg["u_grid"], "u_grid")]
     if any(len(p) != order for p in points):
         raise ValueError(f"every u point needs {order} coordinates")
     u = np.array([[_real(x, "u_grid coordinate") for x in p] for p in points],
                  dtype=float).reshape(len(points), order)
     # kernel_eps absent, null or 0: unregularized
     kernel_eps = cfg.get("kernel_eps")
-    values = kernel_eval(h, _whole(cfg.get("N", 0), "N"), h.T, n_vec, u,
+    values = kernel_eval(h, N, h.T, n_vec, u,
                          0.0 if kernel_eps is None else _real(kernel_eps, "kernel_eps"))
     _write_csv(outdir / "kernels.csv", [f"u{i+1}" for i in range(order)] + ["value"],
                [np.column_stack([u, values])])
@@ -232,12 +227,9 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
 
 
 def _cmd_converge(cfg: dict, outdir: Path) -> dict:
-    from .chaos import TestFunction, convergence_eps
+    from .chaos import convergence_eps
 
-    h, d, phi = _build(cfg)
-    if phi is None:
-        phi = TestFunction.zero(d)
-    N = _whole(cfg.get("N", 0), "N")
+    h, _, N, phi = _build(cfg)
     eps_list = _eps_list(cfg, [1e-1, 1e-2, 1e-3, 1e-4])
     rows = convergence_eps(h, N, h.T, phi, eps_list)
     _write_csv(outdir / "converge.csv", ["eps", "value", "gap"],

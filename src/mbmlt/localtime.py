@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .simulate import _BLOCK_BYTES, MbmPathSet
-from .specfun import HurstFunctional
+from .specfun import HurstFunctional, _whole_number
 
 __all__ = [
     "delta_eps",
@@ -43,7 +43,8 @@ def _check_mc_args(eps: Sequence[float], N: int) -> None:
         raise ValueError("eps list must not be empty")
     if not all(0 < e < math.inf for e in eps):  # NaN fails too
         raise ValueError("eps must be positive and finite")
-    if N not in (0, 1):
+    _whole_number(N, "N", 0)
+    if N > 1:
         raise ValueError("Monte-Carlo estimation supports N in {0, 1} only")
 
 
@@ -52,8 +53,8 @@ def delta_eps(x, eps: float):
 
     ``x`` is a d-vector or an array whose last axis is the d components.
     """
-    if not eps > 0:  # NaN fails too
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:  # NaN fails too
+        raise ValueError("eps must be positive and finite")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[-1]
     sq = np.einsum("...j,...j->...", x, x)

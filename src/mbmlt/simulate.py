@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .operator import _covariance_values
-from .specfun import HurstFunctional
+from .specfun import HurstFunctional, _whole_number
 
 __all__ = [
     "SimulationConfig",
@@ -66,11 +66,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name, least in (("s", 2), ("n_paths", 1), ("d", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < least):
-                raise ValueError(f"{name} must be a whole number >= {least}, "
-                                 f"got {value!r}")
+            _whole_number(getattr(self, name), name, least)
         if self.method not in ("exact", "wood_chan"):
             raise ValueError(f"unknown method {self.method!r}")
 

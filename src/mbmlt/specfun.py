@@ -103,8 +103,7 @@ def hermite_function(k: int, x):
 
     Accepts scalars or arrays; returns 0 where the Gaussian factor underflows.
     """
-    if k < 0:
-        raise ValueError("Hermite index must be nonnegative")
+    _whole_number(k, "k", 0)
     x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore"):
         h_prev = np.zeros_like(x)
@@ -213,6 +212,14 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _whole_number(value, name: str, least: int) -> None:
+    """Raise a ValueError that names value unless it is an int or numpy integer
+    >= least, so neither 1.5 nor True counts: the library's one count rule."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
 def _config_keys(spec, allowed, name: str) -> dict:
     """spec, if it is a JSON object whose keys all lie in allowed; otherwise
     a ValueError that names the unknown keys."""
@@ -234,10 +241,8 @@ def _config_list(value, name: str) -> list:
 def truncation_bound(N: int, d: int) -> float:
     """The admissible supremum (1+2N)/(2N+d) of h for truncation order N in
     dimension d."""
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    _whole_number(N, "N", 0)
+    _whole_number(d, "d", 1)
     return (1.0 + 2.0 * N) / (2.0 * N + d)
 
 

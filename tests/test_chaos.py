@@ -24,9 +24,10 @@ from mbmlt.chaos import (
     s_transform_local_time,
 )
 from mbmlt.errors import AdmissibilityError, NumericalError
-from mbmlt.localtime import expected_local_time
+from mbmlt.localtime import expected_local_time, local_time_mc
 from mbmlt.operator import mh_indicator
-from mbmlt.specfun import HurstFunctional, truncation_bound
+from mbmlt.simulate import SimulationConfig, simulate_exact
+from mbmlt.specfun import HurstFunctional, hermite_function, truncation_bound
 
 from .oracles import chaos_term, exp_tail_series, exp_trunc_exact, mh_apply
 
@@ -113,6 +114,13 @@ class TestTestFunctions:
         assert phi.components[0](0.2) == 0.5
         with pytest.raises(ValueError):
             TestFunction.from_config({"components": [{"wavelet": {}}]})
+
+    @pytest.mark.parametrize("components", [(1.0,), (GaussianBump(), lambda x: 0.0 * x)],
+                             ids=["float", "callable"])
+    def test_components_are_bumps_or_hermite(self, components):
+        # rejected when built, not later inside the a(t) table
+        with pytest.raises(ValueError, match="GaussianBump or HermiteCombination"):
+            TestFunction(components)
 
 
 def _a_at(h, t, phi):
@@ -380,6 +388,38 @@ class TestArgumentChecks:
             self.ROUTES[route](h_const_07, N, T, eps, phi_1d)
         assert exc.type is ValueError  # not the AdmissibilityError subclass
         assert built == []
+
+
+class TestCounts:
+    """Every count of the library is a whole number: an int or numpy integer,
+    not a float or a bool."""
+
+    # each route takes the count n where the named argument goes; n = 1 is valid
+    ROUTES = {
+        "s_transform_local_time-N":
+            ("N", lambda n, h, phi: s_transform_local_time(h, n, 1.0, phi, 0.1)),
+        "chaos_pairing-N": ("N", lambda n, h, phi: chaos_pairing(h, n, 1.0, phi, 3, 0.1)),
+        "chaos_pairing-n_max":
+            ("n_max", lambda n, h, phi: chaos_pairing(h, 1, 1.0, phi, n, 0.1)),
+        "kernel_eval-N": ("N", lambda n, h, phi: kernel_eval(h, n, 1.0, (2,), [0.2, 0.3], 0.1)),
+        "exp_trunc-N": ("N", lambda n, h, phi: exp_trunc(n, -0.5)),
+        "expected_local_time-d": ("d", lambda n, h, phi: expected_local_time(h, 0.1, 1.0, n)),
+        "truncation_bound-N": ("N", lambda n, h, phi: truncation_bound(n, 2)),
+        "truncation_bound-d": ("d", lambda n, h, phi: truncation_bound(0, n)),
+        "hermite_function-k": ("k", lambda n, h, phi: hermite_function(n, 0.3)),
+        "TestFunction.zero-d": ("d", lambda n, h, phi: TestFunction.zero(n)),
+        "local_time_mc-N": ("N", lambda n, h, phi: local_time_mc(
+            simulate_exact(SimulationConfig(h=h, s=8, n_paths=3, seed=1)), [0.1], n)),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_counts_are_whole_numbers(self, route, h_const_07, phi_1d):
+        name, call = self.ROUTES[route]
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match=f"^{name} must be a whole number >= "):
+                call(bad, h_const_07, phi_1d)
+        np.testing.assert_equal(call(np.int64(1), h_const_07, phi_1d),
+                                call(1, h_const_07, phi_1d))
 
 
 #: Hurst functions of the kernel grid test, and its cases: eps = 0 only

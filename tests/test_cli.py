@@ -339,6 +339,15 @@ class TestExitCodes:
         code, _ = _run(tmp_path, "simulate", {"hurst": {"const": 0.7}, "s": 8})
         assert code == 3
 
+    def test_covariance_not_psd_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), -1.0))
+        code, out = _run(tmp_path, "covariance", {"hurst": {"const": 0.7}, "s": 4})
+        assert code == 3
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"] == "numerical"
+        assert "covariance not PSD" in report["reason"]
+        assert not (out / "covariance.csv").exists()
+
     @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("stray")])
     def test_unexpected_failure_is_internal_error(self, tmp_path, monkeypatch,
                                                   capsys, exc):
@@ -472,11 +481,27 @@ class TestExitCodes:
          "hermite coeffs must be a JSON array, got 1.0"),
         ("stransform", {"test_function": {"components": {"gaussian": {}}}},
          "test_function components must be a JSON array, got {'gaussian': {}}"),
+        # an order-1 point would give an odd, identically zero kernel
+        ("kernels", {"kernel_index": [1], "u_grid": [0.2]},
+         "u_grid point must be a JSON array, got 0.2"),
+        ("kernels", {"kernel_index": [2, 0], "u_grid": [[0.2, 0.3]]},
+         "kernel index has 2 components, d = 1"),
+        ("kernels", {"kernel_index": [2], "u_grid": [[0.2, 0.3], [0.2]]},
+         "every u point needs 2 coordinates"),
+        # N is read for every command
+        ("simulate", {"s": 8, "N": True}, "N must be a whole number"),
+        ("stransform", {"hurst": {"const": 0.7, "linear": {"a": 0.55, "b": 0.2}}},
+         "bad hurst spec"),
+        ("stransform", {"test_function": {"components": []}}, "need at least one component"),
+        ("stransform", {"test_function": {"components": [{"hermite": {"coeffs": []}}]}},
+         "need at least one coefficient"),
     ], ids=["N-true", "d-true", "seed-negative", "esp-typo", "eps-true", "T-true",
             "kernel_eps-true", "u_grid-true", "hurst-const-true", "hurst-sin-true",
             "gaussian-true", "hermite-true", "gaussian-widht", "hermite-key", "two-kinds",
             "test_function-key", "linear-key", "sin-key", "eps-scalar",
-            "kernel_index-scalar", "u_grid-scalar", "coeffs-scalar", "components-object"])
+            "kernel_index-scalar", "u_grid-scalar", "coeffs-scalar", "components-object",
+            "u_grid-point-scalar", "kernel_index-d", "u_grid-coordinates", "simulate-N-true",
+            "hurst-two-kinds", "components-empty", "coeffs-empty"])
     def test_boolean_or_unknown_key_is_config_error(self, tmp_path, capsys, command,
                                                     cfg, reason):
         code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, **cfg})

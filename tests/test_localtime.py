@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mbmlt import localtime as localtime_module
-from mbmlt.errors import AdmissibilityError
+from mbmlt.errors import AdmissibilityError, NumericalError
 from mbmlt.localtime import _check_mc_args, delta_eps, expected_local_time, local_time_mc
 from mbmlt.simulate import MbmPathSet, SimulationConfig, simulate_exact
 from mbmlt.specfun import HurstFunctional
@@ -36,7 +36,7 @@ class TestDeltaEps:
         assert out.shape == (5, 7)
 
     def test_domain(self):
-        for eps in (0.0, math.nan):
+        for eps in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 delta_eps(np.zeros(1), eps)
 
@@ -98,6 +98,12 @@ class TestExpectedLocalTime:
         full = expected_local_time(h_const_07, 0.1, 1.0, 1)
         half = expected_local_time(h_const_07, 0.1, 0.5, 1)
         assert 0 < half < full
+
+    def test_not_converged_raises(self, h_const_07, monkeypatch):
+        # no doubling: one panel count has nothing to agree with
+        monkeypatch.setattr(localtime_module, "_EXPECTATION_DOUBLINGS", 0)
+        with pytest.raises(NumericalError, match="not converged"):
+            expected_local_time(h_const_07, 0.1, 1.0, 1)
 
     def test_domain(self, h_const_07):
         with pytest.raises(ValueError):

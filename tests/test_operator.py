@@ -163,6 +163,8 @@ class TestCovarianceMatrix:
             covariance_matrix([0.5, 0.3], h_const_07)
         with pytest.raises(ValueError):
             covariance_matrix([0.0, 0.5], h_const_07)
+        with pytest.raises(ValueError, match="nonempty"):
+            covariance_matrix([], h_const_07)
 
     def test_csv_roundtrip(self, h_const_07, tmp_path):
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
