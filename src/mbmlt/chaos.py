@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .operator import mh_indicator
-from .specfun import (HurstFunctional, _config_keys, _config_list, _real, _whole_number,
+from .specfun import (HurstFunctional, _config_keys, _config_list, _eps, _real, _whole_number,
                       hermite_function, require_truncation_bound, truncation_bound)
 
 __all__ = [
@@ -152,21 +152,24 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 def _power_term(N: int, x: np.ndarray) -> np.ndarray:
-    """x^N / N! as a running product, so that no factorial leaves the floats."""
+    """x^N / N! as a running product, so that no factorial leaves the floats;
+    once no term is finite and nonzero, later factors only flip signs."""
     term = np.ones_like(x)
     for n in range(1, N + 1):
         term *= x / n
+        if not (np.isfinite(term) & (term != 0.0)).any():
+            return np.where(np.signbit(x) & ((N - n) % 2 == 1), -term, term)
     return term
 
 
 def exp_trunc(N: int, x):
     """exp(x) minus its first N Taylor terms, sum_{n >= N} x^n / n!.
 
-    For every N >= 0: where |x| <= N + 1 the terms of that tail series
-    never grow, and each element sums them until its last term is
-    below 2^-54 of its sum, so that no later term can move it: no
-    cancellation, full relative precision for either sign of x.  Elsewhere
-    it is exp(x) minus the compensated sum of the first N terms.
+    For every N >= 0: where |x| <= N + 1 the terms of that tail series never
+    grow, and each element sums them until its last term is below 2^-54 of its
+    sum, so that no later term can move it: no cancellation, full relative
+    precision for either sign of x.  Elsewhere it is exp(x) minus the compensated
+    sum of the first N terms.  A value past the floats is left non-finite.
     """
     _whole_number(N, "N", 0)
     x = np.asarray(x, dtype=float)
@@ -174,31 +177,34 @@ def exp_trunc(N: int, x):
     x = np.atleast_1d(x)
     out = np.empty_like(x)
     tail = np.abs(x) <= N + 1.0
-    if np.any(tail):
-        xs = x[tail]
-        term = _power_term(N, xs)
-        acc = term.copy()
-        live = np.arange(len(xs))  # elements whose sum can still move
-        n = N
-        while live.size:
-            n += 1
-            term[live] *= xs[live] / n
-            acc[live] += term[live]
-            live = live[np.abs(term[live]) > 2.0 ** -54 * np.abs(acc[live])]
-        out[tail] = acc
-    if not np.all(tail):
-        xl = x[~tail]
-        head = np.zeros_like(xl)
-        comp = np.zeros_like(xl)
-        term = np.ones_like(xl)
-        for n in range(N):
-            # Kahan-compensated accumulation of the partial sum
-            y = term - comp
-            t = head + y
-            comp = (t - head) - y
-            head = t
-            term = term * xl / (n + 1)
-        out[~tail] = np.exp(xl) - head
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.any(tail):
+            xs = x[tail]
+            term = _power_term(N, xs)
+            acc = term.copy()
+            live = np.arange(len(xs))  # elements whose sum can still move
+            n = N
+            while live.size:
+                n += 1
+                term[live] *= xs[live] / n
+                acc[live] += term[live]
+                live = live[np.abs(term[live]) > 2.0 ** -54 * np.abs(acc[live])]
+            out[tail] = acc
+        if not np.all(tail):
+            xl = x[~tail]
+            head = np.zeros_like(xl)
+            comp = np.zeros_like(xl)
+            term = np.ones_like(xl)
+            for n in range(N):
+                # Kahan-compensated accumulation of the partial sum
+                y = term - comp
+                t = head + y
+                comp = (t - head) - y
+                head = t
+                if not np.isfinite(head).any():
+                    break  # every partial sum has left the floats
+                term = term * xl / (n + 1)
+            out[~tail] = np.exp(xl) - head
     return float(out[0]) if scalar else out
 
 
@@ -334,33 +340,40 @@ class _TimeRule:
         self.gamma = _grading_exponent(h, N, d, eps)
         self.nodes, self.weights = _graded_nodes(T, self.gamma, n_panels)
         self.hvals = h(self.nodes)
-        self.var = eps + self.nodes ** (2.0 * self.hvals)
-        # steep gradings put t^{2h(t)} below the normal floats, or base above
+        # steep gradings put t^{2h(t)} below the normal floats, or base above;
+        # a long horizon puts t^{2h(t)} above them
         with np.errstate(divide="ignore", over="ignore"):
+            self.var = eps + self.nodes ** (2.0 * self.hvals)
             self.base = (2.0 * np.pi * self.var) ** (-d / 2.0)
         if self.var.min() < np.finfo(float).tiny or not np.isfinite(self.base).all():
             raise NumericalError("the time rule leaves the float range near t = 0")
+        if not np.isfinite(self.var).all():
+            raise NumericalError(f"t^(2h(t)) leaves the float range below T = {T:g}")
 
     @staticmethod
     def check(h: HurstFunctional, T: float, N: int, d: int, eps: float) -> None:
-        """Raise unless 0 < T <= h.T, whole N >= 0 and d >= 1, 0 <= eps < inf
-        and, at eps = 0, the truncation bound holds (AdmissibilityError)."""
+        """Raise unless 0 < T <= h.T, whole N >= 0 and d >= 1, eps passes the
+        eps rule and, at eps = 0, the truncation bound holds (AdmissibilityError)."""
         if not 0.0 < T <= h.T + 1e-12:
             raise ValueError(f"bad horizon: T must be in (0, {h.T}]")
         truncation_bound(N, d)  # checks N and d
-        if not 0 <= eps < math.inf:  # NaN fails too
-            raise ValueError("eps must be nonnegative and finite")
+        _eps([eps], zero_ok=True)
         if eps == 0.0:
             require_truncation_bound(h, N, d)
 
     def integral(self, pairing) -> float:
         """int_0^T base(t) pairing(t) dt; pairing is one value per node, or 1."""
-        return float(np.sum(self.weights * self.base * pairing))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(np.sum(self.weights * self.base * pairing))
+        if not math.isfinite(value):
+            raise NumericalError(f"the t-integral is {value}: its integrand leaves the floats")
+        return value
 
     def exponent(self, a: np.ndarray) -> np.ndarray:
         """y = |a(t)|^2 / (2 var) at the nodes, from the a(t) table; it stays
-        bounded at the graded nodes near 0 where var alone is tiny."""
-        return np.sum(a * a, axis=1) / (2.0 * self.var)
+        bounded at the graded nodes near 0 where var alone is tiny; inf past the floats."""
+        with np.errstate(over="ignore"):
+            return np.sum(a * a, axis=1) / (2.0 * self.var)
 
     def direct(self, a: np.ndarray, N: int) -> float:
         """The order-N-truncated S-transform from the a(t) table on the nodes."""
@@ -380,9 +393,9 @@ def s_transform_local_time(h: HurstFunctional, N: int, T: float,
     every eps > 0 shares grading 2, and eps = 0 shares it unless the
     truncation needs a harder grading.
     """
-    rules = [_TimeRule(h, T, N, phi.d, e) for e in (eps if np.ndim(eps) else [eps])]
-    if not rules:
-        raise ValueError("eps list must not be empty")
+    eps_list = eps if np.ndim(eps) else [eps]
+    _eps(eps_list, zero_ok=True)
+    rules = [_TimeRule(h, T, N, phi.d, e) for e in eps_list]
     meshes = {rule.gamma: rule for rule in rules}
     tables = {gamma: _a_table(r.nodes, r.hvals, phi) for gamma, r in meshes.items()}
     values = [rule.direct(tables[rule.gamma], N) for rule in rules]
@@ -407,9 +420,8 @@ def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
     the truncation; the arguments are checked first.
     """
     index = tuple(index)
-    if not all(isinstance(nj, (int, np.integer)) and not isinstance(nj, bool)
-               and nj >= 0 for nj in index):
-        raise ValueError(f"index entries must be whole numbers >= 0, got {index!r}")
+    for nj in index:
+        _whole_number(nj, "index entry", 0)
     _TimeRule.check(h, T, N, len(index), eps)  # the bound at N, before any zero
     # C order: the node sums then run along rows, as for one point
     u = np.asarray(u, dtype=float, order="C")
@@ -455,11 +467,12 @@ def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     rule = _TimeRule(h, T, N, phi.d, eps)
     _whole_number(n_max, "n_max", N)
     x = -rule.exponent(_a_table(rule.nodes, rule.hvals, phi))
-    term = _power_term(N, x)
     sums = []
-    for n in range(N, n_max + 1):
-        sums.append(rule.integral(term))
-        term *= x / (n + 1)
+    with np.errstate(over="ignore"):  # a term past the floats fails its integral
+        term = _power_term(N, x)
+        for n in range(N, n_max + 1):
+            sums.append(rule.integral(term))
+            term *= x / (n + 1)
     return np.cumsum(sums)
 
 
@@ -478,10 +491,7 @@ def convergence_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     Requires the truncation bound (so the eps = 0 limit S_0, which every row
     carries, exists); the gap |S_eps - S_0| shrinks to 0 as eps decreases.
     """
-    if len(eps_list) == 0:
-        raise ValueError("eps list must not be empty")
-    if not all(eps > 0 for eps in eps_list):  # NaN fails too
-        raise ValueError("eps entries must be positive")
+    _eps(eps_list)
     limit, *values = s_transform_local_time(h, N, T, phi, [0.0, *eps_list])
     return [ConvergenceRow(eps=eps, value=val, gap=abs(val - limit), limit=limit)
             for eps, val in zip(eps_list, values)]

@@ -14,7 +14,6 @@ order) path by path.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .simulate import _BLOCK_BYTES, MbmPathSet
-from .specfun import HurstFunctional, _whole_number
+from .specfun import HurstFunctional, _eps, _whole_number
 
 __all__ = [
     "delta_eps",
@@ -37,12 +36,8 @@ _EXPECTATION_DOUBLINGS = 8
 
 
 def _check_mc_args(eps: Sequence[float], N: int) -> None:
-    """Raise ValueError unless eps is a nonempty list of positive finite
-    widths and N is 0 or 1, the orders local_time_mc can center."""
-    if len(eps) == 0:
-        raise ValueError("eps list must not be empty")
-    if not all(0 < e < math.inf for e in eps):  # NaN fails too
-        raise ValueError("eps must be positive and finite")
+    """Raise ValueError unless eps passes the eps rule and N is 0 or 1."""
+    _eps(eps)
     _whole_number(N, "N", 0)
     if N > 1:
         raise ValueError("Monte-Carlo estimation supports N in {0, 1} only")
@@ -51,10 +46,10 @@ def _check_mc_args(eps: Sequence[float], N: int) -> None:
 def delta_eps(x, eps: float):
     """Isotropic Gaussian kernel (2 pi eps)^{-d/2} exp(-|x|^2/(2 eps)).
 
-    ``x`` is a d-vector or an array whose last axis is the d components.
+    ``x`` is a d-vector or an array whose last axis is the d components;
+    ``eps`` is a finite real > 0, not a bool or a string, else a ValueError.
     """
-    if not 0 < eps < math.inf:  # NaN fails too
-        raise ValueError("eps must be positive and finite")
+    _eps([eps])
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[-1]
     sq = np.einsum("...j,...j->...", x, x)
@@ -67,14 +62,15 @@ def delta_eps(x, eps: float):
 def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
     """Trapezoidal time integral of the Gaussian kernel along each path.
 
-    ``eps`` is a nonempty sequence of widths.  Returns three arrays, one
-    entry per eps: the mean over paths, its standard error, and the value
-    the mean should be near: E[L_eps(T)] for N = 0, and 0 for N = 1, where
-    that expectation is subtracted from every path.  The arguments are
-    checked first; an eps below the grid resolution scale is warned about.
-    Paths are reduced in blocks through one buffer of about _BLOCK_BYTES,
-    so working memory beyond the (len(eps), n_paths) per-path values does
-    not grow with the path set.
+    ``eps`` is a nonempty sequence of widths, each a finite real > 0 and not
+    a bool or a string.  Returns three arrays, one entry per eps: the mean
+    over paths, its standard error, and the value the mean should be near:
+    E[L_eps(T)] for N = 0, and 0 for N = 1, where that expectation is
+    subtracted from every path.  The arguments are checked first; an eps
+    below the grid resolution scale is warned about.  Paths are reduced in
+    blocks through one buffer of about _BLOCK_BYTES, so working memory
+    beyond the (len(eps), n_paths) per-path values does not grow with the
+    path set.
     """
     _check_mc_args(eps, N)
     cfg = paths.config

@@ -220,6 +220,17 @@ def _whole_number(value, name: str, least: int) -> None:
         raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
+def _eps(values, zero_ok: bool = False) -> None:
+    """The one eps rule: a ValueError naming the value unless values is a nonempty
+    sequence of finite reals > 0, or >= 0 with zero_ok (eps = 0: unregularized)."""
+    if len(values) == 0:
+        raise ValueError("eps list must not be empty")
+    for e in values:  # a bool or a string is no real number, and NaN fails too
+        if (isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating))
+                or not (0 <= e if zero_ok else 0 < e) or not e < math.inf):
+            raise ValueError(f"eps must be a finite real {'>=' if zero_ok else '>'} 0, got {e!r}")
+
+
 def _config_keys(spec, allowed, name: str) -> dict:
     """spec, if it is a JSON object whose keys all lie in allowed; otherwise
     a ValueError that names the unknown keys."""

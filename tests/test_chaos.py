@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import time
 import tracemalloc
 import warnings
 
@@ -16,6 +18,7 @@ from mbmlt.chaos import (
     TestFunction,
     _a_table,
     _graded_nodes,
+    _power_term,
     _TimeRule,
     chaos_pairing,
     convergence_eps,
@@ -24,7 +27,7 @@ from mbmlt.chaos import (
     s_transform_local_time,
 )
 from mbmlt.errors import AdmissibilityError, NumericalError
-from mbmlt.localtime import expected_local_time, local_time_mc
+from mbmlt.localtime import delta_eps, expected_local_time, local_time_mc
 from mbmlt.operator import mh_indicator
 from mbmlt.simulate import SimulationConfig, simulate_exact
 from mbmlt.specfun import HurstFunctional, hermite_function, truncation_bound
@@ -83,6 +86,30 @@ class TestExpTrunc:
             assert exp_trunc(N, xi) == gi  # each element stops on its own
             checked += 1
         assert checked >= 14
+
+    def test_huge_order_returns(self):
+        # N = 10^7: each branch stops once every term or partial sum has left
+        # the normal floats, so the call returns at once: 0 where every term
+        # underflows (the correctly rounded value), non-finite where the
+        # value is past the floats
+        start = time.perf_counter()
+        small = exp_trunc(10**7, np.array([-3.0, -0.5, -0.0, 0.5]))
+        huge = exp_trunc(10**7, np.array([-5e6, -2e7]))  # one per branch
+        assert time.perf_counter() - start < 20.0
+        assert np.all(small == 0.0) and not np.isfinite(huge).any()
+
+    @pytest.mark.parametrize("N", [300, 301])
+    def test_power_term_stops_with_the_sign_of_the_whole_product(self, N):
+        # every term is 0 or infinite before order N; the early stop must
+        # still give the running product to order N bit for bit, signs of
+        # its zeros and infinities included
+        x = np.array([-3.0, -0.5, -0.0, 0.0, 0.5, -2000.0, 2000.0])
+        whole = np.ones_like(x)
+        with np.errstate(over="ignore"):  # as exp_trunc and chaos_pairing call it
+            for n in range(1, N + 1):
+                whole *= x / n
+            got = _power_term(N, x)
+        assert np.array_equal(got, whole) and np.array_equal(np.signbit(got), np.signbit(whole))
 
 
 class TestTestFunctions:
@@ -422,6 +449,36 @@ class TestCounts:
                                 call(1, h_const_07, phi_1d))
 
 
+#: every public route that takes eps, as (zero_ok, call with eps = e): zero_ok
+#: where eps = 0 is the unregularized limit, else eps is a width and must be > 0
+EPS_ROUTES = {
+    "s_transform_local_time":
+        (True, lambda e, h, phi: s_transform_local_time(h, 1, 1.0, phi, e)),
+    "convergence_eps": (False, lambda e, h, phi: convergence_eps(h, 1, 1.0, phi, [e])),
+    "chaos_pairing": (True, lambda e, h, phi: chaos_pairing(h, 1, 1.0, phi, 3, e)),
+    "kernel_eval": (True, lambda e, h, phi: kernel_eval(h, 1, 1.0, (2,), [0.2, 0.3], e)),
+    "expected_local_time": (True, lambda e, h, phi: expected_local_time(h, e, 1.0, 1)),
+    "local_time_mc": (False, lambda e, h, phi: local_time_mc(
+        simulate_exact(SimulationConfig(h=h, s=8, n_paths=3, seed=1)), [e])),
+    "delta_eps": (False, lambda e, h, phi: delta_eps(np.zeros(1), e)),
+}
+EPS_CASES = [(route, bad) for route, (zero_ok, _) in sorted(EPS_ROUTES.items())
+             for bad in [True, "0.1", math.nan, math.inf, -1, *([] if zero_ok else [0])]]
+
+
+class TestEps:
+    """Every eps passes one rule: a finite real number, not a bool or a
+    string, > 0, or >= 0 where eps = 0 is the unregularized limit."""
+
+    @pytest.mark.parametrize("route, bad", EPS_CASES,
+                             ids=[f"{route}-{bad!r}" for route, bad in EPS_CASES])
+    def test_rejected_naming_the_value(self, route, bad, h_const_07, phi_1d):
+        with pytest.raises(ValueError, match=f"^eps must be a finite real .* got "
+                                             f"{re.escape(repr(bad))}$") as exc:
+            EPS_ROUTES[route][1](bad, h_const_07, phi_1d)
+        assert exc.type is ValueError  # not the AdmissibilityError subclass
+
+
 #: Hurst functions of the kernel grid test, and its cases: eps = 0 only
 #: where the truncation bound holds at the test's N = 1
 GRID_HURST = {
@@ -472,7 +529,7 @@ class TestKernelEval:
     def test_index_entries_are_whole_and_nonnegative(self, h_const_07):
         # 2.7 is not truncated to 2, nor True read as 1
         for index, u in [((2.7,), [0.2, 0.3]), ((True,), [0.3]), ((-1,), [])]:
-            with pytest.raises(ValueError, match="whole numbers"):
+            with pytest.raises(ValueError, match="^index entry must be a whole number >= 0, "):
                 kernel_eval(h_const_07, 0, 1.0, index, u, 0.1)
         # numpy integers are whole numbers
         assert (kernel_eval(h_const_07, 0, 1.0, np.array([2]), [0.2, 0.3], 0.1)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -28,13 +29,20 @@ def _run(tmp_path, command, cfg, *extra):
     return code, out
 
 
-def _config_reason(capsys) -> str:
-    """The reason of the one-line JSON config error that ends stderr."""
+def _reason(capsys, error: str = "config") -> str:
+    """The reason of the one-line JSON error of the given kind that ends
+    stderr, which holds no traceback."""
     err = capsys.readouterr().err
     assert "Traceback" not in err
     report = json.loads(err.strip().splitlines()[-1])
-    assert report["error"] == "config"
+    assert report["error"] == error
     return report["reason"]
+
+
+def _bump(amplitude: float) -> dict:
+    """A one-component test function: a bump at 0.5 of width 0.3."""
+    return {"components": [{"gaussian": {"amplitude": amplitude, "center": 0.5,
+                                          "width": 0.3}}]}
 
 
 class TestSimulateCommand:
@@ -186,7 +194,7 @@ class TestSTransformCommand:
             value = float(row.split(",")[2])
             assert value == s_transform_local_time(h, 1, 1.0, phi, eps=eps)
 
-    def test_order_past_float_factorials(self, tmp_path):
+    def test_order_past_float_factorials(self, tmp_path, capsys):
         # N = 199 is the minimal truncation of const 0.995 at d = 3; 199!
         # is no float
         bump = {"gaussian": {"amplitude": 3.0, "center": 0.5, "width": 0.5}}
@@ -196,6 +204,53 @@ class TestSTransformCommand:
         assert code == 0
         (row,) = (out / "stransform.csv").read_text().strip().split("\n")[1:]
         assert math.isfinite(float(row.split(",")[2]))
+        # "N": 1e7 is read as N = 10^7.  The running products of exp_trunc
+        # stop once no term is finite and nonzero, so each run returns at
+        # once: the plain bump gives 0, the correctly rounded value; with the
+        # large amplitudes a value is past the floats, a numerical error
+        for amplitude in (1.0, 1e4, 1e5):
+            cfg = {"hurst": {"const": 0.7}, "d": 1, "N": 1e7, "eps": [0.1],
+                   "test_function": _bump(amplitude)}
+            run_dir = tmp_path / f"amplitude-{amplitude:g}"
+            run_dir.mkdir()
+            start = time.perf_counter()
+            code, out = _run(run_dir, "stransform", cfg)
+            assert time.perf_counter() - start < 20.0
+            if amplitude == 1.0:
+                assert code == 0
+                assert ((out / "stransform.csv").read_text()
+                        == "eps,N,value\n0.10000000000000001,10000000,0\n")
+            else:
+                assert code == 3
+                assert "leaves the floats" in _reason(capsys, "numerical")
+                assert not (out / "stransform.csv").exists()
+
+    @pytest.mark.parametrize("command, cfg, reason", [
+        ("stransform", {"T": 1e250, "eps": [0.1, 0]}, "t^(2h(t)) leaves the float range"),
+        ("stransform", {"hurst": {"const": 0.6}, "N": 2, "eps": [0.1],
+                        "test_function": _bump(1e160)}, "the t-integral is inf"),
+        ("converge", {"hurst": {"const": 0.6}, "N": 2, "eps": [0.1],
+                      "test_function": _bump(1e200)}, "the t-integral is inf"),
+    ], ids=["variance", "stransform-integral", "converge-integral"])
+    def test_value_past_the_floats_is_numerical_error(self, tmp_path, capsys, command, cfg,
+                                                      reason):
+        # t^{2h(t)} past the floats at T = 1e250, where the integral is near
+        # 1.3e75, or an integrand past them: no value is written, and the
+        # overflow does not surface as a RuntimeWarning (exit 4 in process)
+        code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, "d": 1, **cfg})
+        assert code == 3
+        assert reason in _reason(capsys, "numerical")
+        assert not list(out.glob("*.csv"))
+
+    def test_exponent_past_the_floats_at_order_0(self, tmp_path):
+        # |a|^2 overflows, so exp_0(-y) = exp(-inf) = 0: the correctly rounded
+        # value, written without a RuntimeWarning
+        cfg = {"hurst": {"const": 0.6}, "d": 1, "N": 0, "eps": [0.1],
+               "test_function": _bump(1e200)}
+        code, out = _run(tmp_path, "stransform", cfg)
+        assert code == 0
+        assert ((out / "stransform.csv").read_text()
+                == "eps,N,value\n0.10000000000000001,0,0\n")
 
     def test_dimension_mismatch_is_config_error(self, tmp_path):
         cfg = {
@@ -387,12 +442,12 @@ class TestExitCodes:
         # the order N is checked with eps, also before simulating
         code, _ = _run(tmp_path, "localtime", {"hurst": {"const": 0.7}, "s": 8, "N": 2})
         assert code == 1
-        assert "N in {0, 1}" in _config_reason(capsys)
+        assert "N in {0, 1}" in _reason(capsys)
 
     def test_nan_horizon_is_config_error(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "simulate", {"hurst": {"const": 0.7}, "T": math.nan, "s": 8})
         assert code == 1
-        assert "horizon" in _config_reason(capsys)
+        assert "horizon" in _reason(capsys)
 
     @pytest.mark.parametrize("component", [
         {"gaussian": {"width": math.nan}},
@@ -403,14 +458,14 @@ class TestExitCodes:
         cfg = {"hurst": {"const": 0.7}, "test_function": {"components": [component]}}
         code, out = _run(tmp_path, "stransform", cfg, "--eps", "0.1")
         assert code == 1
-        assert "finite" in _config_reason(capsys)
+        assert "finite" in _reason(capsys)
         assert not (out / "stransform.csv").exists()
 
     def test_nan_kernel_point_is_config_error(self, tmp_path, capsys):
         cfg = {"hurst": {"const": 0.7}, "kernel_index": [2], "u_grid": [[0.2, 0.3], [0.1, math.nan]]}
         code, out = _run(tmp_path, "kernels", cfg)
         assert code == 1
-        assert "finite" in _config_reason(capsys)
+        assert "finite" in _reason(capsys)
         assert not (out / "kernels.csv").exists()
 
     @pytest.mark.parametrize("command, cfg, extra", [
@@ -422,7 +477,7 @@ class TestExitCodes:
     def test_infinite_eps_is_config_error(self, tmp_path, capsys, command, cfg, extra):
         code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, "d": 1, **cfg}, *extra)
         assert code == 1
-        assert "finite" in _config_reason(capsys)
+        assert "finite" in _reason(capsys)
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command, cfg", [
@@ -437,7 +492,7 @@ class TestExitCodes:
     def test_non_integral_value_is_config_error(self, tmp_path, capsys, command, cfg):
         code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, **cfg})
         assert code == 1
-        assert "whole number" in _config_reason(capsys)
+        assert "whole number" in _reason(capsys)
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command, cfg, reason", [
@@ -506,7 +561,7 @@ class TestExitCodes:
                                                     cfg, reason):
         code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, **cfg})
         assert code == 1
-        assert reason in _config_reason(capsys)
+        assert reason in _reason(capsys)
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["simulate", "localtime"])
@@ -514,14 +569,14 @@ class TestExitCodes:
         cfg = {"hurst": {"const": 0.7}, "s": 8, "n_paths": 4}
         code, out = _run(tmp_path, command, cfg, "--seed", "-1")
         assert code == 1
-        assert _config_reason(capsys) == "seed must be a whole number >= 0, got -1"
+        assert _reason(capsys) == "seed must be a whole number >= 0, got -1"
         assert not list(out.glob("*.csv"))
 
     def test_non_object_config_is_config_error(self, tmp_path, capsys):
         cfg_path = _write_cfg(tmp_path, ["hurst"])
         out = tmp_path / "out"
         assert main(["stransform", "--config", cfg_path, "--out", str(out)]) == 1
-        assert "config must be a JSON object" in _config_reason(capsys)
+        assert "config must be a JSON object" in _reason(capsys)
         assert not list(out.glob("*.csv"))
 
     def test_unknown_command(self):

@@ -1,8 +1,9 @@
 """Guards against public names going stale: the README's library example
 runs, its config example lists the keys the CLI accepts, every module's
 __all__ names something that exists, no module of the package or the
-tests imports a name it does not use, and every function or method of the
-package is exported or used by the package itself."""
+tests imports a name it does not use, every function or method of the
+package is exported or used by the package itself, and only specfun
+compares a value against inf."""
 import ast
 import importlib
 import json
@@ -81,6 +82,21 @@ def test_only_the_cli_writes_files():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name in _FILE_CALLS:
                     offenders.append(f"{path.name}:{node.lineno} {name}(")
+    assert offenders == []
+
+
+def test_only_specfun_compares_against_inf():
+    # specfun._eps is the one range check of an eps, so a comparison against
+    # math.inf (or np.inf) elsewhere in the package is an inline second rule
+    offenders = []
+    for path in PACKAGE:
+        if path.name == "specfun.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Attribute) and side.attr == "inf"
+                    for side in [node.left, *node.comparators]):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert offenders == []
 
 
