@@ -8,8 +8,8 @@ the pairing of the test-function components with the fractional kernel of
 the indicator.  The S-transform of the regularized, order-N-truncated local
 time is
 
-    int_0^T (2 pi (eps + t^{2h(t)}))^{-d/2}
-            exp_N(-|a(t)|^2 / (2 (eps + t^{2h(t)}))) dt,
+    int_0^{h.T} (2 pi (eps + t^{2h(t)}))^{-d/2}
+                exp_N(-|a(t)|^2 / (2 (eps + t^{2h(t)}))) dt,
 
 with exp_N the exponential series starting at order N; eps = 0 requires the
 truncation bound sup h < (1+2N)/(2N+d).  The chaos kernels are pure products
@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .operator import mh_indicator
-from .specfun import (HurstFunctional, _config_keys, _config_list, _eps, _real, _whole_number,
-                      hermite_function, require_truncation_bound, truncation_bound)
+from .specfun import (HurstFunctional, _config_keys, _config_list, _eps, _hermite_functions,
+                      _real, _whole_number, require_truncation_bound, truncation_bound)
 
 __all__ = [
     "GaussianBump",
@@ -86,11 +86,9 @@ class HermiteCombination:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, c in enumerate(self.coeffs):
-            if c != 0.0:
-                out = out + c * hermite_function(k, x)
-        return out
+        with np.errstate(under="ignore"):  # one recurrence for all k, summed in order
+            h = _hermite_functions(len(self.coeffs) - 1, x)
+            return sum((c * h_k for c, h_k in zip(self.coeffs, h) if c != 0.0), np.zeros_like(x))
 
     def support(self) -> tuple[float, float]:
         # Hermite functions live on |x| <~ sqrt(2(K+1)); pad generously
@@ -168,8 +166,9 @@ def exp_trunc(N: int, x):
     For every N >= 0: where |x| <= N + 1 the terms of that tail series never
     grow, and each element sums them until its last term is below 2^-54 of its
     sum, so that no later term can move it: no cancellation, full relative
-    precision for either sign of x.  Elsewhere it is exp(x) minus the compensated
-    sum of the first N terms.  A value past the floats is left non-finite.
+    precision for either sign of x; a first term x^N / N! past the floats gives
+    inf with its sign.  Elsewhere it is exp(x) minus the compensated sum of the
+    first N terms, left non-finite past the floats.
     """
     _whole_number(N, "N", 0)
     x = np.asarray(x, dtype=float)
@@ -182,7 +181,7 @@ def exp_trunc(N: int, x):
             xs = x[tail]
             term = _power_term(N, xs)
             acc = term.copy()
-            live = np.arange(len(xs))  # elements whose sum can still move
+            live = np.flatnonzero(np.isfinite(term))  # sums that can move; inf keeps its sign
             n = N
             while live.size:
                 n += 1
@@ -324,7 +323,7 @@ def _grading_exponent(h: HurstFunctional, N: int, d: int, eps: float) -> float:
 
 
 class _TimeRule:
-    """The graded time rule of one (h, N, d, eps).
+    """The graded time rule of one (h, N, d, eps) on [0, h.T].
 
     Every time integral of the analytic route is the density
     base = (2 pi var)^{-d/2}, var = eps + t^{2h(t)}, against a pairing:
@@ -334,11 +333,10 @@ class _TimeRule:
     the argument checks of every t-integral, and makes them first.
     """
 
-    def __init__(self, h: HurstFunctional, T: float, N: int, d: int,
-                 eps: float, n_panels: int = 48):
-        self.check(h, T, N, d, eps)
+    def __init__(self, h: HurstFunctional, N: int, d: int, eps: float, n_panels: int = 48):
+        self.check(h, N, d, eps)
         self.gamma = _grading_exponent(h, N, d, eps)
-        self.nodes, self.weights = _graded_nodes(T, self.gamma, n_panels)
+        self.nodes, self.weights = _graded_nodes(h.T, self.gamma, n_panels)
         self.hvals = h(self.nodes)
         # steep gradings put t^{2h(t)} below the normal floats, or base above;
         # a long horizon puts t^{2h(t)} above them
@@ -348,21 +346,19 @@ class _TimeRule:
         if self.var.min() < np.finfo(float).tiny or not np.isfinite(self.base).all():
             raise NumericalError("the time rule leaves the float range near t = 0")
         if not np.isfinite(self.var).all():
-            raise NumericalError(f"t^(2h(t)) leaves the float range below T = {T:g}")
+            raise NumericalError(f"t^(2h(t)) leaves the float range below h.T = {h.T:g}")
 
     @staticmethod
-    def check(h: HurstFunctional, T: float, N: int, d: int, eps: float) -> None:
-        """Raise unless 0 < T <= h.T, whole N >= 0 and d >= 1, eps passes the
-        eps rule and, at eps = 0, the truncation bound holds (AdmissibilityError)."""
-        if not 0.0 < T <= h.T + 1e-12:
-            raise ValueError(f"bad horizon: T must be in (0, {h.T}]")
+    def check(h: HurstFunctional, N: int, d: int, eps: float) -> None:
+        """Raise unless whole N >= 0 and d >= 1, eps passes the eps rule and, at
+        eps = 0, the truncation bound holds (AdmissibilityError)."""
         truncation_bound(N, d)  # checks N and d
         _eps([eps], zero_ok=True)
         if eps == 0.0:
             require_truncation_bound(h, N, d)
 
     def integral(self, pairing) -> float:
-        """int_0^T base(t) pairing(t) dt; pairing is one value per node, or 1."""
+        """int_0^{h.T} base(t) pairing(t) dt; pairing is one value per node, or 1."""
         with np.errstate(over="ignore", invalid="ignore"):
             value = float(np.sum(self.weights * self.base * pairing))
         if not math.isfinite(value):
@@ -380,9 +376,8 @@ class _TimeRule:
         return self.integral(exp_trunc(N, -self.exponent(a)))
 
 
-def s_transform_local_time(h: HurstFunctional, N: int, T: float,
-                           phi: TestFunction, eps: float | Sequence[float] = 0.0
-                           ) -> float | list[float]:
+def s_transform_local_time(h: HurstFunctional, N: int, phi: TestFunction,
+                           eps: float | Sequence[float] = 0.0) -> float | list[float]:
     """S-transform of the order-N-truncated (optionally regularized) local time.
 
     Graded-mesh Gauss-Legendre time quadrature; eps = 0 requires the
@@ -395,20 +390,19 @@ def s_transform_local_time(h: HurstFunctional, N: int, T: float,
     """
     eps_list = eps if np.ndim(eps) else [eps]
     _eps(eps_list, zero_ok=True)
-    rules = [_TimeRule(h, T, N, phi.d, e) for e in eps_list]
+    rules = [_TimeRule(h, N, phi.d, e) for e in eps_list]
     meshes = {rule.gamma: rule for rule in rules}
     tables = {gamma: _a_table(r.nodes, r.hvals, phi) for gamma, r in meshes.items()}
     values = [rule.direct(tables[rule.gamma], N) for rule in rules]
     return values if np.ndim(eps) else values[0]
 
 
-def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
-                eps: float = 0.0):
+def kernel_eval(h: HurstFunctional, N: int, index: Sequence[int], u, eps: float = 0.0):
     """Pointwise chaos kernel of the (truncated, regularized) local time.
 
     For even index 2n_vec with n = sum n_vec >= N:
 
-        (1/n_vec!) (-1/2)^n int_0^T (2 pi var(t))^{-d/2}
+        (1/n_vec!) (-1/2)^n int_0^{h.T} (2 pi var(t))^{-d/2}
             prod_{j=1}^{2n} (M_{h(t)} 1_[0,t))(u_j) / sqrt(var(t)) dt,
 
     with var = eps + t^{2h(t)}, and eps = 0 unregularized, which needs the
@@ -422,7 +416,7 @@ def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
     index = tuple(index)
     for nj in index:
         _whole_number(nj, "index entry", 0)
-    _TimeRule.check(h, T, N, len(index), eps)  # the bound at N, before any zero
+    _TimeRule.check(h, N, len(index), eps)  # the bound at N, before any zero
     # C order: the node sums then run along rows, as for one point
     u = np.asarray(u, dtype=float, order="C")
     points = np.atleast_2d(u)
@@ -437,7 +431,7 @@ def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
     if any(nj % 2 == 1 for nj in index) or n < N:
         values = np.zeros(len(points))  # odd, or truncated away
     else:
-        rule = _TimeRule(h, T, n, len(index), eps)  # graded for the order n
+        rule = _TimeRule(h, n, len(index), eps)  # graded for the order n
         # symmetric kernel: sorting makes the invariance bit-exact
         points = np.sort(points, axis=1)
         sums = np.empty(len(points))
@@ -453,18 +447,18 @@ def kernel_eval(h: HurstFunctional, N: int, T: float, index: Sequence[int], u,
     return values if u.ndim == 2 else float(values[0])
 
 
-def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
-                  n_max: int, eps: float = 0.0) -> np.ndarray:
+def chaos_pairing(h: HurstFunctional, N: int, phi: TestFunction, n_max: int,
+                  eps: float = 0.0) -> np.ndarray:
     """Partial sums of the chaos expansion paired with phi tensor powers.
 
     Entry i is the sum of kernel pairings over all multi-indices with total
     order in [N, N + i]; the sums converge to the direct S-transform value.
     Kernel pairings factorize through the tabulated a_j(t), and by the
     multinomial theorem the pairings of one order n sum to one time integral,
-    int base (-y)^n / n! dt with y = |a(t)|^2 / (2 var), so the cost is
-    O(n_max * nodes) after the a(t) table.  n_max < N is a ValueError.
+    int base (-y)^n / n! dt with y = |a(t)|^2 / (2 var): one integral per order
+    until the term is 0 at every node.  n_max < N is a ValueError.
     """
-    rule = _TimeRule(h, T, N, phi.d, eps)
+    rule = _TimeRule(h, N, phi.d, eps)
     _whole_number(n_max, "n_max", N)
     x = -rule.exponent(_a_table(rule.nodes, rule.hvals, phi))
     sums = []
@@ -472,8 +466,10 @@ def chaos_pairing(h: HurstFunctional, N: int, T: float, phi: TestFunction,
         term = _power_term(N, x)
         for n in range(N, n_max + 1):
             sums.append(rule.integral(term))
+            if not term.any():
+                break  # every later term is 0 too
             term *= x / (n + 1)
-    return np.cumsum(sums)
+    return np.cumsum(np.pad(sums, (0, n_max + 1 - N - len(sums))))
 
 
 @dataclass(frozen=True)
@@ -484,7 +480,7 @@ class ConvergenceRow:
     limit: float
 
 
-def convergence_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
+def convergence_eps(h: HurstFunctional, N: int, phi: TestFunction,
                     eps_list: Sequence[float]) -> list[ConvergenceRow]:
     """S-transform gaps between the regularized and limiting local times.
 
@@ -492,6 +488,6 @@ def convergence_eps(h: HurstFunctional, N: int, T: float, phi: TestFunction,
     carries, exists); the gap |S_eps - S_0| shrinks to 0 as eps decreases.
     """
     _eps(eps_list)
-    limit, *values = s_transform_local_time(h, N, T, phi, [0.0, *eps_list])
+    limit, *values = s_transform_local_time(h, N, phi, [0.0, *eps_list])
     return [ConvergenceRow(eps=eps, value=val, gap=abs(val - limit), limit=limit)
             for eps, val in zip(eps_list, values)]

@@ -194,7 +194,7 @@ def _cmd_stransform(cfg: dict, outdir: Path) -> dict:
 
     h, _, N, phi = _build(cfg)
     eps_list = _eps_list(cfg, [0.0])
-    values = s_transform_local_time(h, N, h.T, phi, eps_list)
+    values = s_transform_local_time(h, N, phi, eps_list)
     rows = [(eps, N, val) for eps, val in zip(eps_list, values)]
     _write_csv(outdir / "stransform.csv", ["eps", "N", "value"], [rows])
     return {"N": N}
@@ -219,7 +219,7 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
                  dtype=float).reshape(len(points), order)
     # kernel_eps absent, null or 0: unregularized
     kernel_eps = cfg.get("kernel_eps")
-    values = kernel_eval(h, N, h.T, n_vec, u,
+    values = kernel_eval(h, N, n_vec, u,
                          0.0 if kernel_eps is None else _real(kernel_eps, "kernel_eps"))
     _write_csv(outdir / "kernels.csv", [f"u{i+1}" for i in range(order)] + ["value"],
                [np.column_stack([u, values])])
@@ -231,7 +231,7 @@ def _cmd_converge(cfg: dict, outdir: Path) -> dict:
 
     h, _, N, phi = _build(cfg)
     eps_list = _eps_list(cfg, [1e-1, 1e-2, 1e-3, 1e-4])
-    rows = convergence_eps(h, N, h.T, phi, eps_list)
+    rows = convergence_eps(h, N, phi, eps_list)
     _write_csv(outdir / "converge.csv", ["eps", "value", "gap"],
                [[(r.eps, r.value, r.gap) for r in rows]])
     limit = rows[0].limit

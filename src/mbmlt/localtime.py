@@ -93,7 +93,7 @@ def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
             per_path[i, a:a + nb] = np.trapezoid(delta_eps(x, e), tgrid, axis=1)
     out = np.empty((3, len(eps)))
     for i, e in enumerate(eps):
-        expected = expected_local_time(cfg.h, e, T, d)
+        expected = expected_local_time(cfg.h, e, d)
         if N == 1:
             per_path[i] -= expected
         estimate = float(np.mean(per_path[i]))
@@ -104,8 +104,8 @@ def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
     return tuple(out)
 
 
-def expected_local_time(h: HurstFunctional, eps: float, T: float, d: int) -> float:
-    """E[L_eps(T)] = int_0^T (2 pi (eps + t^{2h(t)}))^{-d/2} dt.
+def expected_local_time(h: HurstFunctional, eps: float, d: int) -> float:
+    """E[L_eps(T)] = int_0^T (2 pi (eps + t^{2h(t)}))^{-d/2} dt, T = h.T.
 
     The phi = 0 S-transform, on the time rule of the chaos routes with no
     a(t) table; the panel count doubles from 48 until two successive values
@@ -118,7 +118,7 @@ def expected_local_time(h: HurstFunctional, eps: float, T: float, d: int) -> flo
 
     val = np.nan
     for k in range(_EXPECTATION_DOUBLINGS + 1):
-        prev, val = val, _TimeRule(h, T, 0, d, eps, n_panels=48 * 2 ** k).integral(1.0)
+        prev, val = val, _TimeRule(h, 0, d, eps, n_panels=48 * 2 ** k).integral(1.0)
         if abs(val - prev) <= _EXPECTATION_RTOL * max(1.0, abs(val)):
             return val
     raise NumericalError(f"expected_local_time not converged: successive "

@@ -104,16 +104,20 @@ def hermite_function(k: int, x):
     Accepts scalars or arrays; returns 0 where the Gaussian factor underflows.
     """
     _whole_number(k, "k", 0)
-    x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore"):
-        h_prev = np.zeros_like(x)
-        h_cur = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
-        for j in range(k):
-            h_next = math.sqrt(2.0 / (j + 1)) * x * h_cur - math.sqrt(j / (j + 1)) * h_prev
-            h_prev, h_cur = h_cur, h_next
-    if h_cur.ndim == 0:
-        return float(h_cur)
-    return h_cur
+        for h_k in _hermite_functions(k, np.asarray(x, dtype=float)):
+            pass
+    return float(h_k) if h_k.ndim == 0 else h_k
+
+
+def _hermite_functions(K: int, x: np.ndarray):
+    """Yield h_0(x), ..., h_K(x): the one Hermite recurrence; callers set errstate."""
+    h_prev, h_cur = np.zeros_like(x), np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    yield h_cur
+    for j in range(K):
+        h_next = math.sqrt(2.0 / (j + 1)) * x * h_cur - math.sqrt(j / (j + 1)) * h_prev
+        h_prev, h_cur = h_cur, h_next
+        yield h_cur
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ and an exact-rational series for the truncated exponential.
 Two are closed-form references term by term: h_inner_product, one entry of
 R_h at a time, and chaos_term, one multi-index of the chaos pairing at a
 time, on a given time rule.  local_time_mc_whole is the Monte-Carlo
-reduction with every path held at once.
+reduction with every path held at once, and chaos_pairing_every_order the
+chaos pairing with one time integral for every order up to n_max.
 """
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
+from mbmlt.chaos import _a_table, _power_term, _TimeRule
 from mbmlt.errors import NumericalError
 from mbmlt.localtime import delta_eps, expected_local_time
 from mbmlt.specfun import gamma_factor, normalizing_constant
@@ -163,15 +165,15 @@ def _tail_cutoff(f, x: float, floor: float = 1e-14, r_max: float = 1e6) -> float
     return r_max
 
 
-def expected_local_time_quad(h, eps: float, T: float, d: int) -> float:
-    """int_0^T (2 pi (eps + t^{2h(t)}))^{-d/2} dt by adaptive quadrature."""
+def expected_local_time_quad(h, eps: float, d: int) -> float:
+    """int_0^{h.T} (2 pi (eps + t^{2h(t)}))^{-d/2} dt by adaptive quadrature."""
 
     def integrand(t):
         if t == 0.0:
             return 0.0 if eps == 0.0 else (2.0 * np.pi * eps) ** (-d / 2.0)
         return (2.0 * np.pi * (eps + t ** (2.0 * h(t)))) ** (-d / 2.0)
 
-    val, err = quad(integrand, 0.0, T, limit=400, epsabs=1e-11, epsrel=1e-10)
+    val, err = quad(integrand, 0.0, h.T, limit=400, epsabs=1e-11, epsrel=1e-10)
     if err > 1e-8 * max(1.0, abs(val)):
         raise NumericalError(f"quadrature error {err:g} too large")
     return val
@@ -190,7 +192,7 @@ def local_time_mc_whole(paths, eps, N: int = 0):
     out = np.empty((3, len(eps)))
     for i, e in enumerate(eps):
         per_path = np.trapezoid(delta_eps(x, e), tgrid, axis=1)
-        expected = expected_local_time(cfg.h, e, cfg.h.T, d)
+        expected = expected_local_time(cfg.h, e, d)
         if N == 1:
             per_path = per_path - expected
         stderr = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -227,3 +229,17 @@ def chaos_term(rule, a: np.ndarray, n_vec) -> float:
     prod = np.prod((a ** 2 / rule.var[:, None]) ** n_vec, axis=1)
     return ((-0.5) ** int(n_vec.sum()) / math.prod(map(math.factorial, n_vec))
             * float(np.sum(rule.weights * (rule.base * prod))))
+
+
+def chaos_pairing_every_order(h, N: int, phi, n_max: int, eps: float) -> np.ndarray:
+    """chaos_pairing with no early stop: one time integral for every order
+    from N to n_max, also once every term has underflowed to 0."""
+    rule = _TimeRule(h, N, phi.d, eps)
+    x = -rule.exponent(_a_table(rule.nodes, rule.hvals, phi))
+    sums = []
+    with np.errstate(over="ignore"):
+        term = _power_term(N, x)
+        for n in range(N, n_max + 1):
+            sums.append(rule.integral(term))
+            term *= x / (n + 1)
+    return np.cumsum(sums)

@@ -94,7 +94,7 @@ def test_criterion_4_local_time_expectation():
         eps_list = (0.1, 0.01)
         estimates, stderrs, _ = local_time_mc(paths, eps_list)
         for eps, est, se in zip(eps_list, estimates, stderrs):
-            target = expected_local_time(h, eps, 1.0, d)
+            target = expected_local_time(h, eps, d)
             if abs(est - target) >= 4 * se:
                 failures.append(f"d={d} eps={eps}: {est:.4g} vs {target:.4g} (se {se:.2g})")
     _verdict(4, "local-time expectation", not failures,
@@ -128,8 +128,8 @@ def test_criterion_5_chaos_sum_consistency():
     ]
     worst = 0.0
     for h, N, eps, phi in settings:
-        direct = s_transform_local_time(h, N, 1.0, phi, eps=eps)
-        partial = chaos_pairing(h, N, 1.0, phi, n_max=8, eps=eps)
+        direct = s_transform_local_time(h, N, phi, eps=eps)
+        partial = chaos_pairing(h, N, phi, n_max=8, eps=eps)
         worst = max(worst, abs(partial[-1] - direct) / abs(direct))
     # the order-2 kernel that the kernels CSV is written from, paired with
     # phi_j (x) phi_j by a tensor rule in u, against the a(t) route.  The
@@ -145,9 +145,9 @@ def test_criterion_5_chaos_sum_consistency():
         comp = phi.components[index.index(2)]
         x, w = _u_rule(*comp.support(), 1.0)
         u = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-        kernel = kernel_eval(h, 1, 1.0, index, u, eps).reshape(len(x), len(x))
+        kernel = kernel_eval(h, 1, index, u, eps).reshape(len(x), len(x))
         paired = (w * comp(x)) @ kernel @ (w * comp(x))
-        rule = _TimeRule(h, 1.0, 1, phi.d, eps)
+        rule = _TimeRule(h, 1, phi.d, eps)
         oracle = chaos_term(rule, _a_table(rule.nodes, rule.hvals, phi), [n // 2 for n in index])
         kernel_worst = max(kernel_worst, abs(paired - oracle) / abs(oracle))
     _verdict(5, "chaos-sum consistency", worst < 1e-3 and kernel_worst <= 5e-3,
@@ -165,8 +165,8 @@ def test_criterion_6_eps_convergence():
     details = []
     for label, h in (("const 0.6", HurstFunctional.constant(0.6)),
                      ("sin 0.6+0.05sin(3t)", HurstFunctional.sinusoidal(0.6, 0.05, 3.0))):
-        rows = convergence_eps(h, 1, 1.0, phi, eps_list)
-        limit = s_transform_local_time(h, 1, 1.0, phi)
+        rows = convergence_eps(h, 1, phi, eps_list)
+        limit = s_transform_local_time(h, 1, phi)
         gaps = [r.gap for r in rows]
         decreasing = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         final_rel = gaps[-1] / abs(limit)
@@ -184,7 +184,7 @@ def test_criterion_7_truncation_gating():
     ok = True
     notes = []
     try:
-        s_transform_local_time(h, 0, 1.0, TestFunction.zero(3))
+        s_transform_local_time(h, 0, TestFunction.zero(3))
         ok = False
         notes.append("N=0 request did not fail")
     except AdmissibilityError:
@@ -193,7 +193,7 @@ def test_criterion_7_truncation_gating():
         ok = False
         notes.append("N=2 does not satisfy the bound")
     try:
-        s_transform_local_time(h, 2, 1.0, TestFunction.zero(3))
+        s_transform_local_time(h, 2, TestFunction.zero(3))
         notes.append("N=2 accepted")
     except AdmissibilityError:
         ok = False
@@ -209,26 +209,26 @@ def test_criterion_8_kernel_structure():
     failures = []
     # odd-index kernels are identically zero
     for n_vec, u in [((1,), [0.3]), ((3,), [0.1, 0.4, 0.7]), ((2, 1), [0.2, 0.5, 0.8])]:
-        if kernel_eval(h, 0, 1.0, n_vec, u, eps=0.1) != 0.0:
+        if kernel_eval(h, 0, n_vec, u, eps=0.1) != 0.0:
             failures.append(f"odd index {n_vec} not exactly 0")
     # order-2 pairing vs central finite difference of the S-transform
     phi = TestFunction((GaussianBump(0.5, 0.2, 0.8),))
     eps = 0.1
-    pair2 = chaos_pairing(h, 1, 1.0, phi, n_max=1, eps=eps)[0]
+    pair2 = chaos_pairing(h, 1, phi, n_max=1, eps=eps)[0]
     lam = 0.05
-    s0 = s_transform_local_time(h, 0, 1.0, TestFunction.zero(1), eps=eps)
+    s0 = s_transform_local_time(h, 0, TestFunction.zero(1), eps=eps)
     scaled = TestFunction((GaussianBump(0.5 * lam, 0.2, 0.8),))  # lam phi
-    s1 = s_transform_local_time(h, 0, 1.0, scaled, eps=eps)
+    s1 = s_transform_local_time(h, 0, scaled, eps=eps)
     fd = (s1 - s0) / lam ** 2  # S is even in lam: central 2nd difference / 2
     rel = abs(fd - pair2) / abs(pair2)
     if rel >= 1e-3:
         failures.append(f"order-2 kernel vs finite difference: rel {rel:.3g}")
     # permutation invariance, bit-exact, 20 random permutations
     u4 = np.array([0.15, 0.4, 0.65, 0.9])
-    ref = kernel_eval(h, 0, 1.0, (4,), u4, eps=0.1)
+    ref = kernel_eval(h, 0, (4,), u4, eps=0.1)
     rng = np.random.default_rng(81)
     for _ in range(20):
-        if kernel_eval(h, 0, 1.0, (4,), rng.permutation(u4), eps=0.1) != ref:
+        if kernel_eval(h, 0, (4,), rng.permutation(u4), eps=0.1) != ref:
             failures.append("permutation changed the kernel value")
             break
     _verdict(8, "kernel structure", not failures,

@@ -32,7 +32,8 @@ from mbmlt.operator import mh_indicator
 from mbmlt.simulate import SimulationConfig, simulate_exact
 from mbmlt.specfun import HurstFunctional, hermite_function, truncation_bound
 
-from .oracles import chaos_term, exp_tail_series, exp_trunc_exact, mh_apply
+from .oracles import (chaos_pairing_every_order, chaos_term, exp_tail_series, exp_trunc_exact,
+                      mh_apply)
 
 
 class TestExpTrunc:
@@ -98,6 +99,12 @@ class TestExpTrunc:
         assert time.perf_counter() - start < 20.0
         assert np.all(small == 0.0) and not np.isfinite(huge).any()
 
+    def test_past_the_floats_keeps_the_sign(self):
+        # the first tail term (-5e6)^N / N! overflows with the sign of x^N,
+        # and no later term of opposite sign turns the sum into nan
+        assert exp_trunc(10**7, -5e6) == math.inf
+        assert exp_trunc(10**7 + 1, -5e6) == -math.inf
+
     @pytest.mark.parametrize("N", [300, 301])
     def test_power_term_stops_with_the_sign_of_the_whole_product(self, N):
         # every term is 0 or infinite before order N; the early stop must
@@ -126,6 +133,20 @@ class TestTestFunctions:
         assert sum(c * c for c in hc.coeffs) == pytest.approx(5.0)  # orthonormal h_k
         val, _ = quad(lambda x: hc(x) ** 2, -15, 15, limit=200)
         assert val == pytest.approx(5.0, rel=1e-8)
+
+    @pytest.mark.parametrize("K", [0, 1, 40])
+    def test_hermite_combination_is_the_per_k_sum(self, K):
+        # one recurrence for all k gives the sum of the h_k bit for bit,
+        # also where a coefficient is 0 and where the Gaussian underflows
+        x = np.linspace(-40.0, 40.0, 801)
+        coeffs = [1.0 / (k + 1) for k in range(K + 1)]
+        coeffs[K // 2] = 0.0
+        expected = np.zeros_like(x)
+        for k, c in enumerate(coeffs):
+            if c != 0.0:
+                expected = expected + c * hermite_function(k, x)
+        assert np.array_equal(HermiteCombination(coeffs)(x), expected)
+        assert HermiteCombination(coeffs)(x[410]) == expected[410]  # one point
 
     def test_zero(self):
         z = TestFunction.zero(3)
@@ -282,20 +303,20 @@ class TestATable:
         return built
 
     def test_convergence_builds_one_table_per_mesh(self, built):
-        rows = convergence_eps(self.GAP_H, 1, 1.0, self.GAP_PHI, (0.1, 0.01, 0.001, 1e-4))
+        rows = convergence_eps(self.GAP_H, 1, self.GAP_PHI, (0.1, 0.01, 0.001, 1e-4))
         assert len(rows) == 4
         assert len(built) == 2
 
     def test_tables_evaluate_no_h(self, built):
         # a table reads the h values its time rule holds
-        convergence_eps(self.GAP_H, 1, 1.0, self.GAP_PHI, (0.1, 0.01, 0.001, 1e-4))
+        convergence_eps(self.GAP_H, 1, self.GAP_PHI, (0.1, 0.01, 0.001, 1e-4))
         assert built == [0, 0]
 
     def test_eps_list_matches_scalar_calls(self, built):
         eps_list = [0.0, 0.1, 0.01]
-        values = s_transform_local_time(self.GAP_H, 1, 1.0, self.GAP_PHI, eps_list)
+        values = s_transform_local_time(self.GAP_H, 1, self.GAP_PHI, eps_list)
         assert len(built) == 2
-        assert values == [s_transform_local_time(self.GAP_H, 1, 1.0, self.GAP_PHI, eps)
+        assert values == [s_transform_local_time(self.GAP_H, 1, self.GAP_PHI, eps)
                           for eps in eps_list]
         assert all(type(v) is float for v in values)
 
@@ -303,20 +324,29 @@ class TestATable:
 class TestSTransformLocalTime:
     def test_zero_phi_is_expectation(self, h_linear):
         for eps, d in [(0.1, 1), (0.05, 2)]:
-            target = expected_local_time(h_linear, eps, 1.0, d)
-            got = s_transform_local_time(h_linear, 0, 1.0, TestFunction.zero(d),
+            target = expected_local_time(h_linear, eps, d)
+            got = s_transform_local_time(h_linear, 0, TestFunction.zero(d),
                                          eps=eps)
             assert got == pytest.approx(target, rel=1e-8)
 
     def test_frozen_unregularized_value(self):
         # d=1, h=0.6, N=0, eps=0, zero phi: (2 pi)^{-1/2} / 0.4
         h = HurstFunctional.constant(0.6)
-        got = s_transform_local_time(h, 0, 1.0, TestFunction.zero(1))
+        got = s_transform_local_time(h, 0, TestFunction.zero(1))
         assert got == pytest.approx(0.9973557010035817, rel=1e-8)
 
     def test_unregularized_gating(self, h_const_06):
         with pytest.raises(AdmissibilityError):
-            s_transform_local_time(h_const_06, 0, 1.0, TestFunction.zero(3))
+            s_transform_local_time(h_const_06, 0, TestFunction.zero(3))
+
+    def test_bound_taken_over_the_horizon(self):
+        # h = 0.55 + 0.4 t: sup h is 0.65 on [0, 0.25], under the N = 1, d = 2
+        # bound 0.75, and 0.95 on [0, 1], which needs N = 10
+        phi = TestFunction((GaussianBump(1.0, 1.0, 0.3), GaussianBump(1.0, 1.5, 0.3)))
+        short = HurstFunctional(T=0.25, eval=lambda t: 0.55 + 0.4 * t)
+        assert s_transform_local_time(short, 1, phi) == pytest.approx(-2.186e-4, rel=1e-3)
+        with pytest.raises(AdmissibilityError, match="sup h = 0.95 .* minimal N = 10"):
+            s_transform_local_time(HurstFunctional.linear(0.55, 0.4), 1, phi)
 
     @pytest.mark.parametrize("H", [0.6, 0.8, 0.9, 0.95, 0.975, 0.99])
     def test_unregularized_closed_form(self, H):
@@ -326,9 +356,9 @@ class TestSTransformLocalTime:
         # the call must raise NumericalError
         h = HurstFunctional.constant(H)
         exact = (2 * math.pi) ** -0.5 / (1 - H)
-        for value in (lambda: expected_local_time(h, 0.0, 1.0, 1),
-                      lambda: s_transform_local_time(h, 0, 1.0, TestFunction.zero(1)),
-                      lambda: kernel_eval(h, 0, 1.0, (0,), [])):
+        for value in (lambda: expected_local_time(h, 0.0, 1),
+                      lambda: s_transform_local_time(h, 0, TestFunction.zero(1)),
+                      lambda: kernel_eval(h, 0, (0,), [])):
             if H <= 0.975:
                 assert value() == pytest.approx(exact, rel=1e-12)
                 continue
@@ -349,9 +379,9 @@ class TestSTransformLocalTime:
         h = HurstFunctional.constant(H)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for value in (lambda: s_transform_local_time(h, 0, 1.0, phi_1d),
-                          lambda: chaos_pairing(h, 0, 1.0, phi_1d, 2),
-                          lambda: kernel_eval(h, 0, 1.0, (0,), [])):
+            for value in (lambda: s_transform_local_time(h, 0, phi_1d),
+                          lambda: chaos_pairing(h, 0, phi_1d, 2),
+                          lambda: kernel_eval(h, 0, (0,), [])):
                 with pytest.raises(NumericalError):
                     value()
         assert built == []
@@ -359,11 +389,11 @@ class TestSTransformLocalTime:
     @staticmethod
     def _on_finer_rule(h, N, phi, n_panels):
         # the eps = 0 S-transform on a time rule with more than the 48 panels
-        rule = _TimeRule(h, 1.0, N, phi.d, 0.0, n_panels=n_panels)
+        rule = _TimeRule(h, N, phi.d, 0.0, n_panels=n_panels)
         return rule.direct(_a_table(rule.nodes, rule.hvals, phi), N)
 
     def test_mesh_refinement_stable(self, h_linear, phi_1d):
-        coarse = s_transform_local_time(h_linear, 1, 1.0, phi_1d)
+        coarse = s_transform_local_time(h_linear, 1, phi_1d)
         fine = self._on_finer_rule(h_linear, 1, phi_1d, 96)
         assert fine == pytest.approx(coarse, rel=1e-5)
 
@@ -373,17 +403,17 @@ class TestSTransformLocalTime:
         # endpoint power t^e0; the default 48 panels must still resolve them
         h = HurstFunctional.constant(H)
         phi = phi_1d if d == 1 else phi_2d
-        coarse = s_transform_local_time(h, N, 1.0, phi)
+        coarse = s_transform_local_time(h, N, phi)
         fine = self._on_finer_rule(h, N, phi, 192)
         assert coarse == pytest.approx(fine, rel=1e-10)
 
     def test_truncation_removes_leading_order(self, h_const_07, phi_1d):
         # N = 0 minus N = 1 equals the order-0 pairing (the expectation)
         eps = 0.1
-        n0 = s_transform_local_time(h_const_07, 0, 1.0, phi_1d, eps=eps)
-        n1 = s_transform_local_time(h_const_07, 1, 1.0, phi_1d, eps=eps)
+        n0 = s_transform_local_time(h_const_07, 0, phi_1d, eps=eps)
+        n1 = s_transform_local_time(h_const_07, 1, phi_1d, eps=eps)
         assert n0 - n1 == pytest.approx(
-            expected_local_time(h_const_07, eps, 1.0, 1), rel=1e-8
+            expected_local_time(h_const_07, eps, 1), rel=1e-8
         )
 
 
@@ -393,26 +423,23 @@ class TestArgumentChecks:
 
     ROUTES = {
         "s_transform_local_time":
-            lambda h, N, T, eps, phi: s_transform_local_time(h, N, T, phi, eps),
-        "chaos_pairing": lambda h, N, T, eps, phi: chaos_pairing(h, N, T, phi, 2, eps),
-        "kernel_eval": lambda h, N, T, eps, phi: kernel_eval(h, N, T, (2,), [0.3, 0.4], eps),
+            lambda h, N, eps, phi: s_transform_local_time(h, N, phi, eps),
+        "chaos_pairing": lambda h, N, eps, phi: chaos_pairing(h, N, phi, 2, eps),
+        "kernel_eval": lambda h, N, eps, phi: kernel_eval(h, N, (2,), [0.3, 0.4], eps),
         # no truncation order: d = 0 stands in for N = -1
         "expected_local_time":
-            lambda h, N, T, eps, phi: expected_local_time(h, eps, T, phi.d if N >= 0 else 0),
+            lambda h, N, eps, phi: expected_local_time(h, eps, phi.d if N >= 0 else 0),
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
-    @pytest.mark.parametrize("T, N, eps", [
-        (0.0, 0, 0.0), (0.0, 0, 0.1), (1.5, 0, 0.1), (1.0, -1, 0.1), (1.0, 0, -0.1),
-        (1.0, 0, math.nan),
-    ], ids=["T=0,eps=0", "T=0", "T>h.T", "N=-1", "eps<0", "eps=nan"])
-    def test_rejected_before_any_table(self, route, T, N, eps, h_const_07, phi_1d,
-                                       monkeypatch):
+    @pytest.mark.parametrize("N, eps", [(-1, 0.1), (0, -0.1), (0, math.nan)],
+                             ids=["N=-1", "eps<0", "eps=nan"])
+    def test_rejected_before_any_table(self, route, N, eps, h_const_07, phi_1d, monkeypatch):
         built = []
         monkeypatch.setattr(mbmlt.chaos, "_a_table",
                             lambda *args: built.append(args) or _a_table(*args))
         with pytest.raises(ValueError) as exc:
-            self.ROUTES[route](h_const_07, N, T, eps, phi_1d)
+            self.ROUTES[route](h_const_07, N, eps, phi_1d)
         assert exc.type is ValueError  # not the AdmissibilityError subclass
         assert built == []
 
@@ -424,13 +451,13 @@ class TestCounts:
     # each route takes the count n where the named argument goes; n = 1 is valid
     ROUTES = {
         "s_transform_local_time-N":
-            ("N", lambda n, h, phi: s_transform_local_time(h, n, 1.0, phi, 0.1)),
-        "chaos_pairing-N": ("N", lambda n, h, phi: chaos_pairing(h, n, 1.0, phi, 3, 0.1)),
+            ("N", lambda n, h, phi: s_transform_local_time(h, n, phi, 0.1)),
+        "chaos_pairing-N": ("N", lambda n, h, phi: chaos_pairing(h, n, phi, 3, 0.1)),
         "chaos_pairing-n_max":
-            ("n_max", lambda n, h, phi: chaos_pairing(h, 1, 1.0, phi, n, 0.1)),
-        "kernel_eval-N": ("N", lambda n, h, phi: kernel_eval(h, n, 1.0, (2,), [0.2, 0.3], 0.1)),
+            ("n_max", lambda n, h, phi: chaos_pairing(h, 1, phi, n, 0.1)),
+        "kernel_eval-N": ("N", lambda n, h, phi: kernel_eval(h, n, (2,), [0.2, 0.3], 0.1)),
         "exp_trunc-N": ("N", lambda n, h, phi: exp_trunc(n, -0.5)),
-        "expected_local_time-d": ("d", lambda n, h, phi: expected_local_time(h, 0.1, 1.0, n)),
+        "expected_local_time-d": ("d", lambda n, h, phi: expected_local_time(h, 0.1, n)),
         "truncation_bound-N": ("N", lambda n, h, phi: truncation_bound(n, 2)),
         "truncation_bound-d": ("d", lambda n, h, phi: truncation_bound(0, n)),
         "hermite_function-k": ("k", lambda n, h, phi: hermite_function(n, 0.3)),
@@ -453,11 +480,11 @@ class TestCounts:
 #: where eps = 0 is the unregularized limit, else eps is a width and must be > 0
 EPS_ROUTES = {
     "s_transform_local_time":
-        (True, lambda e, h, phi: s_transform_local_time(h, 1, 1.0, phi, e)),
-    "convergence_eps": (False, lambda e, h, phi: convergence_eps(h, 1, 1.0, phi, [e])),
-    "chaos_pairing": (True, lambda e, h, phi: chaos_pairing(h, 1, 1.0, phi, 3, e)),
-    "kernel_eval": (True, lambda e, h, phi: kernel_eval(h, 1, 1.0, (2,), [0.2, 0.3], e)),
-    "expected_local_time": (True, lambda e, h, phi: expected_local_time(h, e, 1.0, 1)),
+        (True, lambda e, h, phi: s_transform_local_time(h, 1, phi, e)),
+    "convergence_eps": (False, lambda e, h, phi: convergence_eps(h, 1, phi, [e])),
+    "chaos_pairing": (True, lambda e, h, phi: chaos_pairing(h, 1, phi, 3, e)),
+    "kernel_eval": (True, lambda e, h, phi: kernel_eval(h, 1, (2,), [0.2, 0.3], e)),
+    "expected_local_time": (True, lambda e, h, phi: expected_local_time(h, e, 1)),
     "local_time_mc": (False, lambda e, h, phi: local_time_mc(
         simulate_exact(SimulationConfig(h=h, s=8, n_paths=3, seed=1)), [e])),
     "delta_eps": (False, lambda e, h, phi: delta_eps(np.zeros(1), e)),
@@ -493,72 +520,71 @@ GRID_CASES = [(name, n_vec, eps) for name, h in GRID_HURST.items()
 
 class TestKernelEval:
     def test_odd_index_is_exact_zero(self, h_const_07):
-        assert kernel_eval(h_const_07, 0, 1.0, (1,), [0.3], eps=0.1) == 0.0
-        assert kernel_eval(h_const_07, 0, 1.0, (2, 1), [0.3, 0.4, 0.5], eps=0.1) == 0.0
+        assert kernel_eval(h_const_07, 0, (1,), [0.3], eps=0.1) == 0.0
+        assert kernel_eval(h_const_07, 0, (2, 1), [0.3, 0.4, 0.5], eps=0.1) == 0.0
 
     def test_below_truncation_is_zero(self, h_const_07):
-        assert kernel_eval(h_const_07, 1, 1.0, (0,), [], eps=0.1) == 0.0
+        assert kernel_eval(h_const_07, 1, (0,), [], eps=0.1) == 0.0
 
     def test_order_zero_is_expectation(self, h_linear):
-        got = kernel_eval(h_linear, 0, 1.0, (0,), [], eps=0.2)
+        got = kernel_eval(h_linear, 0, (0,), [], eps=0.2)
         assert got == pytest.approx(
-            expected_local_time(h_linear, 0.2, 1.0, 1), rel=1e-6
+            expected_local_time(h_linear, 0.2, 1), rel=1e-6
         )
 
     def test_permutation_invariance(self, h_const_07):
         u = [0.3, 0.8]
-        assert (kernel_eval(h_const_07, 0, 1.0, (2,), u, eps=0.1)
-                == kernel_eval(h_const_07, 0, 1.0, (2,), u[::-1], eps=0.1))
+        assert (kernel_eval(h_const_07, 0, (2,), u, eps=0.1)
+                == kernel_eval(h_const_07, 0, (2,), u[::-1], eps=0.1))
         u4 = [0.2, 0.5, 0.7, 0.9]
-        assert (kernel_eval(h_const_07, 0, 1.0, (4,), u4, eps=0.1)
-                == kernel_eval(h_const_07, 0, 1.0, (4,), [0.7, 0.2, 0.9, 0.5], eps=0.1))
+        assert (kernel_eval(h_const_07, 0, (4,), u4, eps=0.1)
+                == kernel_eval(h_const_07, 0, (4,), [0.7, 0.2, 0.9, 0.5], eps=0.1))
 
     def test_sign_alternation(self, h_const_07):
         # (-1/2)^n prefactor: order 2 negative, order 4 positive at the
         # positive bulk of the kernel
-        k2 = kernel_eval(h_const_07, 0, 1.0, (2,), [0.3, 0.4], eps=0.1)
-        k4 = kernel_eval(h_const_07, 0, 1.0, (4,), [0.3, 0.4, 0.5, 0.6], eps=0.1)
+        k2 = kernel_eval(h_const_07, 0, (2,), [0.3, 0.4], eps=0.1)
+        k4 = kernel_eval(h_const_07, 0, (4,), [0.3, 0.4, 0.5, 0.6], eps=0.1)
         assert k2 < 0 < k4
 
     def test_argument_count(self, h_const_07):
         with pytest.raises(ValueError):
-            kernel_eval(h_const_07, 0, 1.0, (2,), [0.3], eps=0.1)
+            kernel_eval(h_const_07, 0, (2,), [0.3], eps=0.1)
         with pytest.raises(ValueError):
-            kernel_eval(h_const_07, 0, 1.0, (2,), np.zeros((5, 3)), eps=0.1)
+            kernel_eval(h_const_07, 0, (2,), np.zeros((5, 3)), eps=0.1)
 
     def test_index_entries_are_whole_and_nonnegative(self, h_const_07):
         # 2.7 is not truncated to 2, nor True read as 1
         for index, u in [((2.7,), [0.2, 0.3]), ((True,), [0.3]), ((-1,), [])]:
             with pytest.raises(ValueError, match="^index entry must be a whole number >= 0, "):
-                kernel_eval(h_const_07, 0, 1.0, index, u, 0.1)
+                kernel_eval(h_const_07, 0, index, u, 0.1)
         # numpy integers are whole numbers
-        assert (kernel_eval(h_const_07, 0, 1.0, np.array([2]), [0.2, 0.3], 0.1)
-                == kernel_eval(h_const_07, 0, 1.0, (2,), [0.2, 0.3], 0.1))
+        assert (kernel_eval(h_const_07, 0, np.array([2]), [0.2, 0.3], 0.1)
+                == kernel_eval(h_const_07, 0, (2,), [0.2, 0.3], 0.1))
 
     def test_unregularized_requires_bound_at_N(self, h_const_06):
         # d = 3: bound is 1/3 at N = 0, so 0.6 is inadmissible, for the
         # zero kernels of odd or truncated-away indices as well
         for n_vec, u in [((0, 0, 0), []), ((1, 0, 0), [0.3])]:
             with pytest.raises(AdmissibilityError):
-                kernel_eval(h_const_06, 0, 1.0, n_vec, u)
+                kernel_eval(h_const_06, 0, n_vec, u)
         # N = 1 gives bound 3/5, not above 0.6, although the order-2 kernel
         # alone would meet its bound 5/7
         with pytest.raises(AdmissibilityError):
-            kernel_eval(h_const_06, 1, 1.0, (4, 0, 0), [0.2, 0.4, 0.6, 0.8])
+            kernel_eval(h_const_06, 1, (4, 0, 0), [0.2, 0.4, 0.6, 0.8])
         # N = 2 raises the bound to 5/7 > 0.6
-        assert kernel_eval(h_const_06, 2, 1.0, (0, 0, 0), []) == 0.0
-        assert math.isfinite(kernel_eval(h_const_06, 2, 1.0, (4, 0, 0), [0.2, 0.4, 0.6, 0.8]))
+        assert kernel_eval(h_const_06, 2, (0, 0, 0), []) == 0.0
+        assert math.isfinite(kernel_eval(h_const_06, 2, (4, 0, 0), [0.2, 0.4, 0.6, 0.8]))
 
     def test_regularized_always_admissible(self, h_const_06):
-        assert kernel_eval(h_const_06, 0, 1.0, (0, 0, 0), [], eps=0.1) > 0
+        assert kernel_eval(h_const_06, 0, (0, 0, 0), [], eps=0.1) > 0
 
     def test_bad_horizon_and_dimension(self, h_const_06):
-        # checked before the exact zero of an odd index as well
-        for n_vec, u in [((0,), []), ((1,), [0.3])]:
-            with pytest.raises(ValueError):
-                kernel_eval(h_const_06, 0, -1.0, n_vec, u, eps=0.1)
+        # the horizon is h.T, checked once where h is built
+        with pytest.raises(ValueError, match="time horizon"):
+            HurstFunctional.constant(0.6, T=-1.0)
         with pytest.raises(ValueError):
-            kernel_eval(h_const_06, 0, 1.0, (), [], eps=0.1)
+            kernel_eval(h_const_06, 0, (), [], eps=0.1)
 
     def test_rule_graded_for_the_kernel_order(self):
         # at h = 0.98, d = 1 the N = 0 rule leaves the float range; the
@@ -566,9 +592,9 @@ class TestKernelEval:
         # truncated away is 0 without any rule
         h = HurstFunctional.constant(0.98)
         with pytest.raises(NumericalError):
-            _TimeRule(h, 1.0, 0, 1, 0.0)
-        assert math.isfinite(kernel_eval(h, 0, 1.0, (2,), [0.3, 0.3]))
-        assert kernel_eval(HurstFunctional.constant(0.999), 1, 1.0, (0,), []) == 0.0
+            _TimeRule(h, 0, 1, 0.0)
+        assert math.isfinite(kernel_eval(h, 0, (2,), [0.3, 0.3]))
+        assert kernel_eval(HurstFunctional.constant(0.999), 1, (0,), []) == 0.0
 
     @pytest.mark.parametrize("name, n_vec, eps", GRID_CASES)
     def test_grid_matches_points(self, name, n_vec, eps):
@@ -577,20 +603,20 @@ class TestKernelEval:
         h = GRID_HURST[name]
         rng = np.random.default_rng(sum(n_vec) * 10 + len(n_vec))
         u = rng.uniform(-0.3, 1.3, (50, sum(n_vec)))
-        grid = kernel_eval(h, 1, 1.0, n_vec, u, eps)
+        grid = kernel_eval(h, 1, n_vec, u, eps)
         assert grid.shape == (50,) and np.all(grid != 0.0)
-        assert np.array_equal(grid, [kernel_eval(h, 1, 1.0, n_vec, p, eps) for p in u])
+        assert np.array_equal(grid, [kernel_eval(h, 1, n_vec, p, eps) for p in u])
         permuted = u[:, rng.permutation(u.shape[1])]
-        assert np.array_equal(kernel_eval(h, 1, 1.0, n_vec, permuted, eps), grid)
+        assert np.array_equal(kernel_eval(h, 1, n_vec, permuted, eps), grid)
 
     def test_grid_memory_bounded(self):
         # points go in blocks: a large grid holds no (points x nodes x order)
         # broadcast at once
         u = np.random.default_rng(3).uniform(-0.3, 1.3, (5000, 4))
-        kernel_eval(GRID_HURST["sin"], 1, 1.0, (2, 2), u[:10], 0.1)  # warm-up
+        kernel_eval(GRID_HURST["sin"], 1, (2, 2), u[:10], 0.1)  # warm-up
         tracemalloc.start()
         try:
-            kernel_eval(GRID_HURST["sin"], 1, 1.0, (2, 2), u, 0.1)
+            kernel_eval(GRID_HURST["sin"], 1, (2, 2), u, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -601,12 +627,12 @@ class TestKernelEval:
         # S is even in lam, so the central second difference is
         # 2 (S(lam) - S(0)) / lam^2 with an O(lam^2) bias
         eps = 0.1
-        pair2 = chaos_pairing(h_const_07, 1, 1.0, phi_1d, n_max=1, eps=eps)[0]
+        pair2 = chaos_pairing(h_const_07, 1, phi_1d, n_max=1, eps=eps)[0]
         lam = 0.05
-        s0 = s_transform_local_time(h_const_07, 0, 1.0, TestFunction.zero(1),
+        s0 = s_transform_local_time(h_const_07, 0, TestFunction.zero(1),
                                     eps=eps)
         scaled = TestFunction((GaussianBump(0.5 * lam, 0.2, 0.8),))  # lam phi_1d
-        s1 = s_transform_local_time(h_const_07, 0, 1.0, scaled, eps=eps)
+        s1 = s_transform_local_time(h_const_07, 0, scaled, eps=eps)
         fd = (s1 - s0) / lam ** 2
         assert fd == pytest.approx(pair2, rel=1e-3)
 
@@ -631,8 +657,8 @@ class TestChaosPairing:
             phi = request.getfixturevalue("phi_1d")
         else:
             phi = request.getfixturevalue("phi_2d")
-        direct = s_transform_local_time(h, N, 1.0, phi, eps=eps)
-        partial = chaos_pairing(h, N, 1.0, phi, n_max=N + 20, eps=eps)
+        direct = s_transform_local_time(h, N, phi, eps=eps)
+        partial = chaos_pairing(h, N, phi, n_max=N + 20, eps=eps)
         assert partial[-1] == pytest.approx(direct, rel=1e-3)
 
     def test_high_order_matches_direct(self):
@@ -640,21 +666,32 @@ class TestChaosPairing:
         # exp_trunc, which must keep its relative precision there
         h = HurstFunctional.constant(0.995)
         phi = TestFunction((GaussianBump(3.0, 0.5, 0.5),) * 3)
-        direct = s_transform_local_time(h, 20, 1.0, phi, eps=0.1)
-        partial = chaos_pairing(h, 20, 1.0, phi, n_max=60, eps=0.1)
+        direct = s_transform_local_time(h, 20, phi, eps=0.1)
+        partial = chaos_pairing(h, 20, phi, n_max=60, eps=0.1)
         assert direct == pytest.approx(partial[-1], rel=1e-12, abs=0.0)
 
     def test_partial_sums_converge(self, h_const_07, phi_1d):
-        direct = s_transform_local_time(h_const_07, 0, 1.0, phi_1d, eps=0.1)
-        partial = chaos_pairing(h_const_07, 0, 1.0, phi_1d, n_max=12, eps=0.1)
+        direct = s_transform_local_time(h_const_07, 0, phi_1d, eps=0.1)
+        partial = chaos_pairing(h_const_07, 0, phi_1d, n_max=12, eps=0.1)
         gaps = np.abs(partial - direct)
         assert gaps[-1] < 1e-10
         assert gaps[-1] < gaps[0]
 
+    def test_stops_once_every_term_is_zero(self, h_const_07):
+        # the terms underflow to 0 after a few hundred orders; the partial
+        # sums after that are the last one, without an integral per order
+        phi = TestFunction((GaussianBump(1.0, 0.5, 0.3),))
+        start = time.perf_counter()
+        sums = chaos_pairing(h_const_07, 0, phi, 10**6, 0.1)
+        assert time.perf_counter() - start < 2.0
+        assert len(sums) == 10**6 + 1 and np.all(sums[2000:] == sums[-1])
+        assert np.array_equal(chaos_pairing(h_const_07, 0, phi, 2000, 0.1),
+                              chaos_pairing_every_order(h_const_07, 0, phi, 2000, 0.1))
+
     @pytest.mark.parametrize("n_max", [1, -5])
     def test_n_max_below_N_rejected(self, n_max, h_const_07):
         with pytest.raises(ValueError, match="n_max"):
-            chaos_pairing(h_const_07, 2, 1.0, TestFunction.zero(1), n_max=n_max, eps=0.1)
+            chaos_pairing(h_const_07, 2, TestFunction.zero(1), n_max=n_max, eps=0.1)
 
     @pytest.mark.parametrize("N", [0, 1])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -663,43 +700,43 @@ class TestChaosPairing:
         phi = TestFunction((GaussianBump(0.6, 0.0, 1.0), GaussianBump(0.4, 0.5, 0.7),
                             HermiteCombination((0.3, -0.2, 0.1)))[:d])
         eps = 0.01
-        rule = _TimeRule(h_linear, 1.0, N, d, eps)
+        rule = _TimeRule(h_linear, N, d, eps)
         a = _a_table(rule.nodes, rule.hvals, phi)
         n_max = N + 8
         orders = [sum(chaos_term(rule, a, n_vec)
                       for n_vec in itertools.product(range(n + 1), repeat=d)
                       if sum(n_vec) == n)
                   for n in range(N, n_max + 1)]
-        got = chaos_pairing(h_linear, N, 1.0, phi, n_max, eps)
+        got = chaos_pairing(h_linear, N, phi, n_max, eps)
         assert np.allclose(got, np.cumsum(orders), rtol=1e-13, atol=0.0)
 
     def test_unregularized_gating(self, h_const_06, phi_2d):
         h3 = HurstFunctional.constant(0.6)
         phi3 = TestFunction.zero(3)
         with pytest.raises(AdmissibilityError):
-            chaos_pairing(h3, 0, 1.0, phi3, n_max=2)
+            chaos_pairing(h3, 0, phi3, n_max=2)
 
 
 class TestConvergenceEps:
     EPS_LIST = (0.1, 0.01, 0.001, 1e-4)
 
     def test_gaps_decrease(self, h_linear, phi_1d):
-        rows = convergence_eps(h_linear, 1, 1.0, phi_1d, self.EPS_LIST)
+        rows = convergence_eps(h_linear, 1, phi_1d, self.EPS_LIST)
         gaps = [r.gap for r in rows]
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         # a numpy eps array is a sequence too
-        assert convergence_eps(h_linear, 1, 1.0, phi_1d, np.array(self.EPS_LIST)) == rows
+        assert convergence_eps(h_linear, 1, phi_1d, np.array(self.EPS_LIST)) == rows
 
     def test_final_gap_small(self, h_linear, phi_1d):
-        rows = convergence_eps(h_linear, 1, 1.0, phi_1d, self.EPS_LIST)
-        limit = s_transform_local_time(h_linear, 1, 1.0, phi_1d)
+        rows = convergence_eps(h_linear, 1, phi_1d, self.EPS_LIST)
+        limit = s_transform_local_time(h_linear, 1, phi_1d)
         assert rows[-1].gap <= 1e-2 * abs(limit)
 
     def test_requires_bound(self, phi_2d):
         h3 = HurstFunctional.constant(0.6)
         with pytest.raises(AdmissibilityError):
-            convergence_eps(h3, 0, 1.0, TestFunction.zero(3), (0.1,))
+            convergence_eps(h3, 0, TestFunction.zero(3), (0.1,))
 
     def test_rejects_nonpositive_eps(self, h_linear, phi_1d):
         with pytest.raises(ValueError):
-            convergence_eps(h_linear, 1, 1.0, phi_1d, (0.1, 0.0))
+            convergence_eps(h_linear, 1, phi_1d, (0.1, 0.0))

@@ -141,7 +141,7 @@ class TestLocalTimeCommand:
         for row, eps, target, z in zip(rows, cfg["eps"], manifest["target"],
                                        manifest["z"], strict=True):
             estimate, stderr = map(float, row.split(",")[2:4])
-            assert target == (0.0 if N == 1 else expected_local_time(h, eps, 1.0, 1))
+            assert target == (0.0 if N == 1 else expected_local_time(h, eps, 1))
             assert math.isfinite(z) and abs(z) <= 5.0
             assert z == pytest.approx((estimate - target) / stderr, rel=1e-12)
 
@@ -192,7 +192,7 @@ class TestSTransformCommand:
         h, phi = HurstFunctional.constant(0.7), TestFunction.from_config(spec)
         for row, eps in zip(rows, cfg["eps"]):
             value = float(row.split(",")[2])
-            assert value == s_transform_local_time(h, 1, 1.0, phi, eps=eps)
+            assert value == s_transform_local_time(h, 1, phi, eps=eps)
 
     def test_order_past_float_factorials(self, tmp_path, capsys):
         # N = 199 is the minimal truncation of const 0.995 at d = 3; 199!
@@ -281,7 +281,7 @@ class TestKernelsCommand:
         assert code == 0
         absent = (out / "kernels.csv").read_bytes()
         vals = np.loadtxt(out / "kernels.csv", delimiter=",", skiprows=1)
-        ref = kernel_eval(HurstFunctional.constant(0.6), 1, 1.0, (2,), cfg["u_grid"])
+        ref = kernel_eval(HurstFunctional.constant(0.6), 1, (2,), cfg["u_grid"])
         assert np.array_equal(vals[:, 2], ref)
         code, out = _run(tmp_path, "kernels", {**cfg, "kernel_eps": 0})
         assert code == 0
@@ -313,7 +313,7 @@ class TestConvergeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         h = HurstFunctional.constant(0.7)
         phi = TestFunction.from_config(cfg["test_function"])
-        limit = s_transform_local_time(h, 1, 1.0, phi, eps=0.0)
+        limit = s_transform_local_time(h, 1, phi, eps=0.0)
         assert manifest["limit"] == limit
         assert manifest["rel_gap"] == [g / abs(limit) for g in gaps]
 

@@ -65,7 +65,7 @@ class TestExpectedLocalTime:
         # d=1, h = 0.6, eps = 0: int_0^1 (2 pi)^{-1/2} t^{-0.6} dt
         #                        = (2 pi)^{-1/2} / 0.4
         h = HurstFunctional.constant(0.6)
-        assert expected_local_time(h, 0.0, 1.0, 1) == pytest.approx(
+        assert expected_local_time(h, 0.0, 1) == pytest.approx(
             0.9973557010035817, rel=1e-10
         )
 
@@ -82,34 +82,35 @@ class TestExpectedLocalTime:
         # eps = 0 exists only while d sup h < 1, so for d = 1
         h = self.HURST[hname]
         for eps in (0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6) + ((0.0,) if d == 1 else ()):
-            assert expected_local_time(h, eps, 1.0, d) == pytest.approx(
-                expected_local_time_quad(h, eps, 1.0, d), rel=1e-10)
+            assert expected_local_time(h, eps, d) == pytest.approx(
+                expected_local_time_quad(h, eps, d), rel=1e-10)
 
     def test_eps_zero_divergence(self):
         h = HurstFunctional.constant(0.6)
         with pytest.raises(AdmissibilityError):
-            expected_local_time(h, 0.0, 1.0, 2)
+            expected_local_time(h, 0.0, 2)
 
     def test_monotone_in_eps(self, h_linear):
-        vals = [expected_local_time(h_linear, e, 1.0, 2) for e in (0.5, 0.1, 0.02)]
+        vals = [expected_local_time(h_linear, e, 2) for e in (0.5, 0.1, 0.02)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_partial_horizon(self, h_const_07):
-        full = expected_local_time(h_const_07, 0.1, 1.0, 1)
-        half = expected_local_time(h_const_07, 0.1, 0.5, 1)
+        # a shorter horizon is an h built on it
+        full = expected_local_time(h_const_07, 0.1, 1)
+        h_half = HurstFunctional(T=0.5, eval=h_const_07.eval)
+        half = expected_local_time(h_half, 0.1, 1)
         assert 0 < half < full
+        assert half == pytest.approx(expected_local_time_quad(h_half, 0.1, 1), rel=1e-10)
 
     def test_not_converged_raises(self, h_const_07, monkeypatch):
         # no doubling: one panel count has nothing to agree with
         monkeypatch.setattr(localtime_module, "_EXPECTATION_DOUBLINGS", 0)
         with pytest.raises(NumericalError, match="not converged"):
-            expected_local_time(h_const_07, 0.1, 1.0, 1)
+            expected_local_time(h_const_07, 0.1, 1)
 
     def test_domain(self, h_const_07):
         with pytest.raises(ValueError):
-            expected_local_time(h_const_07, -0.1, 1.0, 1)
-        with pytest.raises(ValueError):
-            expected_local_time(h_const_07, 0.1, 2.0, 1)
+            expected_local_time(h_const_07, -0.1, 1)
 
 
 class TestLocalTimeMC:
@@ -123,13 +124,13 @@ class TestLocalTimeMC:
     def test_matches_expectation_d1(self, h_const_07, eps):
         paths = self._paths(h_const_07)
         est, se, target = local_time_mc(paths, [eps])
-        assert target[0] == expected_local_time(h_const_07, eps, 1.0, 1)
+        assert target[0] == expected_local_time(h_const_07, eps, 1)
         assert abs(est[0] - target[0]) < 4 * se[0]
 
     def test_matches_expectation_d2(self, h_linear):
         paths = self._paths(h_linear, d=2, seed=101)
         est, se, target = local_time_mc(paths, [0.1])
-        assert target[0] == expected_local_time(h_linear, 0.1, 1.0, 2)
+        assert target[0] == expected_local_time(h_linear, 0.1, 2)
         assert abs(est[0] - target[0]) < 4 * se[0]
 
     def test_centered_when_truncated(self, h_const_07):
@@ -142,7 +143,7 @@ class TestLocalTimeMC:
         paths = self._paths(h_const_07, seed=103)
         raw, raw_se, raw_target = local_time_mc(paths, [0.2], N=0)
         cen, cen_se, _ = local_time_mc(paths, [0.2], N=1)
-        shift = expected_local_time(h_const_07, 0.2, 1.0, 1)
+        shift = expected_local_time(h_const_07, 0.2, 1)
         assert raw_target[0] == shift
         assert raw[0] - cen[0] == pytest.approx(shift, rel=1e-12)
         assert cen_se[0] == pytest.approx(raw_se[0], rel=1e-12)
@@ -162,7 +163,7 @@ class TestLocalTimeMC:
         for k in range(3):
             assert both[k].tolist() == [single[k][0] for single in singles]
         assert both[2].tolist() == ([0.0, 0.0] if N == 1 else
-                                    [expected_local_time(h_linear, e, 1.0, 2) for e in (0.2, 0.05)])
+                                    [expected_local_time(h_linear, e, 2) for e in (0.2, 0.05)])
 
     # paths per block; None keeps the default, one block of all 7 paths
     @pytest.mark.parametrize("block_paths", [None, 1, 3])

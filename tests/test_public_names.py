@@ -2,10 +2,12 @@
 runs, its config example lists the keys the CLI accepts, every module's
 __all__ names something that exists, no module of the package or the
 tests imports a name it does not use, every function or method of the
-package is exported or used by the package itself, and only specfun
-compares a value against inf."""
+package is exported or used by the package itself, only specfun
+compares a value against inf, and no analytic route takes a horizon of its
+own."""
 import ast
 import importlib
+import inspect
 import json
 import pkgutil
 import re
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import mbmlt
+from mbmlt import chaos, localtime
 from mbmlt.cli import _CONFIG_KEYS, _THREAD_VARS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -126,3 +129,12 @@ def test_every_function_is_used_or_exported():
     unused = sorted(f"{name}:{node.lineno} {node.name}" for name, node in defs
                     if used[node.name] - inner[node.name] <= 0)
     assert unused == []
+
+
+def test_no_route_takes_a_second_horizon():
+    # every analytic route integrates over [0, h.T], the horizon h was built
+    # on and checked on, so a parameter T would be a second horizon
+    routes = [getattr(m, name) for m in (chaos, localtime) for name in m.__all__]
+    offenders = [r.__qualname__ for r in [*routes, chaos._TimeRule]
+                 if callable(r) and "T" in inspect.signature(r).parameters]
+    assert offenders == []
