@@ -13,9 +13,9 @@ Two generators:
   interpolating.  Fast but approximate for non-constant h.  Paths are
   synthesized in blocks of pairs, and within a block the levels are
   streamed: each is synthesized, cumulated and folded into the block's
-  output in turn.  Working memory is the noise, n_paths * M floats (M the
-  embedding size), plus block buffers of about 1 MB, not
-  O(levels * n_paths * s).
+  output in turn.  The noise is drawn block by block too, so working
+  memory beyond the output is block buffers of about 1 MB each, not
+  O(n_paths * M) (M the embedding size) nor O(levels * n_paths * s).
 
 All randomness flows from a single 64-bit seed through numpy SeedSequence
 spawning, so output does not depend on scheduling.  It is byte-identical
@@ -84,8 +84,11 @@ class MbmPathSet:
     values: np.ndarray  # shape (n_paths, d, s)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise NumericalError("simulated values contain non-finite entries")
+        # in blocks of paths, so the check makes no full-size bool array
+        rows = max(1, _BLOCK_BYTES // max(1, self.values[:1].nbytes))
+        for a in range(0, len(self.values), rows):
+            if not np.isfinite(self.values[a:a + rows]).all():
+                raise NumericalError("simulated values contain non-finite entries")
 
 
 def simulate(config: SimulationConfig) -> MbmPathSet:
@@ -185,18 +188,26 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     linear interpolation in the index at each time.
 
     Per component one complex noise array drives every level, so paths vary
-    smoothly across levels; it is drawn as its real part, then its imaginary
-    part, (2, n_pairs, M) floats with n_pairs = ceil(n_paths / 2) and M the
-    embedding size.  Pairs of paths are synthesized in blocks of B pairs,
-    B chosen so that the block's spectrum takes about _BLOCK_BYTES.  Within
-    a block the levels are streamed in increasing order: level i is
-    synthesized by one in-place FFT, cumulated and scaled by dt ** H_i up
-    to the last time it serves, then stored with weight 1 - w on the runs
-    of times whose lower neighbour it is and added with weight w on the
-    runs where it is the upper one.  Every step acts on each row alone, so
-    the output does not depend on B.  Working memory is the noise and two
-    block buffers, reused for every block, component and level: the
-    spectrum, (B, M) complex, and the cumulated field, (2B, s).
+    smoothly across levels.  Its values are those of one (2, n_pairs, M)
+    draw from the component's stream, real parts then imaginary parts, with
+    n_pairs = ceil(n_paths / 2) and M the embedding size.  Pairs of paths
+    are synthesized in blocks of B pairs, B chosen so that the block's
+    spectrum takes about _BLOCK_BYTES.  A block's noise is drawn from two
+    generators on that stream, one at the real parts and one moved past
+    them by a throwaway draw, and is copied once into a complex (B, M)
+    buffer.  Within a block the levels are streamed in increasing order:
+    level i is synthesized by one in-place FFT, cumulated and scaled by
+    dt ** H_i up to the last time it serves, then stored with weight 1 - w
+    on the runs of times whose lower neighbour it is and added with weight
+    w on the runs where it is the upper one.  Path 2p is the real part and
+    path 2p + 1 the imaginary part of row p, so each step acts on the
+    interleaved float view of the complex rows, with every per-time factor
+    and run doubled; the block's output pairs are split into values once.
+    Every step acts on each row alone, so the output does not depend on B.
+    Working memory beyond the output is block buffers, reused for every
+    block, component and level: the drawn noise, (B, M) floats; the complex
+    noise and the spectrum, (B, M) complex; the cumulated level and the
+    output pairs, (B, s) complex.
 
     Approximate for non-constant h.  For constant h there is a single level
     and no interpolation, so the result is exact in law: fBm is the
@@ -211,35 +222,50 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     else:  # per time index: the bracketing levels and the weight of the upper
         idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
         w = (hvals - levels[idx]) / (levels[idx + 1] - levels[idx])
-    runs = _level_runs(idx, len(levels))
+    # the block's float views interleave Re and Im, so per-time runs and
+    # factors are doubled
+    runs = _level_runs(np.repeat(idx, 2), len(levels))
+    w2, stay2 = np.repeat(w, 2), np.repeat(1 - w, 2)
     m, eigs = _embedding_size(levels, s)
     M = 2 * m
     amps = np.sqrt(eigs / M)
     n_pairs = (n_paths + 1) // 2
     B = min(n_pairs, max(1, _BLOCK_BYTES // (16 * M)))
-    noise = np.empty((2, n_pairs, M))  # real parts, then imaginary parts
+    amps2 = np.repeat(amps, 2, axis=1)
+    draw = np.empty((B, M))
+    zeta = np.empty((B, M), dtype=complex)  # the block's complex noise
     spec = np.empty((B, M), dtype=complex)
-    field = np.empty((2 * B, s))  # path 2p is Re, path 2p + 1 is Im
+    field = np.empty((B, s), dtype=complex)  # cumulated level, Re and Im paths
+    acc = np.empty((B, s), dtype=complex)  # the block's output pairs
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((n_paths, config.d, s))
     for j in range(config.d):
-        np.random.default_rng(streams[j]).standard_normal(out=noise)
+        # one stream, read as one (2, n_pairs, M) draw: real from its first
+        # half, imag from its second, after a throwaway draw of the first
+        real, imag = (np.random.default_rng(streams[j]) for _ in range(2))
         for a in range(0, n_pairs, B):
-            z = spec[:min(B, n_pairs - a)]
-            f = field[:2 * len(z)]
-            out = values[2 * a:2 * (a + B), j, :]  # the last pair may lack its Im path
+            imag.standard_normal(out=draw[:min(B, n_pairs - a)])
+        for a in range(0, n_pairs, B):
+            b = min(B, n_pairs - a)
+            real.standard_normal(out=draw[:b])
+            zeta.real[:b] = draw[:b]
+            imag.standard_normal(out=draw[:b])
+            zeta.imag[:b] = draw[:b]
+            z = spec[:b]
+            noise_f, z_f, f_f, out_f = (x[:b].view(float) for x in (zeta, spec, field, acc))
             for i, (lower, upper) in enumerate(runs):
-                K = max((r.stop for r in lower + upper), default=0)
-                np.multiply(noise[0, a:a + B], amps[i], out=z.real)
-                np.multiply(noise[1, a:a + B], amps[i], out=z.imag)
+                K = max((r.stop for r in lower + upper), default=0) // 2
+                np.multiply(noise_f, amps2[i], out=z_f)
                 np.fft.fft(z, axis=1, out=z)
-                np.cumsum(z.real[:, :K], axis=1, out=f[0::2, :K])
-                np.cumsum(z.imag[:, :K], axis=1, out=f[1::2, :K])
-                F = f[:len(out), :K]
+                np.cumsum(z[:, :K], axis=1, out=field[:b, :K])
+                F = f_f[:, :2 * K]
                 F *= scale[i]
                 for r in lower:
-                    np.multiply(1 - w[r], F[:, r], out=out[:, r])
+                    np.multiply(stay2[r], F[:, r], out=out_f[:, r])
                 for r in upper:
-                    F[:, r] *= w[r]
-                    out[:, r] += F[:, r]
+                    F[:, r] *= w2[r]
+                    out_f[:, r] += F[:, r]
+            out = values[2 * a:2 * (a + b), j, :]  # the last pair may lack its Im path
+            out[0::2] = acc.real[:b]
+            out[1::2] = acc.imag[:len(out) // 2]
     return MbmPathSet(config=config, values=values)

@@ -10,6 +10,7 @@ from mbmlt.cli import main
 from mbmlt.errors import NumericalError
 from mbmlt.operator import covariance_matrix
 from mbmlt.simulate import (
+    MbmPathSet,
     SimulationConfig,
     _cholesky_with_jitter,
     _embedding_size,
@@ -93,6 +94,17 @@ class TestPathSet:
         assert {"method", "seed", "s", "n_paths", "d", "T"} <= meta.keys()
         assert "hurst" not in meta  # config.hurst records the spec
         assert meta["seed"] == 7 and meta["s"] == 8 and meta["method"] == "exact"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_last_block_raises(self, h_const_07, bad, monkeypatch):
+        cfg = SimulationConfig(h=h_const_07, s=8, n_paths=7, d=2)
+        values = np.zeros((7, 2, 8))
+        # the check reads blocks of 3, 3 and 1 paths
+        monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", 3 * values[0].nbytes)
+        MbmPathSet(cfg, values)
+        values[-1, 1, -1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            MbmPathSet(cfg, values)
 
 
 class TestDeterminism:
@@ -325,5 +337,25 @@ class TestWoodChanStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # noise and output, 2 * values.nbytes, plus about 1 MB of blocks
-        assert peak <= 3 * values.nbytes
+        # the output plus block buffers: the extra does not grow with n_paths
+        assert peak - values.nbytes <= 8 * simulate_module._BLOCK_BYTES
+
+    @pytest.mark.parametrize("n_pairs, M, block", [(6, 8, 2), (7, 8, 3), (5, 16, 5),
+                                                   (4, 8, 1)])
+    def test_noise_stream_drawn_in_blocks(self, n_pairs, M, block):
+        # the synthesis draws the real parts block by block from one generator
+        # and the imaginary parts from a second one moved past the real parts;
+        # together they must give the one (2, n_pairs, M) draw of the stream
+        seq = np.random.SeedSequence(3)
+        whole = np.random.default_rng(seq).standard_normal((2, n_pairs, M))
+        real, imag = np.random.default_rng(seq), np.random.default_rng(seq)
+        buf = np.empty((block, M))
+        for a in range(0, n_pairs, block):
+            imag.standard_normal(out=buf[:min(block, n_pairs - a)])
+        drawn = np.empty((2, n_pairs, M))
+        for a in range(0, n_pairs, block):
+            real.standard_normal(out=drawn[0, a:a + block])
+            imag.standard_normal(out=drawn[1, a:a + block])
+        assert np.array_equal(drawn, whole), (
+            "numpy's normal sampling no longer gives one stream across block "
+            "draws; simulate_wood_chan_mbm's output would change")
