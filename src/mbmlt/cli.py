@@ -114,23 +114,23 @@ def _simulation(cfg: dict, h, d: int, n_paths: int):
                             method=cfg.get("method", "exact"))
 
 
-def _write_csv(path: Path, header: list, blocks, labels=None) -> None:
-    """Write a header line, then every row of each 2-D float block.
-
-    All six tables are written here, every value as FMT: 17 significant
-    digits, so doubles round-trip exactly.  A block is
-    formatted whole, by one row template repeated once per row; labels[i],
-    if given, is text that starts each row of block i (the path index of
-    paths.csv), so it is never formatted as a float.
-    """
+def _write_csv(path: Path, header: list, blocks, labels=None, lead=None) -> None:
+    """Write a header line, then every row of each 2-D float block, each
+    value as FMT (17 significant digits, so doubles round-trip exactly).
+    Row templates are built once per table; one % formats a block.  labels[i]
+    starts each row of block i (paths.csv's path index); lead[k] is row k's
+    first column as text, shared by every block (the times of paths.csv and
+    covariance.csv), so it is formatted once."""
     import numpy as np
 
+    row = ",".join([FMT] * (len(header) - (labels is not None) - (lead is not None))) + "\n"
+    rows = None if lead is None else [t + "," + row for t in lead]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for i, block in enumerate(blocks):
             block = np.asarray(block, dtype=float)
-            row = ("" if labels is None else labels[i]) + ",".join([FMT] * block.shape[1])
-            fh.write((row + "\n") * len(block) % tuple(block.ravel().tolist()))
+            text = ("" if labels is None else labels[i]).join(["", *(rows or [row] * len(block))])
+            fh.write(text % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +146,8 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
     sim = _simulation(cfg, h, d, n_paths=1)
     values, grid = simulate(sim).values, sim.grid
     _write_csv(outdir / "paths.csv", ["path", "t", *(f"v{j+1}" for j in range(d))],
-               (np.column_stack([grid, v.T]) for v in values),
-               labels=[f"{p}," for p in range(sim.n_paths)])
+               (v.T for v in values), labels=[f"{p}," for p in range(sim.n_paths)],
+               lead=[FMT % t for t in grid.tolist()])
     # mean square over paths and components, relative to t^{2h(t)}
     sample = np.einsum("ijk,ijk->k", values, values) / (sim.n_paths * d)
     rel = sample / grid ** (2.0 * h(grid)) - 1.0
@@ -167,8 +167,8 @@ def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
     _whole_number(s, "s", 1)
     grid = np.arange(1, s + 1) * (h.T / s)
     cov = covariance_matrix(grid, h)
-    _write_csv(outdir / "covariance.csv", ["t", *(FMT % t for t in grid.tolist())],
-               [np.column_stack([grid, cov.values])])
+    times = [FMT % t for t in grid.tolist()]
+    _write_csv(outdir / "covariance.csv", ["t", *times], [cov.values], lead=times)
     return {"grid_points": s, "min_eigenvalue": cov.min_eigenvalue}
 
 

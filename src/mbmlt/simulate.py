@@ -13,9 +13,10 @@ Two generators:
   interpolating.  Fast but approximate for non-constant h.  Paths are
   synthesized in blocks of pairs, and within a block the levels are
   streamed: each is synthesized, cumulated and folded into the block's
-  output in turn.  The noise is drawn block by block too, so working
-  memory beyond the output is block buffers of about 1 MB each, not
-  O(n_paths * M) (M the embedding size) nor O(levels * n_paths * s).
+  output in turn.  One generator per component draws the noise block by
+  block, Re and Im interleaved, so working memory beyond the output is
+  four block buffers of about 1 MB each, not O(n_paths * M) (M the
+  embedding size) nor O(levels * n_paths * s).
 
 All randomness flows from a single 64-bit seed through numpy SeedSequence
 spawning, so output does not depend on scheduling.  It is byte-identical
@@ -137,25 +138,34 @@ def simulate_exact(config: SimulationConfig) -> MbmPathSet:
 # circulant embedding (Wood-Chan)
 # ---------------------------------------------------------------------------
 
-def _embedding_eigs(H: float, m: int) -> np.ndarray:
-    """Eigenvalues of the circulant embedding of size 2m: the FFT of the
-    unit-spacing fGn autocovariance rho(0..m), mirrored."""
+def _fgn_autocov(H: float, m: int) -> np.ndarray:
+    """rho(0..m), the unit-spacing fGn autocovariance: the direct form for
+    k < 8, and for k >= 8 the series k^{2H} sum_j binom(2H, 2j) k^{-2j},
+    whose terms share one sign, so it loses no digits to cancellation."""
     k = np.arange(m + 1, dtype=float)
-    rho = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
-    return np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+    near, x = k[:8], k[8:] ** -2.0
+    c = [H * (2 * H - 1)]  # binom(2H, 2j) for j = 1..10; 8 reach the last bit at k = 8
+    for j in range(2, 11):
+        c.append(c[-1] * (2 * H - 2 * j + 2) * (2 * H - 2 * j + 1) / ((2 * j - 1) * 2 * j))
+    series = 0.0
+    for cj in c[::-1]:  # Horner in k^-2
+        series = (series + cj) * x
+    return np.concatenate([0.5 * ((near + 1) ** (2 * H) - 2 * near ** (2 * H)
+                                  + np.abs(near - 1) ** (2 * H)), k[8:] ** (2 * H) * series])
 
 
 def _embedding_size(H_levels, s: int) -> tuple[int, np.ndarray]:
-    """Half-size m, the power of two >= s, and the embedding eigenvalues
-    clipped at 0, one row per level.
+    """Half-size m, the power of two >= s, and the eigenvalues of the
+    circulant embedding of size 2m, clipped at 0, one row per level.
 
     For H in (1/2, 1) the fGn autocovariance is positive, decreasing and
     convex, so every embedding size is nonnegative in exact arithmetic
-    (Dietrich & Newsam, 1997).  A negative eigenvalue beyond EMBED_TOL comes
-    from rounding in rho(k), which a larger m makes worse, so it raises.
+    (Dietrich & Newsam, 1997).  A negative eigenvalue beyond EMBED_TOL can
+    come only from rounding, which a larger m does not cure, so it raises.
     """
     m = 1 << (s - 1).bit_length()  # power of two >= s, for FFT speed
-    eigs = np.array([_embedding_eigs(H, m) for H in H_levels])
+    rhos = (_fgn_autocov(H, m) for H in H_levels)  # each mirrored to size 2m
+    eigs = np.array([np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real for r in rhos])
     if eigs.min() < -EMBED_TOL:
         raise NumericalError(f"circulant embedding of size {2 * m} is not "
                              f"nonnegative (min eigenvalue {eigs.min():g})")
@@ -188,26 +198,24 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     linear interpolation in the index at each time.
 
     Per component one complex noise array drives every level, so paths vary
-    smoothly across levels.  Its values are those of one (2, n_pairs, M)
-    draw from the component's stream, real parts then imaginary parts, with
-    n_pairs = ceil(n_paths / 2) and M the embedding size.  Pairs of paths
-    are synthesized in blocks of B pairs, B chosen so that the block's
-    spectrum takes about _BLOCK_BYTES.  A block's noise is drawn from two
-    generators on that stream, one at the real parts and one moved past
-    them by a throwaway draw, and is copied once into a complex (B, M)
-    buffer.  Within a block the levels are streamed in increasing order:
-    level i is synthesized by one in-place FFT, cumulated and scaled by
-    dt ** H_i up to the last time it serves, then stored with weight 1 - w
+    smoothly across levels: one (n_pairs, 2M) draw from the component's
+    stream read as (n_pairs, M) complex, with n_pairs = ceil(n_paths / 2)
+    and M the embedding size.  Pairs of paths are synthesized in blocks of
+    B pairs, B chosen so that the block's spectrum takes about
+    _BLOCK_BYTES; one generator draws each block's noise straight into a
+    complex (B, M) buffer.  Within a block the levels that serve a time are
+    streamed in increasing order: level i is one in-place FFT of the noise
+    times amplitudes that hold dt ** H_i, cumulated up to the last time it
+    serves, then stored with weight 1 - w
     on the runs of times whose lower neighbour it is and added with weight
     w on the runs where it is the upper one.  Path 2p is the real part and
     path 2p + 1 the imaginary part of row p, so each step acts on the
     interleaved float view of the complex rows, with every per-time factor
-    and run doubled; the block's output pairs are split into values once.
-    Every step acts on each row alone, so the output does not depend on B.
-    Working memory beyond the output is block buffers, reused for every
-    block, component and level: the drawn noise, (B, M) floats; the complex
-    noise and the spectrum, (B, M) complex; the cumulated level and the
-    output pairs, (B, s) complex.
+    and run doubled.  Every step acts on each row alone, so the output does
+    not depend on B.  Working memory beyond the output is four block
+    buffers, reused for every block, component and level: the noise and the
+    spectrum, (B, M) complex; the cumulated level and the output pairs,
+    (B, s) complex.
 
     Approximate for non-constant h.  For constant h there is a single level
     and no interpolation, so the result is exact in law: fBm is the
@@ -222,49 +230,40 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     else:  # per time index: the bracketing levels and the weight of the upper
         idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
         w = (hvals - levels[idx]) / (levels[idx + 1] - levels[idx])
-    # the block's float views interleave Re and Im, so per-time runs and
-    # factors are doubled
-    runs = _level_runs(np.repeat(idx, 2), len(levels))
-    w2, stay2 = np.repeat(w, 2), np.repeat(1 - w, 2)
     m, eigs = _embedding_size(levels, s)
     M = 2 * m
-    amps = np.sqrt(eigs / M)
+    # the block's float views interleave Re and Im, so amplitudes, per-time
+    # runs and factors are doubled
+    amps2 = np.repeat(np.sqrt(eigs / M) * scale[:, None], 2, axis=1)
+    w2, stay2 = np.repeat(w, 2), np.repeat(1 - w, 2)
+    # per serving level: its index, its last time K and its runs
+    serving = [(i, max(r.stop for r in lower + upper) // 2, lower, upper)
+               for i, (lower, upper) in enumerate(_level_runs(np.repeat(idx, 2), len(levels)))
+               if lower or upper]
     n_pairs = (n_paths + 1) // 2
     B = min(n_pairs, max(1, _BLOCK_BYTES // (16 * M)))
-    amps2 = np.repeat(amps, 2, axis=1)
-    draw = np.empty((B, M))
-    zeta = np.empty((B, M), dtype=complex)  # the block's complex noise
+    zeta = np.empty((B, M), dtype=complex)  # the block's noise
     spec = np.empty((B, M), dtype=complex)
     field = np.empty((B, s), dtype=complex)  # cumulated level, Re and Im paths
     acc = np.empty((B, s), dtype=complex)  # the block's output pairs
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((n_paths, config.d, s))
     for j in range(config.d):
-        # one stream, read as one (2, n_pairs, M) draw: real from its first
-        # half, imag from its second, after a throwaway draw of the first
-        real, imag = (np.random.default_rng(streams[j]) for _ in range(2))
-        for a in range(0, n_pairs, B):
-            imag.standard_normal(out=draw[:min(B, n_pairs - a)])
+        rng = np.random.default_rng(streams[j])
         for a in range(0, n_pairs, B):
             b = min(B, n_pairs - a)
-            real.standard_normal(out=draw[:b])
-            zeta.real[:b] = draw[:b]
-            imag.standard_normal(out=draw[:b])
-            zeta.imag[:b] = draw[:b]
             z = spec[:b]
             noise_f, z_f, f_f, out_f = (x[:b].view(float) for x in (zeta, spec, field, acc))
-            for i, (lower, upper) in enumerate(runs):
-                K = max((r.stop for r in lower + upper), default=0) // 2
+            rng.standard_normal(out=noise_f)
+            for i, K, lower, upper in serving:
                 np.multiply(noise_f, amps2[i], out=z_f)
                 np.fft.fft(z, axis=1, out=z)
                 np.cumsum(z[:, :K], axis=1, out=field[:b, :K])
-                F = f_f[:, :2 * K]
-                F *= scale[i]
                 for r in lower:
-                    np.multiply(stay2[r], F[:, r], out=out_f[:, r])
+                    np.multiply(stay2[r], f_f[:, r], out=out_f[:, r])
                 for r in upper:
-                    F[:, r] *= w2[r]
-                    out_f[:, r] += F[:, r]
+                    f_f[:, r] *= w2[r]
+                    out_f[:, r] += f_f[:, r]
             out = values[2 * a:2 * (a + b), j, :]  # the last pair may lack its Im path
             out[0::2] = acc.real[:b]
             out[1::2] = acc.imag[:len(out) // 2]

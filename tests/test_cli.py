@@ -101,6 +101,24 @@ class TestCovarianceCommand:
         ref = covariance_matrix(np.arange(1, 9) / 8.0, h).values
         assert np.array_equal(vals, ref)
 
+    def test_csv_matches_row_by_row_format(self, tmp_path):
+        # the times, formatted once for the header and every row's first
+        # column, give the bytes of formatting each value in its own cell;
+        # T = 0.7 gives times with 17 significant digits
+        from mbmlt.operator import covariance_matrix
+        from mbmlt.specfun import HurstFunctional
+
+        code, out = _run(tmp_path, "covariance",
+                         {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "T": 0.7, "s": 7})
+        assert code == 0
+        grid = np.arange(1, 8) * (0.7 / 7)
+        ref = covariance_matrix(grid, HurstFunctional.linear(0.55, 0.2, T=0.7)).values
+        expected = ["t," + ",".join(f"{t:.17g}" for t in grid)]
+        for k, t in enumerate(grid):
+            expected.append(f"{t:.17g}," + ",".join(f"{x:.17g}" for x in ref[k]))
+        assert (out / "covariance.csv").read_text() == "\n".join(expected) + "\n"
+        assert any(len(f"{t:.17g}") > 12 for t in grid)
+
     def test_one_eigvalsh(self, tmp_path, monkeypatch):
         # the manifest writes the eigenvalue the PSD check computed
         calls = []

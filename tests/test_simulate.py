@@ -14,6 +14,7 @@ from mbmlt.simulate import (
     SimulationConfig,
     _cholesky_with_jitter,
     _embedding_size,
+    _fgn_autocov,
     _hurst_levels,
     _level_runs,
     simulate,
@@ -22,7 +23,7 @@ from mbmlt.simulate import (
 )
 from mbmlt.specfun import HurstFunctional
 
-from .oracles import h_inner_product
+from .oracles import fgn_autocov, h_inner_product
 
 
 class TestConfig:
@@ -75,16 +76,21 @@ class TestPathSet:
         first = rows[1].split(",")
         assert float(first[2]) == ps.values[0, 0, 0]
 
-    def test_csv_matches_row_by_row_format(self, h_linear, tmp_path):
-        cfg = {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 5, "n_paths": 3,
-               "d": 3, "seed": 2, "method": "wood_chan"}
+    # several paths, one component, an s that is not a power of two, and
+    # T = 0.7, whose grid times have up to 17 significant digits
+    @pytest.mark.parametrize("s, n_paths, d, T", [(5, 3, 3, 1.0), (7, 4, 1, 0.7),
+                                                  (12, 5, 2, 0.7), (6, 1, 2, 0.7)])
+    def test_csv_matches_row_by_row_format(self, tmp_path, s, n_paths, d, T):
+        spec = {"linear": {"a": 0.55, "b": 0.2}}
+        cfg = {"hurst": spec, "T": T, "s": s, "n_paths": n_paths, "d": d, "seed": 2,
+               "method": "wood_chan"}
         out = _simulate_cli(tmp_path, cfg)
-        ps = simulate(SimulationConfig(h=h_linear, s=5, n_paths=3, d=3, seed=2,
-                                       method="wood_chan"))
-        expected = ["path,t,v1,v2,v3"]
-        for p in range(3):
-            for k in range(5):
-                vals = ",".join(f"{ps.values[p, j, k]:.17g}" for j in range(3))
+        ps = simulate(SimulationConfig(h=HurstFunctional.from_config(spec, T=T), s=s,
+                                       n_paths=n_paths, d=d, seed=2, method="wood_chan"))
+        expected = ["path,t," + ",".join(f"v{j + 1}" for j in range(d))]
+        for p in range(n_paths):
+            for k in range(s):
+                vals = ",".join(f"{ps.values[p, j, k]:.17g}" for j in range(d))
                 expected.append(f"{p},{ps.config.grid[k]:.17g},{vals}")
         assert (out / "paths.csv").read_text() == "\n".join(expected) + "\n"
 
@@ -233,20 +239,52 @@ class TestWoodChan:
         with pytest.raises(ValueError):
             _fbm(0.4, 16, 1, seed=0)
 
-    def test_negative_embedding_raises_at_first_size(self):
-        # every size is nonnegative in exact arithmetic; near H = 1 rounding
-        # in rho(k) gives -4.1e-6 at m = 16384, and larger m gives worse
+    @pytest.mark.parametrize("H", [0.5 + 1e-9, 0.5 + 1e-6, 0.51, 0.7, 0.9999, 0.999999])
+    def test_autocovariance_matches_oracle(self, H):
+        m = 1 << 17
+        rho = _fgn_autocov(H, m)
+        assert len(rho) == m + 1
+        # k < 8, the direct form: a few ulp of (k + 1)^{2H} <= 64
+        near = [fgn_autocov(H, k) for k in range(8)]
+        assert np.allclose(rho[:8], near, rtol=0, atol=4e-15)
+        # k >= 8, the series: about an ulp of rho(k) itself, where the direct
+        # form lost up to 1e-7 relative near H = 1/2 and H = 1
+        far = [8, 9, 10, 17, 100, 1000, 12345, m]
+        assert np.allclose(rho[far], [fgn_autocov(H, k) for k in far], rtol=4e-16, atol=0)
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_autocovariance_short_embeddings(self, m):
+        # the smallest sizes hold only direct-form lags, or none past k = 8
+        rho = _fgn_autocov(0.7, m)
+        assert np.allclose(rho, [fgn_autocov(0.7, k) for k in range(m + 1)],
+                           rtol=0, atol=4e-15)
+
+    def test_negative_embedding_raises_at_first_size(self, monkeypatch):
+        # every size is nonnegative in exact arithmetic; the direct form of
+        # rho(k), whose cancellation grows with k, gives -4.1e-6 at
+        # H = 0.999999, m = 16384, and the embedding raises rather than grow
+        def direct(H, m):
+            k = np.arange(m + 1, dtype=float)
+            return 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
+
+        monkeypatch.setattr(simulate_module, "_fgn_autocov", direct)
         with pytest.raises(NumericalError, match="size 32768 .* -4.1"):
             _fbm(0.999999, 16384, 1, seed=0)
+
+    def test_stable_autocovariance_keeps_embedding_nonnegative(self):
+        # the series form of rho(k) leaves that embedding nonnegative
+        m, eigs = _embedding_size([0.999999], 16384)
+        assert m == 16384 and eigs.min() > 0
 
 
 def _materialized_wood_chan(config):
     """The field construction with every level held at once: all levels of
-    fGn, then cumsum, then dt ** levels, then the two-level interpolation."""
+    fGn, each with dt ** H_i in its amplitudes, then cumsum, then the
+    two-level interpolation."""
     grid = config.grid
     hvals = config.h(grid)
     levels = _hurst_levels(hvals)
-    dt = config.h.T / config.s
+    scale = (config.h.T / config.s) ** levels  # array pow, as the synthesis takes it
     m, eigs = _embedding_size(levels, config.s)
     M = 2 * m
     n_pairs = (config.n_paths + 1) // 2
@@ -254,17 +292,15 @@ def _materialized_wood_chan(config):
     values = np.empty((config.n_paths, config.d, config.s))
     for j in range(config.d):
         rng = np.random.default_rng(streams[j])
-        U = rng.standard_normal((n_pairs, M))
-        V = rng.standard_normal((n_pairs, M))
-        zeta = U + 1j * V
+        zeta = rng.standard_normal((n_pairs, 2 * M)).view(complex)
         fgn = np.empty((len(levels), config.n_paths, config.s))
         for i in range(len(levels)):
-            y = np.fft.fft(np.sqrt(eigs[i] / M) * zeta, axis=1)
+            y = np.fft.fft((np.sqrt(eigs[i] / M) * scale[i]) * zeta, axis=1)
             pair = np.empty((2 * n_pairs, config.s))
             pair[0::2] = y.real[:, :config.s]
             pair[1::2] = y.imag[:, :config.s]
             fgn[i] = pair[:config.n_paths]
-        fields = np.cumsum(fgn, axis=2) * dt ** levels[:, None, None]
+        fields = np.cumsum(fgn, axis=2)
         if len(levels) == 1:
             values[:, j, :] = fields[0]
             continue
@@ -340,22 +376,42 @@ class TestWoodChanStreaming:
         # the output plus block buffers: the extra does not grow with n_paths
         assert peak - values.nbytes <= 8 * simulate_module._BLOCK_BYTES
 
+    def test_levels_serving_no_time_run_no_fft(self, monkeypatch):
+        # on the s = 8 grid the steep h steps over whole levels; only the
+        # levels that bracket some h(t_k) are synthesized
+        cfg = SimulationConfig(h=self.HURST["steep"], s=8, n_paths=7, d=2, seed=9,
+                               method="wood_chan")
+        hvals = cfg.h(cfg.grid)
+        levels = _hurst_levels(hvals)
+        idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
+        serving = set(idx) | set(idx + 1)
+        assert len(serving) < len(levels)
+        M = 2 * _embedding_size(levels, cfg.s)[0]
+        # 4 pairs in blocks of 3 and 1
+        monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", 3 * 16 * M)
+        fft, calls = np.fft.fft, []
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda a, *args, **kw: calls.append(np.ndim(a)) or fft(a, *args, **kw))
+        simulate_wood_chan_mbm(cfg)
+        # the embedding takes one 1-D FFT per level, the synthesis 2-D ones
+        assert calls.count(1) == len(levels)
+        assert calls.count(2) == 2 * 2 * len(serving)
+
     @pytest.mark.parametrize("n_pairs, M, block", [(6, 8, 2), (7, 8, 3), (5, 16, 5),
                                                    (4, 8, 1)])
     def test_noise_stream_drawn_in_blocks(self, n_pairs, M, block):
-        # the synthesis draws the real parts block by block from one generator
-        # and the imaginary parts from a second one moved past the real parts;
-        # together they must give the one (2, n_pairs, M) draw of the stream
+        # the synthesis draws each block's noise, (b, 2M) floats read as
+        # (b, M) complex, from one generator; the blocks must give the one
+        # (n_pairs, 2M) draw of the stream
         seq = np.random.SeedSequence(3)
-        whole = np.random.default_rng(seq).standard_normal((2, n_pairs, M))
-        real, imag = np.random.default_rng(seq), np.random.default_rng(seq)
-        buf = np.empty((block, M))
+        whole = np.random.default_rng(seq).standard_normal((n_pairs, 2 * M))
+        rng = np.random.default_rng(seq)
+        buf = np.empty((block, M), dtype=complex)
+        drawn = np.empty((n_pairs, M), dtype=complex)
         for a in range(0, n_pairs, block):
-            imag.standard_normal(out=buf[:min(block, n_pairs - a)])
-        drawn = np.empty((2, n_pairs, M))
-        for a in range(0, n_pairs, block):
-            real.standard_normal(out=drawn[0, a:a + block])
-            imag.standard_normal(out=drawn[1, a:a + block])
-        assert np.array_equal(drawn, whole), (
+            b = min(block, n_pairs - a)
+            rng.standard_normal(out=buf[:b].view(float))
+            drawn[a:a + b] = buf[:b]
+        assert np.array_equal(drawn.view(float), whole), (
             "numpy's normal sampling no longer gives one stream across block "
             "draws; simulate_wood_chan_mbm's output would change")
