@@ -23,6 +23,7 @@ returns, so an in-process caller's environment is left as it was.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,6 +36,9 @@ from . import __version__
 from .errors import AdmissibilityError, NumericalError
 
 FMT = "%.17g"
+
+#: values per write of _write_csv; its buffers peak at about 260 bytes a value
+_CHUNK = 1 << 13
 
 #: the top-level config keys, as the README's example lists them
 _CONFIG_KEYS = frozenset({"hurst", "T", "d", "N", "s", "n_paths", "seed", "method",
@@ -114,23 +118,131 @@ def _simulation(cfg: dict, h, d: int, n_paths: int):
                             method=cfg.get("method", "exact"))
 
 
+@functools.cache
+def _digit_tables():
+    """_format17's tables, built at its first call, not at import: lanes,
+    trailing zeros and lane masks of 4-digit groups, prefix and exponent
+    words of E = -6..15, the doubles 1e-5..1e15, and 10^k with its Veltkamp
+    high half."""
+    import numpy as np
+
+    g = np.arange(10000, dtype=np.uint16)[:, None]
+    lanes = (48 + g // np.array([1000, 100, 10, 1], np.uint16) % 10).astype("<u2")
+    zeros = (g % np.array([10, 100, 1000, 10000], np.uint16) == 0).sum(axis=1, dtype=np.uint8)
+    keep = ((np.arange(20) < np.arange(18)[:, None]) * 0xFFFF).astype("<u2")
+    pre = [b"\0" + (b"0." + b"0" * (-e - 1)) * (-4 <= e < 0) for e in range(-6, 16)]
+    post = [b"\0\0e-0%d" % -e * (e < -4) for e in range(-6, 16)]
+    decades = np.array([float(f"1e{k}") for k in range(-5, 16)])  # correctly rounded
+    p10 = np.array([float(f"1e{k}") for k in range(23)])
+    c = 134217729.0 * p10
+    return (lanes.view("<u8").ravel(), zeros, keep.view("<u8").T,
+            np.array(pre, "S8").view("<u8"), np.array(post, "S8").view("<u8"),
+            decades, p10, c - (c - p10))
+
+
+def _format17(x):
+    """FMT % v for each v of the 1-D float array x, as the rows of an
+    (x.size, 48) uint8 array whose NUL bytes are not part of the text.
+
+    For 10^-6 < |v| < 10^16 the exponent E of |v| is -6 plus the count of
+    the doubles 1e-5..1e15 at or below |v| (exact: each is 10^k or the next
+    double above it), Dekker's product gives |v| 10^(16 - E) = hi + lo
+    exactly, and hi + lo rounded half to even gives the 17 digits (never
+    10^17: the doubles next below 10^-5..10^16 all round down).  A row holds
+    the sign and the "0.000" of -4 <= E < 0, the digits in 16-bit lanes with
+    '.' in the high byte of lane E (lane 0 in the e-05, e-06 forms), and the
+    exponent; zeros past the last significant and integer digit are NUL.
+    Any other v is FMT % v itself.  Only exact operations decide a digit, so
+    the bytes do not depend on numpy's SIMD dispatch."""
+    import numpy as np
+
+    lanes, tz, masks, pre, post, decades, p10, p10_hi = _digit_tables()
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e16)  # the double 1e-6 is below 10^-6
+    a[~fast] = 1.0  # keeps the arithmetic below finite
+    e = np.searchsorted(decades, a, side="right") - 6
+    c = 134217729.0 * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b, b_hi = p10[16 - e], p10_hi[16 - e]
+    hi = a * b
+    lo = ((a_hi * b_hi - hi) + a_hi * (b - b_hi) + a_lo * b_hi) + a_lo * (b - b_hi)
+    floor = np.floor(lo)
+    d = hi.astype(np.int64) + floor.astype(np.int64)
+    d += (lo - floor > 0.5) | ((lo - floor == 0.5) & (d % 2 == 1))
+    q, last = np.divmod(d, 10)  # digit 16
+    groups = []  # digits 0-3, 4-7, 8-11, 12-15
+    for _ in range(4):
+        q, g = np.divmod(q, 10000)
+        groups.insert(0, g)
+    trailing = last == 0
+    nd = 17 - trailing  # significant digits
+    for g in groups[::-1]:
+        nd -= trailing * tz[g]
+        trailing &= g == 0
+    keep = np.maximum(nd, e + 1)
+    cells = np.empty((x.size, 6), "<u8")
+    cells[:, 0] = pre[e + 6] | (x < 0) * np.uint64(ord("-"))
+    for j, g in enumerate(groups):
+        cells[:, j + 1] = lanes[g] & masks[j][keep]
+    cells[:, 5] = post[e + 6] | (48 + last).astype(np.uint64) & masks[4][keep]
+    dot = np.flatnonzero((nd > np.maximum(e + 1, 1)) & ((e >= 0) | (e < -4)))
+    lane = np.maximum(e[dot], 0)
+    shift = (16 * (lane % 4) + 8).astype(np.uint64)
+    cells.ravel()[6 * dot + 1 + lane // 4] |= np.uint64(ord(".")) << shift
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [(FMT % v).encode() for v in x[slow].tolist()]
+        cells[slow] = np.array(text, dtype="S48").view("<u8").reshape(-1, 6)
+    return cells.view(np.uint8)
+
+
 def _write_csv(path: Path, header: list, blocks, labels=None, lead=None) -> None:
     """Write a header line, then every row of each 2-D float block, each
     value as FMT (17 significant digits, so doubles round-trip exactly).
-    Row templates are built once per table; one % formats a block.  labels[i]
-    starts each row of block i (paths.csv's path index); lead[k] is row k's
-    first column as text, shared by every block (the times of paths.csv and
-    covariance.csv), so it is formatted once."""
+    labels[i] starts each row of block i (paths.csv's path index); the float
+    lead[k] starts row k of every block (the times of paths.csv and
+    covariance.csv).  Every value goes through _format17, whose array
+    operations give the bytes of FMT % v, exactly for 1e-6 < |v| < 1e16 and
+    by FMT % v itself for any other v; rows are written about _CHUNK values
+    at a time, so the buffers do not grow with the table."""
     import numpy as np
 
-    row = ",".join([FMT] * (len(header) - (labels is not None) - (lead is not None))) + "\n"
-    rows = None if lead is None else [t + "," + row for t in lead]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    def text(strings):  # one NUL-padded row per string
+        return np.array(strings, dtype="S").view(np.uint8).reshape(len(strings), -1)
+
+    if labels is not None:
+        labels = text([label.encode() for label in labels])
+    if lead is not None:
+        lead = _format17(np.asarray(lead, dtype=float))
+        lead[:, 46] = ord(",")
+        lead = text([cell.tobytes().translate(None, b"\0") for cell in lead])
+
+    def write(chunk):  # (block index, first row, rows) triples
+        rows = np.concatenate([p for *_, p in chunk])
+        block_of = np.repeat([i for i, *_ in chunk], [len(p) for *_, p in chunk])
+        row_of = np.concatenate([np.arange(r, r + len(p)) for _, r, p in chunk])
+        cells = _format17(rows.ravel()).reshape(*rows.shape, 48)
+        cells[:, :, 46] = ord(",")
+        cells[:, -1, 46] = ord("\n")
+        columns = [t[k] for t, k in ((labels, block_of), (lead, row_of)) if t is not None]
+        columns.append(cells.reshape(len(rows), -1))
+        fh.write(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0"))
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        chunk, count = [], 0
         for i, block in enumerate(blocks):
             block = np.asarray(block, dtype=float)
-            text = ("" if labels is None else labels[i]).join(["", *(rows or [row] * len(block))])
-            fh.write(text % tuple(block.ravel().tolist()))
+            step = max(1, _CHUNK // block.shape[1])
+            for r in range(0, len(block), step):
+                chunk.append((i, r, block[r:r + step]))
+                count += chunk[-1][2].size
+                if count >= _CHUNK:
+                    write(chunk)
+                    chunk, count = [], 0
+        if chunk:
+            write(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +259,7 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
     values, grid = simulate(sim).values, sim.grid
     _write_csv(outdir / "paths.csv", ["path", "t", *(f"v{j+1}" for j in range(d))],
                (v.T for v in values), labels=[f"{p}," for p in range(sim.n_paths)],
-               lead=[FMT % t for t in grid.tolist()])
+               lead=grid)
     # mean square over paths and components, relative to t^{2h(t)}
     sample = np.einsum("ijk,ijk->k", values, values) / (sim.n_paths * d)
     rel = sample / grid ** (2.0 * h(grid)) - 1.0
@@ -167,8 +279,8 @@ def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
     _whole_number(s, "s", 1)
     grid = np.arange(1, s + 1) * (h.T / s)
     cov = covariance_matrix(grid, h)
-    times = [FMT % t for t in grid.tolist()]
-    _write_csv(outdir / "covariance.csv", ["t", *times], [cov.values], lead=times)
+    _write_csv(outdir / "covariance.csv", ["t", *(FMT % t for t in grid.tolist())],
+               [cov.values], lead=grid)
     return {"grid_points": s, "min_eigenvalue": cov.min_eigenvalue}
 
 

@@ -7,8 +7,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbmlt.cli import main
+from mbmlt import cli
+from mbmlt.cli import FMT, main
 from mbmlt.errors import NumericalError
 
 
@@ -602,6 +605,79 @@ class TestExitCodes:
             main(["frobnicate"])
 
 
+class TestFormat:
+    """cli._format17 gives the bytes of FMT % v; the writer built on it gives
+    the bytes of formatting each cell by itself."""
+
+    @staticmethod
+    def _assert_fmt(values):
+        values = np.asarray(values, dtype=float)
+        cells = cli._format17(values)
+        cells[:, 46] = ord("\n")
+        got = cells.tobytes().translate(None, b"\0")
+        assert got == "".join(FMT % v + "\n" for v in values.tolist()).encode()
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_floats(self, values):
+        self._assert_fmt(values)
+
+    def test_special_values(self):
+        self._assert_fmt([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2e-308,
+                          1.7976931348623157e308, 1.0, -1.0, 1200.0, 0.5, 1e-5, 1e-4])
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2026).integers(-2 ** 63, 2 ** 63, size=1 << 20,
+                                                      dtype=np.int64)
+        self._assert_fmt(bits.view(np.float64))
+
+    def test_random_magnitudes(self):
+        # every exponent of the exact range and just outside it, both signs
+        rng = np.random.default_rng(11)
+        self._assert_fmt(rng.standard_normal(1 << 16) * 10.0 ** rng.integers(-8, 18, 1 << 16))
+
+    def test_dyadic_ties(self):
+        # k 2^-n with more than 17 digits ending in 5: %g rounds half to even,
+        # e.g. 1234567890123456.25 -> ...456.2 and 2^-25 -> 2.9802322387695312e-08
+        n = np.arange(1, 60)
+        k = np.random.default_rng(3).integers(1, 2 ** 53, size=(59, 300))
+        ties = [1234567890123456.25, 1234567890123456.75, 123456789012345.125, 2.0 ** -25]
+        self._assert_fmt(np.concatenate([(k * 2.0 ** -n[:, None]).ravel(), ties]))
+        assert FMT % 1234567890123456.25 == "1234567890123456.2"
+
+    def test_neighbours_of_powers_of_ten(self):
+        p = np.array([float(f"1e{k}") for k in range(-8, 18)])
+        self._assert_fmt(np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf),
+                                         -p, -np.nextafter(p, 0)]))
+
+    def test_edges_of_exact_range(self):
+        # the double 1e-6 lies below 10^-6, so it and all below it fall back
+        # to FMT % v, as do 1e16 and all above it
+        edges = np.array([1e-6, 1e16])
+        near = [np.nextafter(edges, 0), edges, np.nextafter(edges, np.inf)]
+        self._assert_fmt(np.concatenate(near + [-e for e in near]))
+
+    def test_writer_chunks_and_fallbacks(self, tmp_path):
+        # three blocks of 5500 rows x 3 with labels and a lead column: each
+        # block splits into pieces of _CHUNK // 3 rows, one chunk ends block 0
+        # and starts block 1, the last chunk is partial, and fallback values
+        # sit in the middle of that mixed chunk
+        rng = np.random.default_rng(5)
+        blocks = rng.standard_normal((3, 5500, 3)) * 10.0 ** rng.integers(-3, 4, (3, 5500, 3))
+        blocks[1, 1000:1003] = [[0.0, 1e-7, 1e17], [-0.0, np.inf, np.nan], [-1e-7, 1e-6, 1e16]]
+        lead = np.arange(1, 5501) * (0.7 / 5500)
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, ["path", "t", "a", "b", "c"], iter(blocks),
+                       labels=["x,", "y,", "z,"], lead=lead)
+        expected = ["path,t,a,b,c"]
+        for label, block in zip("xyz", blocks):
+            for t, row in zip(lead, block):
+                expected.append(",".join([label, f"{t:.17g}", *(f"{v:.17g}" for v in row)]))
+        assert path.read_text() == "\n".join(expected) + "\n"
+        assert 2 * (cli._CHUNK // 3) < 5500 < 3 * (cli._CHUNK // 3)
+
+
 class TestImports:
     def test_quadrature_module_not_loaded(self):
         # scipy is slow to import, and src/ never imports it: the time rule is
@@ -611,6 +687,13 @@ class TestImports:
                 "sys.exit('scipy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_loads_no_numpy(self):
+        # main() pins the BLAS threads before numpy loads, so importing the
+        # CLI, the formatter's tables included, must not load it
+        code = "import sys, mbmlt.cli; sys.exit('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("command, cfg, csv", [

@@ -78,9 +78,11 @@ class TestPathSet:
 
     def test_csv_matches_row_by_row_format(self, tmp_path):
         # several paths, one component, an s that is not a power of two, and
-        # T = 0.7, whose grid times have up to 17 significant digits
+        # T = 0.7, whose grid times have up to 17 significant digits; 30 paths
+        # of 600 values span chunks of 14, 14 and 2 paths
         spec = {"linear": {"a": 0.55, "b": 0.2}}
-        for s, n_paths, d, T in [(5, 3, 3, 1.0), (7, 4, 1, 0.7), (12, 5, 2, 0.7), (6, 1, 2, 0.7)]:
+        for s, n_paths, d, T in [(5, 3, 3, 1.0), (7, 4, 1, 0.7), (12, 5, 2, 0.7), (6, 1, 2, 0.7),
+                                 (300, 30, 2, 0.7)]:
             case = tmp_path / f"{s}-{n_paths}-{d}-{T}"
             case.mkdir()
             out = _simulate_cli(case, {"hurst": spec, "T": T, "s": s, "n_paths": n_paths,
