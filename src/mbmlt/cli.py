@@ -256,7 +256,8 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
 
     h, d, _, _ = _build(cfg)
     sim = _simulation(cfg, h, d, n_paths=1)
-    values, grid = simulate(sim).values, sim.grid
+    paths = simulate(sim)
+    values, grid = paths.values, sim.grid
     _write_csv(outdir / "paths.csv", ["path", "t", *(f"v{j+1}" for j in range(d))],
                (v.T for v in values), labels=[f"{p}," for p in range(sim.n_paths)],
                lead=grid)
@@ -264,7 +265,7 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
     sample = np.einsum("ijk,ijk->k", values, values) / (sim.n_paths * d)
     rel = sample / grid ** (2.0 * h(grid)) - 1.0
     return {"method": sim.method, "seed": sim.seed, "s": sim.s, "n_paths": sim.n_paths,
-            "d": d, "T": h.T,
+            "d": d, "T": h.T, "wood_chan": paths.wood_chan,
             "variance_rel_rms": float(np.sqrt(np.mean(rel * rel)))}
 
 
@@ -292,13 +293,14 @@ def _cmd_localtime(cfg: dict, outdir: Path) -> dict:
     eps = _eps_list(cfg, [0.1])
     _check_mc_args(eps, N)  # before the paths exist, so a bad eps costs no simulation
     sim = _simulation(cfg, h, d, n_paths=1000)
-    estimate, stderr, target = local_time_mc(simulate(sim), eps, N)
+    paths = simulate(sim)
+    estimate, stderr, target = local_time_mc(paths, eps, N)
     _write_csv(outdir / "localtime.csv", ["eps", "N", "estimate", "stderr", "n_paths"],
                [[(e, N, est, se, sim.n_paths) for e, est, se in zip(eps, estimate, stderr)]])
     z = [(e - t) / se if se > 0 else None
          for e, se, t in zip(estimate.tolist(), stderr.tolist(), target.tolist())]
     return {"n_paths": sim.n_paths, "seed": sim.seed, "method": sim.method,
-            "target": target.tolist(), "z": z}
+            "wood_chan": paths.wood_chan, "target": target.tolist(), "z": z}
 
 
 def _cmd_stransform(cfg: dict, outdir: Path) -> dict:

@@ -9,14 +9,16 @@ Two generators:
   verification baseline.
 * wood_chan: FFT circulant embedding of the stationary increment process for
   constant Hurst index, extended to a time-varying index by simulating a
-  field of constant-index paths on an index grid from shared noise and
-  interpolating.  Fast but approximate for non-constant h.  Paths are
-  synthesized in blocks of pairs, and within a block the levels are
-  streamed: each is synthesized, cumulated and folded into the block's
-  output in turn.  One generator per component draws the noise block by
-  block, Re and Im interleaved, so working memory beyond the output is
-  four block buffers of about 1 MB each, not O(n_paths * M) (M the
-  embedding size) nor O(levels * n_paths * s).
+  field of constant-index paths on Chebyshev-Lobatto Hurst nodes from
+  shared noise and interpolating in the index.  The node count is the
+  fewest whose exactly computed variance error is at most _VAR_RTOL; it
+  and the error are returned with the paths.  Fast but approximate for
+  non-constant h.  Paths are synthesized in blocks of pairs, and within a
+  block the nodes are streamed: each is synthesized, cumulated and folded
+  into the block's output in turn.  One generator per component draws the
+  noise block by block, Re and Im interleaved, so working memory beyond
+  the output is four block buffers of about 1 MB each, not O(n_paths * M)
+  (M the embedding size) nor O(nodes * n_paths * s).
 
 All randomness flows from a single 64-bit seed through numpy SeedSequence
 spawning, so output does not depend on scheduling.  It is byte-identical
@@ -46,8 +48,9 @@ __all__ = [
 
 #: eigenvalue floor for the circulant embedding (unit-variance increments)
 EMBED_TOL = 1e-9
-#: spacing of the Hurst-level grid of the Wood-Chan field
-_LEVEL_SPACING = 0.02
+#: largest computed relative error of the Wood-Chan variance t^{2h(t)} at
+#: which the Hurst node count stops growing
+_VAR_RTOL = 1e-4
 #: bytes of one block buffer: the complex spectrum of a block of path pairs
 #: in the Wood-Chan synthesis, the zero-padded block of paths that
 #: localtime.local_time_mc reduces
@@ -83,6 +86,8 @@ class MbmPathSet:
 
     config: SimulationConfig
     values: np.ndarray  # shape (n_paths, d, s)
+    #: Wood-Chan only: the Hurst node count and the computed variance error
+    wood_chan: dict | None = None
 
     def __post_init__(self):
         # in blocks of paths, so the check makes no full-size bool array
@@ -172,79 +177,96 @@ def _embedding_size(H_levels, s: int) -> tuple[int, np.ndarray]:
     return m, np.clip(eigs, 0.0, None)
 
 
-def _hurst_levels(hvals: np.ndarray) -> np.ndarray:
-    """The Hurst levels spanning the values of h on the grid."""
+def _lagrange_weights(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """W[t, k] = l_k(x_t), the Lagrange basis of the nodes in product form:
+    an x_t equal to a node gives an exact one-hot row, with no division by 0."""
+    W = np.empty((len(x), len(nodes)))
+    for k, xk in enumerate(nodes):
+        others = np.delete(nodes, k)
+        W[:, k] = np.prod((x[:, None] - others) / (xk - others), axis=1)
+    return W
+
+
+def _hurst_nodes(grid: np.ndarray, hvals: np.ndarray, dt: float):
+    """Chebyshev-Lobatto Hurst nodes on [min h, max h] (node k of n at
+    lo + (hi - lo)(1 + cos(pi k / (n - 1))) / 2, the ends exact), their
+    weights W (s, n) at the times, amplitudes (n, M) and variance error.
+
+    n is the first of 2, 3, 5, 9, 17, 33, 65 (each set holds the last) whose
+    error max_t |Var(out_t) / t^{2h(t)} - 1| is at most _VAR_RTOL, else 65.
+    The error is exact: the real paths of nodes k and l have covariance
+    c_kl(j) = Re fft(a_k a_l)(j) at lag j (a the amplitudes), so cumulated
+    to time index t, (t + 1) c(0) + 2 sum_{1 <= j <= t} (t + 1 - j) c(j),
+    two cumsums.  The eigenvalues and these curves are kept per node and
+    pair for the next set: n(n + 1) / 2 curves of s floats.  FFTs and
+    elementwise operations only, so n does not depend on BLAS threads.
+    Constant h has one node, weight 1.
+    """
     lo, hi = float(hvals.min()), float(hvals.max())
     if hi - lo < 1e-14:
-        return np.array([lo])
-    n = max(2, int(np.ceil((hi - lo) / _LEVEL_SPACING)) + 1)
-    return np.linspace(lo, hi, n)
-
-
-def _level_runs(idx: np.ndarray, n_levels: int) -> list:
-    """Per level, the slices of time indices whose lower neighbour it is and
-    those whose upper neighbour it is; idx is constant on each slice."""
-    runs = [([], []) for _ in range(n_levels)]
-    cuts = [0, *(np.flatnonzero(np.diff(idx)) + 1), len(idx)]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        runs[idx[a]][0].append(slice(a, b))
-        if idx[a] + 1 < n_levels:
-            runs[idx[a] + 1][1].append(slice(a, b))
-    return runs
+        fine, counts = np.array([lo]), (1,)
+    else:  # the 65-node set, which holds every smaller one
+        fine = lo + (hi - lo) * (1 + np.cos(np.pi * np.arange(65) / 64)) / 2
+        fine[[0, -1]] = hi, lo
+        counts = (2, 3, 5, 9, 17, 33, 65)
+    scale = dt ** fine  # array pow; libm's scalar pow can differ by 1 ulp
+    target = grid ** (2 * hvals)
+    amps, curves = {}, {}  # by position in fine; by pair of positions
+    for n in counts:
+        pos = np.linspace(0, len(fine) - 1, n).astype(int)
+        new = [p for p in pos if p not in amps]
+        m, eigs = _embedding_size(fine[new], len(grid))
+        amps.update(zip(new, np.sqrt(eigs / (2 * m)) * scale[new, None]))
+        W = _lagrange_weights(hvals, fine[pos])
+        var = np.zeros(len(grid))
+        for a, p in enumerate(pos):
+            for b, q in enumerate(pos[a:], a):
+                if (p, q) not in curves:
+                    c = np.fft.rfft(amps[p] * amps[q]).real[:len(grid)]
+                    c[1:] *= 2
+                    curves[p, q] = np.cumsum(np.cumsum(c))
+                var += ((1 + (a < b)) * W[:, a] * W[:, b]) * curves[p, q]
+        err = float(np.max(np.abs(var / target - 1)))
+        if err <= _VAR_RTOL:
+            break
+    return fine[pos], W, np.array([amps[p] for p in pos]), err
 
 
 def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
-    """Field construction: constant-index paths on an index grid, then
-    linear interpolation in the index at each time.
+    """Field construction: constant-index paths on the Hurst nodes of
+    _hurst_nodes, then Lagrange interpolation in the index at each time.
 
-    Per component one complex noise array drives every level, so paths vary
-    smoothly across levels: one (n_pairs, 2M) draw from the component's
+    Per component one complex noise array drives every node, so paths vary
+    smoothly across nodes: one (n_pairs, 2M) draw from the component's
     stream read as (n_pairs, M) complex, with n_pairs = ceil(n_paths / 2)
     and M the embedding size.  Pairs of paths are synthesized in blocks of
     B pairs, B chosen so that the block's spectrum takes about
     _BLOCK_BYTES; one generator draws each block's noise straight into a
-    complex (B, M) buffer.  Within a block the levels that serve a time are
-    streamed in increasing order: level i is one in-place FFT of the noise
-    times amplitudes that hold dt ** H_i, cumulated up to the last time it
-    serves, then stored with weight 1 - w
-    on the runs of times whose lower neighbour it is and added with weight
-    w on the runs where it is the upper one.  Path 2p is the real part and
-    path 2p + 1 the imaginary part of row p, so each step acts on the
-    interleaved float view of the complex rows, with every per-time factor
-    and run doubled.  Every step acts on each row alone, so the output does
-    not depend on B.  Working memory beyond the output is four block
-    buffers, reused for every block, component and level: the noise and the
-    spectrum, (B, M) complex; the cumulated level and the output pairs,
-    (B, s) complex.
+    complex (B, M) buffer.  Within a block node k is one in-place FFT of the
+    noise times amplitudes that hold dt ** H_k, cumulated over the s times
+    and added to the output with weight W[:, k].  Path 2p is the real part
+    and path 2p + 1 the imaginary part of row p, so each step acts on the
+    interleaved float view of the complex rows, with amplitudes and weights
+    doubled.  Every step acts on each row alone, so the output does not
+    depend on B.  Working memory beyond the output is four block buffers,
+    reused for every block, component and node: the noise and the spectrum,
+    (B, M) complex; the cumulated node and the output pairs, (B, s) complex.
 
-    Approximate for non-constant h.  For constant h there is a single level
-    and no interpolation, so the result is exact in law: fBm is the
-    constant-h, d = 1 case.
+    Approximate for non-constant h; the result carries the node count and
+    the variance error.  For constant h there is one node with weight 1, so
+    the result is exact in law: fBm is the constant-h, d = 1 case.
     """
     s, n_paths = config.s, config.n_paths
-    hvals = config.h(config.grid)
-    levels = _hurst_levels(hvals)
-    scale = (config.h.T / s) ** levels  # array pow; libm's scalar pow can differ by 1 ulp
-    if len(levels) == 1:  # the one level is stored with weight 1 - 0
-        idx, w = np.zeros(s, dtype=int), np.zeros(s)
-    else:  # per time index: the bracketing levels and the weight of the upper
-        idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
-        w = (hvals - levels[idx]) / (levels[idx + 1] - levels[idx])
-    m, eigs = _embedding_size(levels, s)
-    M = 2 * m
-    # the block's float views interleave Re and Im, so amplitudes, per-time
-    # runs and factors are doubled
-    amps2 = np.repeat(np.sqrt(eigs / M) * scale[:, None], 2, axis=1)
-    w2, stay2 = np.repeat(w, 2), np.repeat(1 - w, 2)
-    # per serving level: its index, its last time K and its runs
-    serving = [(i, max(r.stop for r in lower + upper) // 2, lower, upper)
-               for i, (lower, upper) in enumerate(_level_runs(np.repeat(idx, 2), len(levels)))
-               if lower or upper]
+    nodes, W, amps, err = _hurst_nodes(config.grid, config.h(config.grid), config.h.T / s)
+    M = amps.shape[1]
+    # the block's float views interleave Re and Im, so amplitudes and
+    # per-time weights are doubled
+    amps2, W2 = np.repeat(amps, 2, axis=1), np.repeat(W.T, 2, axis=1)
     n_pairs = (n_paths + 1) // 2
     B = min(n_pairs, max(1, _BLOCK_BYTES // (16 * M)))
     zeta = np.empty((B, M), dtype=complex)  # the block's noise
     spec = np.empty((B, M), dtype=complex)
-    field = np.empty((B, s), dtype=complex)  # cumulated level, Re and Im paths
+    field = np.empty((B, s), dtype=complex)  # cumulated node, Re and Im paths
     acc = np.empty((B, s), dtype=complex)  # the block's output pairs
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((n_paths, config.d, s))
@@ -255,16 +277,17 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
             z = spec[:b]
             noise_f, z_f, f_f, out_f = (x[:b].view(float) for x in (zeta, spec, field, acc))
             rng.standard_normal(out=noise_f)
-            for i, K, lower, upper in serving:
-                np.multiply(noise_f, amps2[i], out=z_f)
+            for k in range(len(nodes)):
+                np.multiply(noise_f, amps2[k], out=z_f)
                 np.fft.fft(z, axis=1, out=z)
-                np.cumsum(z[:, :K], axis=1, out=field[:b, :K])
-                for r in lower:
-                    np.multiply(stay2[r], f_f[:, r], out=out_f[:, r])
-                for r in upper:
-                    f_f[:, r] *= w2[r]
-                    out_f[:, r] += f_f[:, r]
+                np.cumsum(z[:, :s], axis=1, out=field[:b])
+                if k == 0:
+                    np.multiply(W2[0], f_f, out=out_f)
+                else:
+                    f_f *= W2[k]
+                    out_f += f_f
             out = values[2 * a:2 * (a + b), j, :]  # the last pair may lack its Im path
             out[0::2] = acc.real[:b]
             out[1::2] = acc.imag[:len(out) // 2]
-    return MbmPathSet(config=config, values=values)
+    return MbmPathSet(config=config, values=values,
+                      wood_chan={"nodes": len(nodes), "var_error": err})

@@ -9,6 +9,8 @@ R_h at a time, and chaos_term, one multi-index of the chaos pairing at a
 time, on a given time rule.  local_time_mc_whole is the Monte-Carlo
 reduction with every path held at once, and chaos_pairing_every_order the
 chaos pairing with one time integral for every order up to n_max.
+wood_chan_map is the Wood-Chan field as one explicit real matrix, whose
+rows give the generator's exact covariance by a matrix product.
 """
 import math
 from fractions import Fraction
@@ -228,6 +230,26 @@ def fgn_autocov(H: float, k: int) -> float:
     with mpmath.workdps(40):
         a, k = 2 * mpmath.mpf(H), mpmath.mpf(k)
         return float(((k + 1) ** a - 2 * k ** a + abs(k - 1) ** a) / 2)
+
+
+def wood_chan_map(amps: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The real (s, 2M) matrix that maps the noise (Re zeta, Im zeta) of one
+    path pair to its real path in the Wood-Chan field: per node k,
+
+        Re y_k(u) = sum_j amps_k(j) (cos(2 pi j u / M) Re zeta_j
+                                     + sin(2 pi j u / M) Im zeta_j),
+
+    the real part of the DFT of amps_k * zeta, cumulated over u <= t and
+    weighted by W[t, k], then summed over the nodes.  Each sine and cosine
+    is taken directly, not by an FFT.  The noise entries are independent
+    N(0, 1), so the covariance of the path is A @ A.T; the imaginary path
+    has the same one.
+    """
+    (s, n), M = W.shape, amps.shape[1]
+    angle = 2 * np.pi * (np.outer(np.arange(s), np.arange(M)) % M) / M
+    basis = np.hstack([np.cos(angle), np.sin(angle)])
+    return sum(W[:, k, None] * np.cumsum(basis * np.tile(amps[k], 2), axis=0)
+               for k in range(n))
 
 
 def chaos_term(rule, a: np.ndarray, n_vec) -> float:

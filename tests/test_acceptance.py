@@ -260,26 +260,30 @@ def test_criterion_9_wood_chan():
 def test_criterion_10_determinism(tmp_path):
     phi_cfg = {"components": [{"gaussian": {"amplitude": 0.5, "center": 0.2,
                                             "width": 0.8}}]}
-    configs = {
-        "simulate": {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 128,
-                     "n_paths": 4, "seed": 7},
-        "covariance": {"hurst": {"const": 0.7}, "s": 16},
-        "localtime": {"hurst": {"const": 0.7}, "s": 64, "n_paths": 50,
-                      "seed": 7, "eps": [0.2]},
-        "stransform": {"hurst": {"const": 0.7}, "d": 1, "N": 1,
-                       "eps": [0.1], "test_function": phi_cfg},
-        "kernels": {"hurst": {"const": 0.7}, "d": 1, "kernel_eps": 0.1,
-                    "kernel_index": [2], "u_grid": [[0.2, 0.3]]},
-        "converge": {"hurst": {"const": 0.7}, "d": 1, "N": 1,
-                     "eps": [0.1, 0.01], "test_function": phi_cfg},
-    }
+    configs = [
+        ("simulate", {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 128,
+                      "n_paths": 4, "seed": 7}),
+        # the Wood-Chan node count is chosen from a computed error, which must
+        # not depend on the thread count either
+        ("simulate", {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 128,
+                      "n_paths": 4, "seed": 7, "method": "wood_chan"}),
+        ("covariance", {"hurst": {"const": 0.7}, "s": 16}),
+        ("localtime", {"hurst": {"const": 0.7}, "s": 64, "n_paths": 50,
+                       "seed": 7, "eps": [0.2]}),
+        ("stransform", {"hurst": {"const": 0.7}, "d": 1, "N": 1,
+                        "eps": [0.1], "test_function": phi_cfg}),
+        ("kernels", {"hurst": {"const": 0.7}, "d": 1, "kernel_eps": 0.1,
+                     "kernel_index": [2], "u_grid": [[0.2, 0.3]]}),
+        ("converge", {"hurst": {"const": 0.7}, "d": 1, "N": 1,
+                      "eps": [0.1, 0.01], "test_function": phi_cfg}),
+    ]
     failures = []
-    for command, cfg in configs.items():
-        cfg_path = tmp_path / f"{command}.json"
+    for leg, (command, cfg) in enumerate(configs):
+        cfg_path = tmp_path / f"{leg}.json"
         cfg_path.write_text(json.dumps(cfg))
         outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"{command}-{threads}"
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"{leg}-{threads}"
             env = dict(os.environ, MBMLT_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(
@@ -294,8 +298,11 @@ def test_criterion_10_determinism(tmp_path):
                 p.name: p.read_bytes()
                 for p in sorted(out.iterdir()) if p.suffix == ".csv"
             }
+            blobs["wood_chan"] = json.loads((out / "manifest.json").read_text()).get("wood_chan")
             outputs.append(blobs)
-        if len(outputs) == 2 and outputs[0] != outputs[1]:
+        if any(o != outputs[0] for o in outputs[1:]):
             failures.append(f"{command} output differs across thread counts")
+        if cfg.get("method") == "wood_chan" and not (outputs and outputs[0]["wood_chan"]):
+            failures.append("the manifest records no Wood-Chan node count")
     _verdict(10, "determinism", not failures,
-             "; ".join(failures) or "all subcommands byte-identical for threads 1 vs 4")
+             "; ".join(failures) or "all subcommands byte-identical for threads 1, 2 and 4")

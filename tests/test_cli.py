@@ -71,10 +71,23 @@ class TestSimulateCommand:
         assert a != b
 
     def test_wood_chan_method(self, tmp_path):
+        from mbmlt.simulate import SimulationConfig, simulate
+        from mbmlt.specfun import HurstFunctional
+
         cfg = {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 32,
                "n_paths": 2, "method": "wood_chan"}
         code, out = _run(tmp_path, "simulate", cfg)
         assert code == 0 and (out / "paths.csv").exists()
+        # the manifest records the Hurst node count and the variance error
+        paths = simulate(SimulationConfig(h=HurstFunctional.linear(0.55, 0.2), s=32,
+                                          n_paths=2, method="wood_chan"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["wood_chan"] == paths.wood_chan
+        assert manifest["wood_chan"]["nodes"] == 5
+        assert 0 < manifest["wood_chan"]["var_error"] <= 1e-4
+        # the exact method has no such entry
+        code, out = _run(tmp_path, "simulate", {**cfg, "method": "exact"})
+        assert json.loads((out / "manifest.json").read_text())["wood_chan"] is None
 
     def test_variance_rel_rms_from_written_paths(self, tmp_path):
         cfg = {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "d": 2, "s": 32,
@@ -165,6 +178,16 @@ class TestLocalTimeCommand:
             assert target == (0.0 if N == 1 else expected_local_time(h, eps, 1))
             assert math.isfinite(z) and abs(z) <= 5.0
             assert z == pytest.approx((estimate - target) / stderr, rel=1e-12)
+        assert manifest["wood_chan"] is None
+
+    def test_manifest_wood_chan_entry(self, tmp_path):
+        cfg = {"hurst": {"sin": {"a": 0.7, "b": 0.15, "omega": 6}}, "s": 64,
+               "n_paths": 20, "seed": 3, "method": "wood_chan", "eps": [0.2]}
+        code, out = _run(tmp_path, "localtime", cfg)
+        assert code == 0
+        entry = json.loads((out / "manifest.json").read_text())["wood_chan"]
+        assert entry["nodes"] in (2, 3, 5, 9, 17, 33, 65)
+        assert 0 <= entry["var_error"] <= 1e-4
 
     def test_eps_flag_overrides(self, tmp_path):
         cfg = {"hurst": {"const": 0.7}, "s": 64, "n_paths": 20,

@@ -15,15 +15,15 @@ from mbmlt.simulate import (
     _cholesky_with_jitter,
     _embedding_size,
     _fgn_autocov,
-    _hurst_levels,
-    _level_runs,
+    _hurst_nodes,
+    _lagrange_weights,
     simulate,
     simulate_exact,
     simulate_wood_chan_mbm,
 )
 from mbmlt.specfun import HurstFunctional
 
-from .oracles import fgn_autocov, h_inner_product
+from .oracles import fgn_autocov, h_inner_product, wood_chan_map
 
 
 class TestConfig:
@@ -276,37 +276,34 @@ class TestWoodChan:
         assert m == 16384 and eigs.min() > 0
 
 
+def _nodes(config):
+    """_hurst_nodes on the config's grid: nodes, W, amplitudes, error."""
+    return _hurst_nodes(config.grid, config.h(config.grid), config.h.T / config.s)
+
+
 def _materialized_wood_chan(config):
-    """The field construction with every level held at once: all levels of
-    fGn, each with dt ** H_i in its amplitudes, then cumsum, then the
-    two-level interpolation."""
-    grid = config.grid
-    hvals = config.h(grid)
-    levels = _hurst_levels(hvals)
-    scale = (config.h.T / config.s) ** levels  # array pow, as the synthesis takes it
-    m, eigs = _embedding_size(levels, config.s)
-    M = 2 * m
+    """The field construction with every node held at once: all nodes of
+    fGn, each with dt ** H_k in its amplitudes, then cumsum, then the dense
+    weights W[:, k] summed over the nodes in order."""
+    nodes, W, amps, _ = _nodes(config)
     n_pairs = (config.n_paths + 1) // 2
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((config.n_paths, config.d, config.s))
     for j in range(config.d):
         rng = np.random.default_rng(streams[j])
-        zeta = rng.standard_normal((n_pairs, 2 * M)).view(complex)
-        fgn = np.empty((len(levels), config.n_paths, config.s))
-        for i in range(len(levels)):
-            y = np.fft.fft((np.sqrt(eigs[i] / M) * scale[i]) * zeta, axis=1)
+        zeta = rng.standard_normal((n_pairs, 2 * amps.shape[1])).view(complex)
+        fgn = np.empty((len(nodes), config.n_paths, config.s))
+        for k in range(len(nodes)):
+            y = np.fft.fft(amps[k] * zeta, axis=1)
             pair = np.empty((2 * n_pairs, config.s))
             pair[0::2] = y.real[:, :config.s]
             pair[1::2] = y.imag[:, :config.s]
-            fgn[i] = pair[:config.n_paths]
+            fgn[k] = pair[:config.n_paths]
         fields = np.cumsum(fgn, axis=2)
-        if len(levels) == 1:
-            values[:, j, :] = fields[0]
-            continue
-        idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
-        w = (hvals - levels[idx]) / (levels[idx + 1] - levels[idx])
-        k = np.arange(config.s)
-        values[:, j, :] = (1 - w) * fields[idx, :, k].T + w * fields[idx + 1, :, k].T
+        out = W[:, 0] * fields[0]
+        for k in range(1, len(nodes)):
+            out = out + W[:, k] * fields[k]
+        values[:, j, :] = out
     return values
 
 
@@ -314,13 +311,11 @@ class TestWoodChanStreaming:
     SHAPES = [(64, 4), (100, 7), (257, 5), (8, 3)]  # (s, n_paths)
     HURST = {
         "const": HurstFunctional.constant(0.7),
-        # peaks at t = T, a grid point, so the top level gets weight w = 1
+        # peaks at t = T, a grid point, so the top node's row is one-hot there
         "linear": HurstFunctional.linear(0.55, 0.2),
         "sin": HurstFunctional.sinusoidal(0.7, 0.15, 6.0),
-        # each level serves several disjoint runs of times
         "sin20": HurstFunctional.sinusoidal(0.7, 0.15, 20.0),
-        # on the s = 8 grid h steps over whole levels, which serve no time,
-        # so they are cumulated over no column
+        # close to 1 at T, so it takes more nodes
         "steep": HurstFunctional.linear(0.52, 0.45),
     }
 
@@ -339,33 +334,19 @@ class TestWoodChanStreaming:
                                         monkeypatch):
         cfg = SimulationConfig(h=self.HURST[hurst], s=s, n_paths=n_paths, d=d,
                                seed=9, method="wood_chan")
-        levels = _hurst_levels(cfg.h(cfg.grid))
-        assert levels[-1] == cfg.h(cfg.grid).max()
+        nodes, _, amps, _ = _nodes(cfg)
+        assert nodes[0] == cfg.h(cfg.grid).max()
         if block_pairs is not None:  # a (pairs, M) complex spectrum per block
-            M = 2 * _embedding_size(levels, s)[0]
-            monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", block_pairs * 16 * M)
+            monkeypatch.setattr(simulate_module, "_BLOCK_BYTES",
+                                block_pairs * 16 * amps.shape[1])
         streamed = simulate_wood_chan_mbm(cfg).values
         assert np.array_equal(streamed, _materialized_wood_chan(cfg))
-
-    @pytest.mark.parametrize("idx, n_levels", [
-        ([0, 0, 1, 1, 0, 2, 2, 2], 4),
-        ([3, 3, 3], 5),
-        ([0] * 6, 1),
-    ])
-    def test_level_runs_partition_the_times(self, idx, n_levels):
-        idx = np.array(idx)
-        runs = _level_runs(idx, n_levels)
-        for i, (lower, upper) in enumerate(runs):
-            got_lower = [k for r in lower for k in range(len(idx))[r]]
-            got_upper = [k for r in upper for k in range(len(idx))[r]]
-            assert got_lower == list(np.flatnonzero(idx == i))
-            assert got_upper == list(np.flatnonzero(idx + 1 == i))
 
     def test_peak_memory_bounded_by_output(self):
         h = self.HURST["sin"]
         cfg = SimulationConfig(h=h, s=1024, n_paths=500, d=2, seed=1,
                                method="wood_chan")
-        assert len(_hurst_levels(h(cfg.grid))) == 16
+        assert len(_nodes(cfg)[0]) == 9
         tracemalloc.start()
         try:
             values = simulate_wood_chan_mbm(cfg).values
@@ -375,26 +356,21 @@ class TestWoodChanStreaming:
         # the output plus block buffers: the extra does not grow with n_paths
         assert peak - values.nbytes <= 8 * simulate_module._BLOCK_BYTES
 
-    def test_levels_serving_no_time_run_no_fft(self, monkeypatch):
-        # on the s = 8 grid the steep h steps over whole levels; only the
-        # levels that bracket some h(t_k) are synthesized
+    def test_one_fft_per_node_and_block(self, monkeypatch):
         cfg = SimulationConfig(h=self.HURST["steep"], s=8, n_paths=7, d=2, seed=9,
                                method="wood_chan")
-        hvals = cfg.h(cfg.grid)
-        levels = _hurst_levels(hvals)
-        idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
-        serving = set(idx) | set(idx + 1)
-        assert len(serving) < len(levels)
-        M = 2 * _embedding_size(levels, cfg.s)[0]
+        nodes, _, amps, _ = _nodes(cfg)
         # 4 pairs in blocks of 3 and 1
-        monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", 3 * 16 * M)
+        monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", 3 * 16 * amps.shape[1])
         fft, calls = np.fft.fft, []
         monkeypatch.setattr(np.fft, "fft",
                             lambda a, *args, **kw: calls.append(np.ndim(a)) or fft(a, *args, **kw))
         simulate_wood_chan_mbm(cfg)
-        # the embedding takes one 1-D FFT per level, the synthesis 2-D ones
-        assert calls.count(1) == len(levels)
-        assert calls.count(2) == 2 * 2 * len(serving)
+        # the embedding takes one 1-D FFT per node, although the selection
+        # tried smaller node sets first: each holds the last; the synthesis
+        # takes one 2-D FFT per block, component and node
+        assert calls.count(1) == len(nodes) > 2
+        assert calls.count(2) == 2 * 2 * len(nodes)
 
     @pytest.mark.parametrize("n_pairs, M, block", [(6, 8, 2), (7, 8, 3), (5, 16, 5),
                                                    (4, 8, 1)])
@@ -414,3 +390,114 @@ class TestWoodChanStreaming:
         assert np.array_equal(drawn.view(float), whole), (
             "numpy's normal sampling no longer gives one stream across block "
             "draws; simulate_wood_chan_mbm's output would change")
+
+
+def _lobatto(lo, hi, n):
+    """The n Chebyshev-Lobatto nodes on [lo, hi], from hi down to lo."""
+    x = lo + (hi - lo) * (1 + np.cos(np.pi * np.arange(n) / (n - 1))) / 2
+    x[[0, -1]] = hi, lo
+    return x
+
+
+def _amplitudes(nodes, s, dt):
+    """Per node, sqrt(eigenvalues / M) dt^H, as the synthesis takes them."""
+    m, eigs = _embedding_size(nodes, s)
+    return np.sqrt(eigs / (2 * m)) * (dt ** np.asarray(nodes))[:, None]
+
+
+def _linear_grid(hvals, s, dt):
+    """The former field: levels 0.02 apart, interpolated linearly between the
+    two that bracket h(t), as dense weights."""
+    lo, hi = hvals.min(), hvals.max()
+    levels = np.linspace(lo, hi, max(2, int(np.ceil((hi - lo) / 0.02)) + 1))
+    idx = np.clip(np.searchsorted(levels, hvals) - 1, 0, len(levels) - 2)
+    w = (hvals - levels[idx]) / (levels[idx + 1] - levels[idx])
+    W = np.zeros((s, len(levels)))
+    W[np.arange(s), idx], W[np.arange(s), idx + 1] = 1 - w, w
+    return W, _amplitudes(levels, s, dt)
+
+
+class TestHurstNodes:
+    HURST = TestWoodChanStreaming.HURST
+
+    @pytest.mark.parametrize("hurst", ["const", "linear", "sin", "steep"])
+    @pytest.mark.parametrize("s", [8, 16, 64])
+    def test_error_matches_explicit_map(self, hurst, s):
+        cfg = SimulationConfig(h=self.HURST[hurst], s=s, n_paths=2, seed=4,
+                               method="wood_chan")
+        nodes, W, amps, err = _nodes(cfg)
+        A = wood_chan_map(amps, W)
+        var = np.sum(A * A, axis=1)
+        assert abs(err - np.max(np.abs(var / cfg.grid ** (2 * cfg.h(cfg.grid)) - 1))) <= 1e-12
+        # the map is the generator's: applied to the first noise row it gives
+        # the real path 0
+        noise = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed).spawn(1)[0]).standard_normal(2 * amps.shape[1])
+        path = simulate_wood_chan_mbm(cfg).values[0, 0]
+        assert np.allclose(A @ np.concatenate([noise[0::2], noise[1::2]]), path,
+                           rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("hurst", ["linear", "sin", "sin20", "steep"])
+    def test_node_count_is_first_passing(self, hurst):
+        cfg = SimulationConfig(h=self.HURST[hurst], s=64, method="wood_chan")
+        hvals, dt = cfg.h(cfg.grid), cfg.h.T / cfg.s
+        target = cfg.grid ** (2 * hvals)
+        nodes, _, _, err = _nodes(cfg)
+        for n in (2, 3, 5, 9, 17, 33, 65):
+            x = _lobatto(hvals.min(), hvals.max(), n)
+            A = wood_chan_map(_amplitudes(x, cfg.s, dt), _lagrange_weights(hvals, x))
+            oracle = np.max(np.abs(np.sum(A * A, axis=1) / target - 1))
+            if oracle <= simulate_module._VAR_RTOL:
+                break
+        assert len(nodes) == n > 2
+        assert np.allclose(nodes, x, rtol=0, atol=1e-15)
+        assert err == pytest.approx(oracle, rel=0, abs=1e-12)
+
+    def test_exact_node_hit_gives_one_hot_row(self):
+        x = _lobatto(0.55, 0.75, 9)
+        hvals = np.array([x[0], 0.6, x[3], x[-1]])
+        W = _lagrange_weights(hvals, x)
+        eye = np.eye(9)
+        for row, k in ((0, 0), (2, 3), (3, 8)):
+            assert np.array_equal(W[row], eye[k])
+        assert np.isfinite(W).all() and np.sum(W[1]) == pytest.approx(1, abs=1e-14)
+        # on the grid: the times where h is at its ends
+        cfg = SimulationConfig(h=self.HURST["sin"], s=64, method="wood_chan")
+        hvals = cfg.h(cfg.grid)
+        nodes, W, _, _ = _nodes(cfg)
+        assert np.array_equal(W[np.argmax(hvals)], np.eye(len(nodes))[0])
+        assert np.array_equal(W[np.argmin(hvals)], np.eye(len(nodes))[-1])
+
+    @pytest.mark.parametrize("s, n_paths, d", [(64, 4, 1), (100, 7, 2), (8, 3, 3)])
+    def test_constant_h_is_the_one_level_synthesis(self, s, n_paths, d):
+        # one node, weight 1: the bytes of the constant-index synthesis,
+        # cumsum(fft(sqrt(eigs / M) dt^H zeta)), with no interpolation step
+        H = 0.7
+        cfg = SimulationConfig(h=HurstFunctional.constant(H), s=s, n_paths=n_paths,
+                               d=d, seed=9, method="wood_chan")
+        paths = simulate_wood_chan_mbm(cfg)
+        assert paths.wood_chan["nodes"] == 1 and paths.wood_chan["var_error"] < 1e-14
+        amp = _amplitudes([H], s, 1.0 / s)[0]
+        n_pairs = (n_paths + 1) // 2
+        for j, stream in enumerate(np.random.SeedSequence(9).spawn(d)):
+            zeta = np.random.default_rng(stream).standard_normal(
+                (n_pairs, 2 * len(amp))).view(complex)
+            y = np.cumsum(np.fft.fft(amp * zeta, axis=1)[:, :s], axis=1)
+            pair = np.empty((2 * n_pairs, s))
+            pair[0::2], pair[1::2] = y.real, y.imag
+            assert np.array_equal(paths.values[:, j, :], pair[:n_paths])
+
+    @pytest.mark.parametrize("hurst", ["linear", "sin", "steep"])
+    @pytest.mark.parametrize("s", [64, 128])
+    def test_covariance_error_no_worse_than_linear_grid(self, hurst, s):
+        cfg = SimulationConfig(h=self.HURST[hurst], s=s, method="wood_chan")
+        hvals, dt = cfg.h(cfg.grid), cfg.h.T / s
+        R = covariance_matrix(cfg.grid, cfg.h).values
+        _, W, amps, _ = _nodes(cfg)
+        errors = []
+        for A in (wood_chan_map(amps, W), wood_chan_map(*_linear_grid(hvals, s, dt)[::-1])):
+            cov = A @ A.T
+            errors.append(np.max(np.abs(cov - R)) / np.max(R))
+        assert errors[0] <= 1.01 * errors[1]
+        A = wood_chan_map(amps, W)
+        assert np.max(np.abs(np.sum(A * A, axis=1) / np.diag(R) - 1)) <= simulate_module._VAR_RTOL
