@@ -425,7 +425,7 @@ class TestHurstNodes:
     def test_error_matches_explicit_map(self, hurst, s):
         cfg = SimulationConfig(h=self.HURST[hurst], s=s, n_paths=2, seed=4,
                                method="wood_chan")
-        nodes, W, amps, err = _nodes(cfg)
+        _, W, amps, err = _nodes(cfg)
         A = wood_chan_map(amps, W)
         var = np.sum(A * A, axis=1)
         assert abs(err - np.max(np.abs(var / cfg.grid ** (2 * cfg.h(cfg.grid)) - 1))) <= 1e-12
