@@ -42,7 +42,7 @@ _CHUNK = 1 << 13
 
 #: the top-level config keys, as the README's example lists them
 _CONFIG_KEYS = frozenset({"hurst", "T", "d", "N", "s", "n_paths", "seed", "method",
-                          "eps", "test_function", "kernel_index", "kernel_eps", "u_grid"})
+                          "eps", "test_function", "kernel_index", "u_grid"})
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -318,9 +318,11 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
     import numpy as np
 
     from .chaos import kernel_eval
-    from .specfun import _config_list, _real
+    from .specfun import _config_list, _eps, _real
 
     h, d, N, _ = _build(cfg)
+    eps_list = _eps_list(cfg, [0.0])  # eps = 0: unregularized
+    _eps(eps_list, zero_ok=True)
     n_vec = [_whole(n, "kernel index entry")
              for n in _config_list(cfg["kernel_index"], "kernel_index")]
     if len(n_vec) != d:
@@ -331,12 +333,11 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
         raise ValueError(f"every u point needs {order} coordinates")
     u = np.array([[_real(x, "u_grid coordinate") for x in p] for p in points],
                  dtype=float).reshape(len(points), order)
-    # kernel_eps absent, null or 0: unregularized
-    kernel_eps = cfg.get("kernel_eps")
-    values = kernel_eval(h, N, n_vec, u,
-                         0.0 if kernel_eps is None else _real(kernel_eps, "kernel_eps"))
-    _write_csv(outdir / "kernels.csv", [f"u{i+1}" for i in range(order)] + ["value"],
-               [np.column_stack([u, values])])
+    # a list, so every kernel is computed before the file is opened
+    blocks = [np.column_stack([np.full(len(u), e), u, kernel_eval(h, N, n_vec, u, e)])
+              for e in eps_list]
+    _write_csv(outdir / "kernels.csv", ["eps", *(f"u{i+1}" for i in range(order)), "value"],
+               blocks)
     return {"index": n_vec, "order": order}
 
 

@@ -11,13 +11,14 @@ Two generators:
   constant Hurst index, extended to a time-varying index by simulating a
   field of constant-index paths on Chebyshev-Lobatto Hurst nodes from
   shared noise and interpolating in the index.  The node count is the
-  fewest whose exactly computed variance error is at most _VAR_RTOL; it
-  and the error are returned with the paths.  Fast but approximate for
-  non-constant h.  Paths are synthesized in blocks of pairs, and within a
-  block the nodes are streamed: each is synthesized, cumulated and folded
-  into the block's output in turn.  One generator per component draws the
-  noise block by block, Re and Im interleaved, so working memory beyond
-  the output is four block buffers of about 1 MB each, not O(n_paths * M)
+  fewest, from one up, whose exactly computed variance error is at most
+  _VAR_RTOL, so constant h takes one node; the count and the error are
+  returned with the paths.  Fast but approximate for non-constant h.
+  Paths are synthesized in blocks of pairs, and within a block the nodes
+  are streamed: each is synthesized, cumulated and folded into the
+  block's output in turn.  One generator per component draws the noise
+  block by block, Re and Im interleaved, so working memory beyond the
+  output is four block buffers of about 1 MB each, not O(n_paths * M)
   (M the embedding size) nor O(nodes * n_paths * s).
 
 All randomness flows from a single 64-bit seed through numpy SeedSequence
@@ -179,7 +180,8 @@ def _embedding_size(H_levels, s: int) -> tuple[int, np.ndarray]:
 
 def _lagrange_weights(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """W[t, k] = l_k(x_t), the Lagrange basis of the nodes in product form:
-    an x_t equal to a node gives an exact one-hot row, with no division by 0."""
+    an x_t equal to a node gives an exact one-hot row, with no division by 0,
+    and one node gives a column of ones, the empty product."""
     W = np.empty((len(x), len(nodes)))
     for k, xk in enumerate(nodes):
         others = np.delete(nodes, k)
@@ -192,44 +194,37 @@ def _hurst_nodes(grid: np.ndarray, hvals: np.ndarray, dt: float):
     lo + (hi - lo)(1 + cos(pi k / (n - 1))) / 2, the ends exact), their
     weights W (s, n) at the times, amplitudes (n, M) and variance error.
 
-    n is the first of 2, 3, 5, 9, 17, 33, 65 (each set holds the last) whose
-    error max_t |Var(out_t) / t^{2h(t)} - 1| is at most _VAR_RTOL, else 65.
+    n is the first of 1, 2, 3, 5, 9, 17, 33, 65 whose error
+    max_t |Var(out_t) / t^{2h(t)} - 1| is at most _VAR_RTOL, else 65.  Each
+    set is taken from the 65-node one, which holds every smaller one; the
+    one-node set is [max h], weight 1, which is all that constant h needs.
     The error is exact: the real paths of nodes k and l have covariance
     c_kl(j) = Re fft(a_k a_l)(j) at lag j (a the amplitudes), so cumulated
     to time index t, (t + 1) c(0) + 2 sum_{1 <= j <= t} (t + 1 - j) c(j),
-    two cumsums.  The eigenvalues and these curves are kept per node and
-    pair for the next set: n(n + 1) / 2 curves of s floats.  FFTs and
-    elementwise operations only, so n does not depend on BLAS threads.
-    Constant h has one node, weight 1.
+    two cumsums; each pair's curve is added to the variance as it is made,
+    and every set is computed afresh, so no per-pair state is kept.  FFTs
+    and elementwise operations only, so n does not depend on BLAS threads.
     """
     lo, hi = float(hvals.min()), float(hvals.max())
-    if hi - lo < 1e-14:
-        fine, counts = np.array([lo]), (1,)
-    else:  # the 65-node set, which holds every smaller one
-        fine = lo + (hi - lo) * (1 + np.cos(np.pi * np.arange(65) / 64)) / 2
-        fine[[0, -1]] = hi, lo
-        counts = (2, 3, 5, 9, 17, 33, 65)
+    fine = lo + (hi - lo) * (1 + np.cos(np.pi * np.arange(65) / 64)) / 2
+    fine[[0, -1]] = hi, lo
     scale = dt ** fine  # array pow; libm's scalar pow can differ by 1 ulp
     target = grid ** (2 * hvals)
-    amps, curves = {}, {}  # by position in fine; by pair of positions
-    for n in counts:
-        pos = np.linspace(0, len(fine) - 1, n).astype(int)
-        new = [p for p in pos if p not in amps]
-        m, eigs = _embedding_size(fine[new], len(grid))
-        amps.update(zip(new, np.sqrt(eigs / (2 * m)) * scale[new, None]))
+    for n in (1, 2, 3, 5, 9, 17, 33, 65):
+        pos = np.linspace(0, 64, n).astype(int)
+        m, eigs = _embedding_size(fine[pos], len(grid))
+        amps = np.sqrt(eigs / (2 * m)) * scale[pos, None]
         W = _lagrange_weights(hvals, fine[pos])
         var = np.zeros(len(grid))
-        for a, p in enumerate(pos):
-            for b, q in enumerate(pos[a:], a):
-                if (p, q) not in curves:
-                    c = np.fft.rfft(amps[p] * amps[q]).real[:len(grid)]
-                    c[1:] *= 2
-                    curves[p, q] = np.cumsum(np.cumsum(c))
-                var += ((1 + (a < b)) * W[:, a] * W[:, b]) * curves[p, q]
+        for a in range(n):
+            for b in range(a, n):
+                c = np.fft.rfft(amps[a] * amps[b]).real[:len(grid)]
+                c[1:] *= 2
+                var += ((1 + (a < b)) * W[:, a] * W[:, b]) * np.cumsum(np.cumsum(c))
         err = float(np.max(np.abs(var / target - 1)))
         if err <= _VAR_RTOL:
             break
-    return fine[pos], W, np.array([amps[p] for p in pos]), err
+    return fine[pos], W, amps, err
 
 
 def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:

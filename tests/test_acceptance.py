@@ -272,7 +272,7 @@ def test_criterion_10_determinism(tmp_path):
                        "seed": 7, "eps": [0.2]}),
         ("stransform", {"hurst": {"const": 0.7}, "d": 1, "N": 1,
                         "eps": [0.1], "test_function": phi_cfg}),
-        ("kernels", {"hurst": {"const": 0.7}, "d": 1, "kernel_eps": 0.1,
+        ("kernels", {"hurst": {"const": 0.7}, "d": 1, "eps": [0.1],
                      "kernel_index": [2], "u_grid": [[0.2, 0.3]]}),
         ("converge", {"hurst": {"const": 0.7}, "d": 1, "N": 1,
                       "eps": [0.1, 0.01], "test_function": phi_cfg}),

@@ -366,10 +366,11 @@ class TestWoodChanStreaming:
         monkeypatch.setattr(np.fft, "fft",
                             lambda a, *args, **kw: calls.append(np.ndim(a)) or fft(a, *args, **kw))
         simulate_wood_chan_mbm(cfg)
-        # the embedding takes one 1-D FFT per node, although the selection
-        # tried smaller node sets first: each holds the last; the synthesis
-        # takes one 2-D FFT per block, component and node
-        assert calls.count(1) == len(nodes) > 2
+        # the selection computes the embedding of every node set it tries
+        # afresh, one 1-D FFT per node of each; the synthesis takes one 2-D
+        # FFT per block, component and node
+        tried = [n for n in (1, 2, 3, 5, 9, 17, 33, 65) if n <= len(nodes)]
+        assert len(nodes) > 2 and calls.count(1) == sum(tried)
         assert calls.count(2) == 2 * 2 * len(nodes)
 
     @pytest.mark.parametrize("n_pairs, M, block", [(6, 8, 2), (7, 8, 3), (5, 16, 5),
@@ -393,7 +394,10 @@ class TestWoodChanStreaming:
 
 
 def _lobatto(lo, hi, n):
-    """The n Chebyshev-Lobatto nodes on [lo, hi], from hi down to lo."""
+    """The n Chebyshev-Lobatto nodes on [lo, hi], from hi down to lo; [hi]
+    for n = 1."""
+    if n == 1:
+        return np.array([hi])
     x = lo + (hi - lo) * (1 + np.cos(np.pi * np.arange(n) / (n - 1))) / 2
     x[[0, -1]] = hi, lo
     return x
@@ -443,7 +447,7 @@ class TestHurstNodes:
         hvals, dt = cfg.h(cfg.grid), cfg.h.T / cfg.s
         target = cfg.grid ** (2 * hvals)
         nodes, _, _, err = _nodes(cfg)
-        for n in (2, 3, 5, 9, 17, 33, 65):
+        for n in (1, 2, 3, 5, 9, 17, 33, 65):
             x = _lobatto(hvals.min(), hvals.max(), n)
             A = wood_chan_map(_amplitudes(x, cfg.s, dt), _lagrange_weights(hvals, x))
             oracle = np.max(np.abs(np.sum(A * A, axis=1) / target - 1))
@@ -452,6 +456,37 @@ class TestHurstNodes:
         assert len(nodes) == n > 2
         assert np.allclose(nodes, x, rtol=0, atol=1e-15)
         assert err == pytest.approx(oracle, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("hurst", [HurstFunctional.linear(0.7, 1e-9),
+                                       HurstFunctional.sinusoidal(0.7, 1e-6, 6.0)],
+                             ids=["linear", "sin"])
+    @pytest.mark.parametrize("s", [64, 1024])
+    def test_near_constant_h_takes_one_node(self, hurst, s):
+        # the one-node set [max h] is the first tried: its error, about
+        # 2 (max h - h(t)) |log t|, meets the tolerance here
+        cfg = SimulationConfig(h=hurst, s=s, method="wood_chan")
+        hvals = cfg.h(cfg.grid)
+        nodes, W, amps, err = _nodes(cfg)
+        assert nodes.tolist() == [hvals.max()]
+        assert np.array_equal(W, np.ones((s, 1)))
+        A = wood_chan_map(amps, W)
+        oracle = np.max(np.abs(np.sum(A * A, axis=1) / cfg.grid ** (2 * hvals) - 1))
+        assert err <= simulate_module._VAR_RTOL
+        assert abs(err - oracle) <= 1e-12
+
+    def test_selection_keeps_no_pair_curves(self):
+        # 65 nodes at s = 1024: the 2,145 pair curves of s floats would take
+        # 18 MB; each is added to the variance as it is made
+        cfg = SimulationConfig(h=HurstFunctional.linear(0.5001, 0.4998), s=1024,
+                               method="wood_chan")
+        tracemalloc.start()
+        try:
+            nodes = _nodes(cfg)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(nodes) == 65
+        assert peak < 8e6
 
     def test_exact_node_hit_gives_one_hot_row(self):
         x = _lobatto(0.55, 0.75, 9)
