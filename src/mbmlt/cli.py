@@ -197,52 +197,38 @@ def _format17(x):
     return cells.view(np.uint8)
 
 
-def _write_csv(path: Path, header: list, blocks, labels=None, lead=None) -> None:
-    """Write a header line, then every row of each 2-D float block, each
-    value as FMT (17 significant digits, so doubles round-trip exactly).
-    labels[i] starts each row of block i (paths.csv's path index); the float
-    lead[k] starts row k of every block (the times of paths.csv and
-    covariance.csv).  Every value goes through _format17, whose array
-    operations give the bytes of FMT % v, exactly for 1e-6 < |v| < 1e16 and
-    by FMT % v itself for any other v; rows are written about _CHUNK values
-    at a time, so the buffers do not grow with the table."""
+def _write_csv(path: Path, header: list, table, labels=None, lead=None) -> None:
+    """Write a header line, then every row of each block of the float table
+    of shape (blocks, rows, cols), each value as FMT (17 significant digits,
+    so doubles round-trip exactly).  The float labels[i] starts each row of
+    block i (paths.csv's path index), and the float lead[k] starts row k of
+    every block (the times of paths.csv and covariance.csv); both are
+    formatted once per table.  Every value goes through _format17, whose
+    array operations give the bytes of FMT % v, exactly for 1e-6 < |v| <
+    1e16 and by FMT % v itself for any other v.  Rows are gathered about
+    _CHUNK values at a time, so the buffers do not grow with the table."""
     import numpy as np
 
-    def text(strings):  # one NUL-padded row per string
-        return np.array(strings, dtype="S").view(np.uint8).reshape(len(strings), -1)
+    def column(values):  # one NUL-padded "FMT," row per value
+        cells = _format17(np.asarray(values, dtype=float))
+        cells[:, 46] = ord(",")
+        text = [cell.tobytes().translate(None, b"\0") for cell in cells]
+        return np.array(text, dtype="S").view(np.uint8).reshape(len(text), -1)
 
-    if labels is not None:
-        labels = text([label.encode() for label in labels])
-    if lead is not None:
-        lead = _format17(np.asarray(lead, dtype=float))
-        lead[:, 46] = ord(",")
-        lead = text([cell.tobytes().translate(None, b"\0") for cell in lead])
-
-    def write(chunk):  # (block index, first row, rows) triples
-        rows = np.concatenate([p for *_, p in chunk])
-        block_of = np.repeat([i for i, *_ in chunk], [len(p) for *_, p in chunk])
-        row_of = np.concatenate([np.arange(r, r + len(p)) for _, r, p in chunk])
-        cells = _format17(rows.ravel()).reshape(*rows.shape, 48)
-        cells[:, :, 46] = ord(",")
-        cells[:, -1, 46] = ord("\n")
-        columns = [t[k] for t, k in ((labels, block_of), (lead, row_of)) if t is not None]
-        columns.append(cells.reshape(len(rows), -1))
-        fh.write(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0"))
-
+    table = np.asarray(table, dtype=float)
+    blocks, rows, cols = table.shape
+    labels, lead = (None if t is None else column(t) for t in (labels, lead))
+    step = max(1, _CHUNK // cols)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        chunk, count = [], 0
-        for i, block in enumerate(blocks):
-            block = np.asarray(block, dtype=float)
-            step = max(1, _CHUNK // block.shape[1])
-            for r in range(0, len(block), step):
-                chunk.append((i, r, block[r:r + step]))
-                count += chunk[-1][2].size
-                if count >= _CHUNK:
-                    write(chunk)
-                    chunk, count = [], 0
-        if chunk:
-            write(chunk)
+        for k in range(0, blocks * rows, step):
+            block, row = np.divmod(np.arange(k, min(k + step, blocks * rows)), rows)
+            cells = _format17(table[block, row].ravel()).reshape(len(row), cols, 48)
+            cells[:, :, 46] = ord(",")
+            cells[:, -1, 46] = ord("\n")
+            columns = [t[i] for t, i in ((labels, block), (lead, row)) if t is not None]
+            columns.append(cells.reshape(len(row), -1))
+            fh.write(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +238,7 @@ def _write_csv(path: Path, header: list, blocks, labels=None, lead=None) -> None
 def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
     import numpy as np
 
+    from .operator import _grid_variance
     from .simulate import simulate
 
     h, d, _, _ = _build(cfg)
@@ -259,11 +246,10 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
     paths = simulate(sim)
     values, grid = paths.values, sim.grid
     _write_csv(outdir / "paths.csv", ["path", "t", *(f"v{j+1}" for j in range(d))],
-               (v.T for v in values), labels=[f"{p}," for p in range(sim.n_paths)],
-               lead=grid)
+               values.transpose(0, 2, 1), labels=np.arange(sim.n_paths), lead=grid)
     # mean square over paths and components, relative to t^{2h(t)}
     sample = np.einsum("ijk,ijk->k", values, values) / (sim.n_paths * d)
-    rel = sample / grid ** (2.0 * h(grid)) - 1.0
+    rel = sample / _grid_variance(grid, h(grid)) - 1.0
     return {"method": sim.method, "seed": sim.seed, "s": sim.s, "n_paths": sim.n_paths,
             "d": d, "T": h.T, "wood_chan": paths.wood_chan,
             "variance_rel_rms": float(np.sqrt(np.mean(rel * rel)))}
@@ -281,7 +267,7 @@ def _cmd_covariance(cfg: dict, outdir: Path) -> dict:
     grid = np.arange(1, s + 1) * (h.T / s)
     cov = covariance_matrix(grid, h)
     _write_csv(outdir / "covariance.csv", ["t", *(FMT % t for t in grid.tolist())],
-               [cov.values], lead=grid)
+               cov.values[None], lead=grid)
     return {"grid_points": s, "min_eigenvalue": cov.min_eigenvalue}
 
 
@@ -329,6 +315,8 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
         raise ValueError(f"kernel index has {len(n_vec)} components, d = {d}")
     order = sum(n_vec)
     points = [_config_list(p, "u_grid point") for p in _config_list(cfg["u_grid"], "u_grid")]
+    if not points:
+        raise ValueError("u_grid must list at least one point")
     if any(len(p) != order for p in points):
         raise ValueError(f"every u point needs {order} coordinates")
     u = np.array([[_real(x, "u_grid coordinate") for x in p] for p in points],

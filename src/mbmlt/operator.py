@@ -59,8 +59,18 @@ class CovarianceMatrix:
     min_eigenvalue: float
 
 
+def _grid_variance(grid: np.ndarray, hvals: np.ndarray) -> np.ndarray:
+    """t^{2h(t)} at the times of the grid, hvals = h(grid); NumericalError
+    unless every value is a normal float."""
+    with np.errstate(over="ignore", under="ignore"):
+        var = grid ** (2.0 * hvals)
+    if not (np.isfinite(var).all() and var.min() >= np.finfo(float).tiny):
+        raise NumericalError(f"t^(2h(t)) leaves the float range on the grid to T = {grid[-1]:g}")
+    return var
+
+
 def _covariance_values(grid: np.ndarray, h: HurstFunctional) -> np.ndarray:
-    """R_h on a strictly increasing grid in (0, T], with no checks:
+    """R_h on a strictly increasing grid in (0, T], its diagonal checked by _grid_variance:
 
         R_h(t,s) = C((h(t)+h(s))/2)^2 / (C(h(t)) C(h(s)))
                    * (t^a + s^a - |t-s|^a) / 2,   a = h(t) + h(s),
@@ -71,6 +81,7 @@ def _covariance_values(grid: np.ndarray, h: HurstFunctional) -> np.ndarray:
     the matrix is exactly symmetric.
     """
     hv = h(grid)
+    _grid_variance(grid, hv)
     A = hv[:, None] + hv[None, :]
     C = normalizing_constant(hv)
     ratio = normalizing_constant(0.5 * A) ** 2 / (C[:, None] * C[None, :])

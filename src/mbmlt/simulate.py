@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .operator import _covariance_values
+from .operator import _covariance_values, _grid_variance
 from .specfun import HurstFunctional, _whole_number
 
 __all__ = [
@@ -205,11 +205,11 @@ def _hurst_nodes(grid: np.ndarray, hvals: np.ndarray, dt: float):
     and every set is computed afresh, so no per-pair state is kept.  FFTs
     and elementwise operations only, so n does not depend on BLAS threads.
     """
+    target = _grid_variance(grid, hvals)
     lo, hi = float(hvals.min()), float(hvals.max())
     fine = lo + (hi - lo) * (1 + np.cos(np.pi * np.arange(65) / 64)) / 2
     fine[[0, -1]] = hi, lo
     scale = dt ** fine  # array pow; libm's scalar pow can differ by 1 ulp
-    target = grid ** (2 * hvals)
     for n in (1, 2, 3, 5, 9, 17, 33, 65):
         pos = np.linspace(0, 64, n).astype(int)
         m, eigs = _embedding_size(fine[pos], len(grid))

@@ -10,13 +10,15 @@ from mbmlt.specfun import HurstFunctional
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _package_on_subprocess_path():
+def _package_on_subprocess_path(pytestconfig):
     """Tests that start `python -m mbmlt.cli` or `python -c` get the package
     this session imports, as the pytest `pythonpath` setting gives it to the
-    session itself."""
+    session itself, and the warnings that the `filterwarnings` setting makes
+    errors are errors there too."""
     src = str(Path(mbmlt.__file__).resolve().parents[1])
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        mp.setenv("PYTHONWARNINGS", ",".join(pytestconfig.getini("filterwarnings")))
         yield
 
 

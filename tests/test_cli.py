@@ -275,11 +275,20 @@ class TestSTransformCommand:
                         "test_function": _bump(1e160)}, "the t-integral is inf"),
         ("converge", {"hurst": {"const": 0.6}, "N": 2, "eps": [0.1],
                       "test_function": _bump(1e200)}, "the t-integral is inf"),
-    ], ids=["variance", "stransform-integral", "converge-integral"])
+        ("simulate", {"T": 1e-300}, "t^(2h(t)) leaves the float range"),
+        ("simulate", {"T": 1e250}, "t^(2h(t)) leaves the float range"),
+        ("simulate", {"T": 1e-300, "method": "wood_chan"}, "t^(2h(t)) leaves the float range"),
+        ("simulate", {"T": 1e250, "method": "wood_chan"}, "t^(2h(t)) leaves the float range"),
+        ("covariance", {"T": 1e-300}, "t^(2h(t)) leaves the float range"),
+        ("covariance", {"T": 1e250}, "t^(2h(t)) leaves the float range"),
+    ], ids=["variance", "stransform-integral", "converge-integral", "simulate-exact-1e-300",
+            "simulate-exact-1e250", "simulate-wood_chan-1e-300", "simulate-wood_chan-1e250",
+            "covariance-1e-300", "covariance-1e250"])
     def test_value_past_the_floats_is_numerical_error(self, tmp_path, capsys, command, cfg,
                                                       reason):
         # t^{2h(t)} past the floats at T = 1e250, where the integral is near
-        # 1.3e75, or an integrand past them: no value is written, and the
+        # 1.3e75, or on a path grid, below them at its first time for
+        # T = 1e-300, or an integrand past them: no value is written, and the
         # overflow does not surface as a RuntimeWarning (exit 4 in process)
         code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, "d": 1, **cfg})
         assert code == 3
@@ -351,6 +360,14 @@ class TestKernelsCommand:
         assert len(rows) == 2 * len(cfg["u_grid"])
         single = [kernels({"eps": [e]}).decode().splitlines()[1:] for e in (0, 0.1)]
         assert rows == single[0] + single[1]
+
+    def test_empty_u_grid_is_config_error(self, tmp_path, capsys):
+        cfg = {"hurst": {"const": 0.7}, "d": 1, "kernel_index": [2], "u_grid": [],
+               "eps": [0.1]}
+        code, out = _run(tmp_path, "kernels", cfg)
+        assert code == 1
+        assert "u_grid" in _reason(capsys)
+        assert not any(out.glob("*.csv"))
 
     def test_zero_dimension_is_config_error(self, tmp_path, capsys):
         cfg = {"hurst": {"const": 0.7}, "d": 0, "kernel_index": [], "eps": [0.1],
@@ -706,21 +723,23 @@ class TestFormat:
         self._assert_fmt(np.concatenate(near + [-e for e in near]))
 
     def test_writer_chunks_and_fallbacks(self, tmp_path):
-        # three blocks of 5500 rows x 3 with labels and a lead column: each
-        # block splits into pieces of _CHUNK // 3 rows, one chunk ends block 0
+        # a table of three blocks of 5500 rows x 3 with labels and a lead
+        # column: each chunk holds _CHUNK // 3 rows, one chunk ends block 0
         # and starts block 1, the last chunk is partial, and fallback values
-        # sit in the middle of that mixed chunk
+        # sit in the middle of that mixed chunk; the label 0 is a fallback
+        # too, and 12345 fills a second 4-digit group
         rng = np.random.default_rng(5)
-        blocks = rng.standard_normal((3, 5500, 3)) * 10.0 ** rng.integers(-3, 4, (3, 5500, 3))
-        blocks[1, 1000:1003] = [[0.0, 1e-7, 1e17], [-0.0, np.inf, np.nan], [-1e-7, 1e-6, 1e16]]
+        table = rng.standard_normal((3, 5500, 3)) * 10.0 ** rng.integers(-3, 4, (3, 5500, 3))
+        table[1, 1000:1003] = [[0.0, 1e-7, 1e17], [-0.0, np.inf, np.nan], [-1e-7, 1e-6, 1e16]]
+        labels = np.array([0.0, 7.0, 12345.0])
         lead = np.arange(1, 5501) * (0.7 / 5500)
         path = tmp_path / "t.csv"
-        cli._write_csv(path, ["path", "t", "a", "b", "c"], iter(blocks),
-                       labels=["x,", "y,", "z,"], lead=lead)
+        cli._write_csv(path, ["path", "t", "a", "b", "c"], table, labels=labels, lead=lead)
         expected = ["path,t,a,b,c"]
-        for label, block in zip("xyz", blocks):
+        for label, block in zip(labels, table):
             for t, row in zip(lead, block):
-                expected.append(",".join([label, f"{t:.17g}", *(f"{v:.17g}" for v in row)]))
+                expected.append(",".join([f"{label:.17g}", f"{t:.17g}",
+                                          *(f"{v:.17g}" for v in row)]))
         assert path.read_text() == "\n".join(expected) + "\n"
         assert 2 * (cli._CHUNK // 3) < 5500 < 3 * (cli._CHUNK // 3)
 
@@ -738,7 +757,8 @@ class TestImports:
 
     def test_path_routes_load_no_chaos(self):
         # the modules that perfbench's set-up probe imports for the localtime
-        # workloads: localtime defers its one chaos import to N = 1
+        # workloads: chaos loads only when local_time_mc runs, for every N,
+        # since it calls expected_local_time, which imports chaos's time rule
         code = ("import sys, mbmlt.cli, mbmlt.localtime, mbmlt.simulate; "
                 "sys.exit('mbmlt.chaos' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
