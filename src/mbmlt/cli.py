@@ -356,7 +356,10 @@ def _classify(exc: Exception) -> tuple[str, int]:
     """The JSON error name and exit code of an exception a command raised."""
     if isinstance(exc, AdmissibilityError):
         return "math-domain", 2
-    if isinstance(exc, NumericalError):
+    # numpy's LinAlgError subclasses ValueError; if it was raised, numpy.linalg
+    # is loaded, so the check imports no numpy
+    linalg = sys.modules.get("numpy.linalg")
+    if isinstance(exc, NumericalError) or (linalg and isinstance(exc, linalg.LinAlgError)):
         return "numerical", 3
     if isinstance(exc, (KeyError, TypeError, ValueError, OSError)):  # incl. JSONDecodeError
         return "config", 1

@@ -12,14 +12,17 @@ Two generators:
   field of constant-index paths on Chebyshev-Lobatto Hurst nodes from
   shared noise and interpolating in the index.  The node count is the
   fewest, from one up, whose exactly computed variance error is at most
-  _VAR_RTOL, so constant h takes one node; the count and the error are
-  returned with the paths.  Fast but approximate for non-constant h.
-  Paths are synthesized in blocks of pairs, and within a block the nodes
-  are streamed: each is synthesized, cumulated and folded into the
-  block's output in turn.  One generator per component draws the noise
-  block by block, Re and Im interleaved, so working memory beyond the
-  output is four block buffers of about 1 MB each, not O(n_paths * M)
-  (M the embedding size) nor O(nodes * n_paths * s).
+  _VAR_RTOL, so constant h takes one node.  The field has low rank in
+  the index: it is compressed to the fewest amplitude modes whose exact
+  variance error is still at most _VAR_RTOL, and the node count, the mode
+  count and that error are returned with the paths.  Fast but approximate
+  for non-constant h.  Paths are synthesized in blocks of pairs, and
+  within a block the modes are streamed: each is synthesized, cumulated
+  and folded into the block's output in turn.  One generator per
+  component draws the noise block by block, Re and Im interleaved, so
+  working memory beyond the output is four block buffers of about 1 MB
+  each, not O(n_paths * M) (M the embedding size) nor
+  O(modes * n_paths * s).
 
 All randomness flows from a single 64-bit seed through numpy SeedSequence
 spawning, so output does not depend on scheduling.  It is byte-identical
@@ -87,7 +90,8 @@ class MbmPathSet:
 
     config: SimulationConfig
     values: np.ndarray  # shape (n_paths, d, s)
-    #: Wood-Chan only: the Hurst node count and the computed variance error
+    #: Wood-Chan only: the Hurst node count, the amplitude mode count (one
+    #: FFT each per block) and the computed variance error of those modes
     wood_chan: dict | None = None
 
     def __post_init__(self):
@@ -189,21 +193,43 @@ def _lagrange_weights(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return W
 
 
-def _hurst_nodes(grid: np.ndarray, hvals: np.ndarray, dt: float):
-    """Chebyshev-Lobatto Hurst nodes on [min h, max h] (node k of n at
-    lo + (hi - lo)(1 + cos(pi k / (n - 1))) / 2, the ends exact), their
-    weights W (s, n) at the times, amplitudes (n, M) and variance error.
+def _variance_errors(W: np.ndarray, amps: np.ndarray, target: np.ndarray):
+    """Yield, for r = 1..n, max_t |Var(out_t) / target_t - 1| of the field
+    of the first r rows: out_t = sum_k W[t, k] (cumulated path of amps[k]).
 
-    n is the first of 1, 2, 3, 5, 9, 17, 33, 65 whose error
-    max_t |Var(out_t) / t^{2h(t)} - 1| is at most _VAR_RTOL, else 65.  Each
-    set is taken from the 65-node one, which holds every smaller one; the
-    one-node set is [max h], weight 1, which is all that constant h needs.
-    The error is exact: the real paths of nodes k and l have covariance
+    The error is exact: the real paths of rows k and l have covariance
     c_kl(j) = Re fft(a_k a_l)(j) at lag j (a the amplitudes), so cumulated
     to time index t, (t + 1) c(0) + 2 sum_{1 <= j <= t} (t + 1 - j) c(j),
-    two cumsums; each pair's curve is added to the variance as it is made,
-    and every set is computed afresh, so no per-pair state is kept.  FFTs
-    and elementwise operations only, so n does not depend on BLAS threads.
+    two cumsums.  Row r adds its pair curves with rows 0..r to the running
+    variance as each is made, so no per-pair state is kept.
+    """
+    var = np.zeros(len(target))
+    for b in range(len(amps)):
+        for a in range(b + 1):
+            c = np.fft.rfft(amps[a] * amps[b]).real[:len(target)]
+            c[1:] *= 2
+            var += ((1 + (a < b)) * W[:, a] * W[:, b]) * np.cumsum(np.cumsum(c))
+        yield float(np.max(np.abs(var / target - 1)))
+
+
+def _hurst_nodes(grid: np.ndarray, hvals: np.ndarray, dt: float):
+    """Chebyshev-Lobatto Hurst nodes on [min h, max h] (node k of n at
+    lo + (hi - lo)(1 + cos(pi k / (n - 1))) / 2, the ends exact), and their
+    field compressed to R amplitude modes: the mode weights (s, R) at the
+    times, the modes (R, M) and the variance error of that field.
+
+    n is the first of 1, 2, 3, 5, 9, 17, 33, 65 whose Lagrange field's
+    error max_t |Var(out_t) / t^{2h(t)} - 1| (_variance_errors) is at most
+    _VAR_RTOL, else 65.  Each set is taken from the 65-node one, which holds
+    every smaller one; the one-node set is [max h], weight 1, which is all
+    that constant h needs.  Every set is computed afresh.  The field has low
+    rank in H: a pivoted Gram-Schmidt on the n amplitude rows, each step
+    taking the largest remaining residual, unnormalized, as mode q_r, gives
+    amps[k] = sum_r C[k, r] q_r with |C| <= 1, and so mode weights
+    W'[:, r] = sum_k W[:, k] C[k, r].  R is the fewest leading modes whose
+    error is at most _VAR_RTOL, else n.  One node gives C = [[1.0]], the
+    node's own amplitudes and weights.  FFTs and elementwise operations
+    only, so n and R do not depend on BLAS threads.
     """
     target = _grid_variance(grid, hvals)
     lo, hi = float(hvals.min()), float(hvals.max())
@@ -215,21 +241,27 @@ def _hurst_nodes(grid: np.ndarray, hvals: np.ndarray, dt: float):
         m, eigs = _embedding_size(fine[pos], len(grid))
         amps = np.sqrt(eigs / (2 * m)) * scale[pos, None]
         W = _lagrange_weights(hvals, fine[pos])
-        var = np.zeros(len(grid))
-        for a in range(n):
-            for b in range(a, n):
-                c = np.fft.rfft(amps[a] * amps[b]).real[:len(grid)]
-                c[1:] *= 2
-                var += ((1 + (a < b)) * W[:, a] * W[:, b]) * np.cumsum(np.cumsum(c))
-        err = float(np.max(np.abs(var / target - 1)))
+        *_, err = _variance_errors(W, amps, target)
         if err <= _VAR_RTOL:
             break
-    return fine[pos], W, amps, err
+    res, modes, weights = amps.copy(), np.empty_like(amps), np.empty_like(W)
+    for r in range(n):
+        norms = np.sum(res * res, axis=1)
+        modes[r] = res[np.argmax(norms)]
+        C = np.sum(res * modes[r], axis=1) / norms.max()  # C[k, r]; 1.0 at the pivot
+        res -= C[:, None] * modes[r]
+        weights[:, r] = np.sum(W * C, axis=1)
+    for R, err in enumerate(_variance_errors(weights, modes, target), 1):
+        if err <= _VAR_RTOL:
+            break
+    return fine[pos], weights[:, :R], modes[:R], err
 
 
 def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     """Field construction: constant-index paths on the Hurst nodes of
-    _hurst_nodes, then Lagrange interpolation in the index at each time.
+    _hurst_nodes, Lagrange-interpolated in the index at each time, and
+    synthesized from the amplitude modes that _hurst_nodes compresses them
+    to, each with its weight per time.
 
     Per component one complex noise array drives every node, so paths vary
     smoothly across nodes: one (n_pairs, 2M) draw from the component's
@@ -237,31 +269,32 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     and M the embedding size.  Pairs of paths are synthesized in blocks of
     B pairs, B chosen so that the block's spectrum takes about
     _BLOCK_BYTES; one generator draws each block's noise straight into a
-    complex (B, M) buffer.  Within a block node k is one in-place FFT of the
-    noise times amplitudes that hold dt ** H_k, cumulated over the s times
-    and added to the output with weight W[:, k].  Path 2p is the real part
-    and path 2p + 1 the imaginary part of row p, so each step acts on the
-    interleaved float view of the complex rows, with amplitudes and weights
-    doubled.  Every step acts on each row alone, so the output does not
+    complex (B, M) buffer.  Within a block mode k is one in-place FFT of the
+    noise times the mode's amplitudes, which hold the dt ** H of its nodes,
+    cumulated over the s times and added to the output with weight W[:, k].
+    Path 2p is the real part and path 2p + 1 the imaginary part of row p,
+    so each step acts on the interleaved float view of the complex rows,
+    with amplitudes and weights doubled.  Every step acts on each row alone, so the output does not
     depend on B.  Working memory beyond the output is four block buffers,
-    reused for every block, component and node: the noise and the spectrum,
-    (B, M) complex; the cumulated node and the output pairs, (B, s) complex.
+    reused for every block, component and mode: the noise and the spectrum,
+    (B, M) complex; the cumulated mode and the output pairs, (B, s) complex.
 
-    Approximate for non-constant h; the result carries the node count and
-    the variance error.  For constant h there is one node with weight 1, so
-    the result is exact in law: fBm is the constant-h, d = 1 case.
+    Approximate for non-constant h; the result carries the node count, the
+    mode count and the variance error.  For constant h there is one node
+    and one mode with weight 1, so the result is exact in law: fBm is the
+    constant-h, d = 1 case.
     """
     s, n_paths = config.s, config.n_paths
-    nodes, W, amps, err = _hurst_nodes(config.grid, config.h(config.grid), config.h.T / s)
-    M = amps.shape[1]
-    # the block's float views interleave Re and Im, so amplitudes and
-    # per-time weights are doubled
-    amps2, W2 = np.repeat(amps, 2, axis=1), np.repeat(W.T, 2, axis=1)
+    nodes, W, modes, err = _hurst_nodes(config.grid, config.h(config.grid), config.h.T / s)
+    M = modes.shape[1]
+    # the block's float views interleave Re and Im, so modes and per-time
+    # weights are doubled
+    modes2, W2 = np.repeat(modes, 2, axis=1), np.repeat(W.T, 2, axis=1)
     n_pairs = (n_paths + 1) // 2
     B = min(n_pairs, max(1, _BLOCK_BYTES // (16 * M)))
     zeta = np.empty((B, M), dtype=complex)  # the block's noise
     spec = np.empty((B, M), dtype=complex)
-    field = np.empty((B, s), dtype=complex)  # cumulated node, Re and Im paths
+    field = np.empty((B, s), dtype=complex)  # cumulated mode, Re and Im paths
     acc = np.empty((B, s), dtype=complex)  # the block's output pairs
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((n_paths, config.d, s))
@@ -272,8 +305,8 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
             z = spec[:b]
             noise_f, z_f, f_f, out_f = (x[:b].view(float) for x in (zeta, spec, field, acc))
             rng.standard_normal(out=noise_f)
-            for k in range(len(nodes)):
-                np.multiply(noise_f, amps2[k], out=z_f)
+            for k in range(len(modes)):
+                np.multiply(noise_f, modes2[k], out=z_f)
                 np.fft.fft(z, axis=1, out=z)
                 np.cumsum(z[:, :s], axis=1, out=field[:b])
                 if k == 0:
@@ -285,4 +318,5 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
             out[0::2] = acc.real[:b]
             out[1::2] = acc.imag[:len(out) // 2]
     return MbmPathSet(config=config, values=values,
-                      wood_chan={"nodes": len(nodes), "var_error": err})
+                      wood_chan={"nodes": len(nodes), "modes": len(modes),
+                                 "var_error": err})

@@ -270,6 +270,10 @@ def test_criterion_10_determinism(tmp_path):
         ("covariance", {"hurst": {"const": 0.7}, "s": 16}),
         ("localtime", {"hurst": {"const": 0.7}, "s": 64, "n_paths": 50,
                        "seed": 7, "eps": [0.2]}),
+        # the fft-lt command path: sin h compresses 9 Hurst nodes to 5 modes
+        ("localtime", {"hurst": {"sin": {"a": 0.7, "b": 0.15, "omega": 6}},
+                       "s": 256, "n_paths": 50, "seed": 7, "eps": [0.2],
+                       "method": "wood_chan"}),
         ("stransform", {"hurst": {"const": 0.7}, "d": 1, "N": 1,
                         "eps": [0.1], "test_function": phi_cfg}),
         ("kernels", {"hurst": {"const": 0.7}, "d": 1, "eps": [0.1],
@@ -302,7 +306,8 @@ def test_criterion_10_determinism(tmp_path):
             outputs.append(blobs)
         if any(o != outputs[0] for o in outputs[1:]):
             failures.append(f"{command} output differs across thread counts")
-        if cfg.get("method") == "wood_chan" and not (outputs and outputs[0]["wood_chan"]):
-            failures.append("the manifest records no Wood-Chan node count")
+        if cfg.get("method") == "wood_chan" and not (
+                outputs and {"nodes", "modes"} <= set(outputs[0]["wood_chan"] or ())):
+            failures.append("the manifest records no Wood-Chan node and mode count")
     _verdict(10, "determinism", not failures,
              "; ".join(failures) or "all subcommands byte-identical for threads 1, 2 and 4")

@@ -187,6 +187,7 @@ class TestLocalTimeCommand:
         assert code == 0
         entry = json.loads((out / "manifest.json").read_text())["wood_chan"]
         assert entry["nodes"] in (1, 2, 3, 5, 9, 17, 33, 65)
+        assert 1 <= entry["modes"] <= entry["nodes"]
         assert 0 <= entry["var_error"] <= 1e-4
 
     def test_eps_flag_overrides(self, tmp_path):
@@ -483,6 +484,19 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert report["error"] == "numerical"
         assert "covariance not PSD" in report["reason"]
+        assert not (out / "covariance.csv").exists()
+
+    def test_unconverged_eigenvalues_are_numerical_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # LinAlgError subclasses ValueError, which alone would read as config
+        def unconverged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
+        code, out = _run(tmp_path, "covariance", {"hurst": {"const": 0.7}, "s": 4})
+        assert code == 3
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report == {"error": "numerical", "reason": "Eigenvalues did not converge"}
         assert not (out / "covariance.csv").exists()
 
     @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("stray")])

@@ -277,23 +277,23 @@ class TestWoodChan:
 
 
 def _nodes(config):
-    """_hurst_nodes on the config's grid: nodes, W, amplitudes, error."""
+    """_hurst_nodes on the config's grid: nodes, mode weights, modes, error."""
     return _hurst_nodes(config.grid, config.h(config.grid), config.h.T / config.s)
 
 
 def _materialized_wood_chan(config):
-    """The field construction with every node held at once: all nodes of
-    fGn, each with dt ** H_k in its amplitudes, then cumsum, then the dense
-    weights W[:, k] summed over the nodes in order."""
-    nodes, W, amps, _ = _nodes(config)
+    """The field construction with every mode held at once: all modes of
+    fGn, each holding the dt ** H_k of its nodes, then cumsum, then the
+    dense mode weights W[:, k] summed over the modes in order."""
+    _, W, amps, _ = _nodes(config)
     n_pairs = (config.n_paths + 1) // 2
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((config.n_paths, config.d, config.s))
     for j in range(config.d):
         rng = np.random.default_rng(streams[j])
         zeta = rng.standard_normal((n_pairs, 2 * amps.shape[1])).view(complex)
-        fgn = np.empty((len(nodes), config.n_paths, config.s))
-        for k in range(len(nodes)):
+        fgn = np.empty((len(amps), config.n_paths, config.s))
+        for k in range(len(amps)):
             y = np.fft.fft(amps[k] * zeta, axis=1)
             pair = np.empty((2 * n_pairs, config.s))
             pair[0::2] = y.real[:, :config.s]
@@ -301,7 +301,7 @@ def _materialized_wood_chan(config):
             fgn[k] = pair[:config.n_paths]
         fields = np.cumsum(fgn, axis=2)
         out = W[:, 0] * fields[0]
-        for k in range(1, len(nodes)):
+        for k in range(1, len(amps)):
             out = out + W[:, k] * fields[k]
         values[:, j, :] = out
     return values
@@ -368,10 +368,10 @@ class TestWoodChanStreaming:
         simulate_wood_chan_mbm(cfg)
         # the selection computes the embedding of every node set it tries
         # afresh, one 1-D FFT per node of each; the synthesis takes one 2-D
-        # FFT per block, component and node
+        # FFT per block, component and amplitude mode
         tried = [n for n in (1, 2, 3, 5, 9, 17, 33, 65) if n <= len(nodes)]
         assert len(nodes) > 2 and calls.count(1) == sum(tried)
-        assert calls.count(2) == 2 * 2 * len(nodes)
+        assert len(amps) < len(nodes) and calls.count(2) == 2 * 2 * len(amps)
 
     @pytest.mark.parametrize("n_pairs, M, block", [(6, 8, 2), (7, 8, 3), (5, 16, 5),
                                                    (4, 8, 1)])
@@ -446,15 +446,17 @@ class TestHurstNodes:
         cfg = SimulationConfig(h=self.HURST[hurst], s=64, method="wood_chan")
         hvals, dt = cfg.h(cfg.grid), cfg.h.T / cfg.s
         target = cfg.grid ** (2 * hvals)
-        nodes, _, _, err = _nodes(cfg)
+        nodes, W, modes, err = _nodes(cfg)
         for n in (1, 2, 3, 5, 9, 17, 33, 65):
             x = _lobatto(hvals.min(), hvals.max(), n)
             A = wood_chan_map(_amplitudes(x, cfg.s, dt), _lagrange_weights(hvals, x))
-            oracle = np.max(np.abs(np.sum(A * A, axis=1) / target - 1))
-            if oracle <= simulate_module._VAR_RTOL:
+            if np.max(np.abs(np.sum(A * A, axis=1) / target - 1)) <= simulate_module._VAR_RTOL:
                 break
         assert len(nodes) == n > 2
         assert np.allclose(nodes, x, rtol=0, atol=1e-15)
+        # the error reported is that of the compressed field
+        A = wood_chan_map(modes, W)
+        oracle = np.max(np.abs(np.sum(A * A, axis=1) / target - 1))
         assert err == pytest.approx(oracle, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("hurst", [HurstFunctional.linear(0.7, 1e-9),
@@ -471,6 +473,19 @@ class TestHurstNodes:
         assert np.array_equal(W, np.ones((s, 1)))
         A = wood_chan_map(amps, W)
         oracle = np.max(np.abs(np.sum(A * A, axis=1) / cfg.grid ** (2 * hvals) - 1))
+        assert err <= simulate_module._VAR_RTOL
+        assert abs(err - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("hurst, n", [("sin", 9), ("steep", 17), ("wide", 65)])
+    def test_fewer_modes_than_nodes(self, hurst, n):
+        # the node amplitude rows have low rank in H: at s = 1024 a few
+        # modes carry the field, and the error stays exact
+        h = self.HURST.get(hurst) or HurstFunctional.linear(0.5001, 0.4998)
+        cfg = SimulationConfig(h=h, s=1024, method="wood_chan")
+        nodes, W, modes, err = _nodes(cfg)
+        assert len(nodes) == n and len(modes) <= 8
+        A = wood_chan_map(modes, W)
+        oracle = np.max(np.abs(np.sum(A * A, axis=1) / cfg.grid ** (2 * cfg.h(cfg.grid)) - 1))
         assert err <= simulate_module._VAR_RTOL
         assert abs(err - oracle) <= 1e-12
 
@@ -499,7 +514,8 @@ class TestHurstNodes:
         # on the grid: the times where h is at its ends
         cfg = SimulationConfig(h=self.HURST["sin"], s=64, method="wood_chan")
         hvals = cfg.h(cfg.grid)
-        nodes, W, _, _ = _nodes(cfg)
+        nodes = _nodes(cfg)[0]  # _nodes gives mode weights, not these
+        W = _lagrange_weights(hvals, nodes)
         assert np.array_equal(W[np.argmax(hvals)], np.eye(len(nodes))[0])
         assert np.array_equal(W[np.argmin(hvals)], np.eye(len(nodes))[-1])
 
@@ -511,7 +527,8 @@ class TestHurstNodes:
         cfg = SimulationConfig(h=HurstFunctional.constant(H), s=s, n_paths=n_paths,
                                d=d, seed=9, method="wood_chan")
         paths = simulate_wood_chan_mbm(cfg)
-        assert paths.wood_chan["nodes"] == 1 and paths.wood_chan["var_error"] < 1e-14
+        assert paths.wood_chan["nodes"] == paths.wood_chan["modes"] == 1
+        assert paths.wood_chan["var_error"] < 1e-14
         amp = _amplitudes([H], s, 1.0 / s)[0]
         n_pairs = (n_paths + 1) // 2
         for j, stream in enumerate(np.random.SeedSequence(9).spawn(d)):
@@ -528,11 +545,18 @@ class TestHurstNodes:
         cfg = SimulationConfig(h=self.HURST[hurst], s=s, method="wood_chan")
         hvals, dt = cfg.h(cfg.grid), cfg.h.T / s
         R = covariance_matrix(cfg.grid, cfg.h).values
-        _, W, amps, _ = _nodes(cfg)
+        nodes, W, amps, _ = _nodes(cfg)
+        # the field before its compression to modes
+        x = _lobatto(hvals.min(), hvals.max(), len(nodes))
+        lagrange = (_amplitudes(x, s, dt), _lagrange_weights(hvals, x))
         errors = []
-        for A in (wood_chan_map(amps, W), wood_chan_map(*_linear_grid(hvals, s, dt)[::-1])):
-            cov = A @ A.T
-            errors.append(np.max(np.abs(cov - R)) / np.max(R))
-        assert errors[0] <= 1.01 * errors[1]
+        for A in (wood_chan_map(amps, W), wood_chan_map(*lagrange),
+                  wood_chan_map(*_linear_grid(hvals, s, dt)[::-1])):
+            diff = A @ A.T - R
+            errors.append((np.max(np.abs(diff)) / np.max(R),
+                           np.sqrt(np.sum(diff * diff) / np.sum(R * R))))
+        assert errors[0][0] <= 1.01 * errors[2][0]
+        # the compression keeps the construction's off-diagonal error
+        assert errors[0][0] <= 1.01 * errors[1][0] and errors[0][1] <= 1.01 * errors[1][1]
         A = wood_chan_map(amps, W)
         assert np.max(np.abs(np.sum(A * A, axis=1) / np.diag(R) - 1)) <= simulate_module._VAR_RTOL
