@@ -228,8 +228,8 @@ def _hurst_nodes(grid: np.ndarray, hvals: np.ndarray, dt: float):
     amps[k] = sum_r C[k, r] q_r with |C| <= 1, and so mode weights
     W'[:, r] = sum_k W[:, k] C[k, r].  R is the fewest leading modes whose
     error is at most _VAR_RTOL, else n.  One node gives C = [[1.0]], the
-    node's own amplitudes and weights.  FFTs and elementwise operations
-    only, so n and R do not depend on BLAS threads.
+    node's own amplitudes and weights.  FFTs, sums and elementwise
+    operations only, so n and R do not depend on BLAS threads.
     """
     target = _grid_variance(grid, hvals)
     lo, hi = float(hvals.min()), float(hvals.max())
