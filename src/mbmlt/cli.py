@@ -238,7 +238,7 @@ def _write_csv(path: Path, header: list, table, labels=None, lead=None) -> None:
 def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
     import numpy as np
 
-    from .operator import _grid_variance
+    from .operator import _grid_scale
     from .simulate import simulate
 
     h, d, _, _ = _build(cfg)
@@ -247,9 +247,9 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> dict:
     values, grid = paths.values, sim.grid
     _write_csv(outdir / "paths.csv", ["path", "t", *(f"v{j+1}" for j in range(d))],
                values.transpose(0, 2, 1), labels=np.arange(sim.n_paths), lead=grid)
-    # mean square over paths and components, relative to t^{2h(t)}
-    sample = np.einsum("ijk,ijk->k", values, values) / (sim.n_paths * d)
-    rel = sample / _grid_variance(grid, h(grid)) - 1.0
+    # the paths are written: divided in place by t^{h(t)}, their mean square estimates 1
+    values /= _grid_scale(grid, h(grid))
+    rel = np.einsum("ijk,ijk->k", values, values) / (sim.n_paths * d) - 1.0
     return {"method": sim.method, "seed": sim.seed, "s": sim.s, "n_paths": sim.n_paths,
             "d": d, "T": h.T, "wood_chan": paths.wood_chan,
             "variance_rel_rms": float(np.sqrt(np.mean(rel * rel)))}

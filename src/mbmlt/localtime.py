@@ -74,13 +74,15 @@ def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
     """
     _check_mc_args(eps, N)
     cfg = paths.config
+    n, d, s = paths.values.shape
+    # first: a t^{2h(t)} past the floats raises before the floor or any path work
+    expected = [expected_local_time(cfg.h, e, d) for e in eps]
     T = cfg.h.T
     floor = (T / cfg.s) ** (2 * float(np.min(cfg.h(np.linspace(0, T, 1001)))))
     for e in eps:
         if e < floor:
             warnings.warn(f"eps={e:g} below the grid resolution scale {floor:g}; "
                           "estimate may be biased", stacklevel=2)
-    n, d, s = paths.values.shape
     nb = min(n, max(1, _BLOCK_BYTES // (8 * d * (s + 1))))  # paths per block
     padded = np.zeros((nb, d, s + 1))  # time 0 included: B(0) = 0
     tgrid = np.concatenate([[0.0], cfg.grid])
@@ -92,15 +94,14 @@ def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
         for i, e in enumerate(eps):
             per_path[i, a:a + nb] = np.trapezoid(delta_eps(x, e), tgrid, axis=1)
     out = np.empty((3, len(eps)))
-    for i, e in enumerate(eps):
-        expected = expected_local_time(cfg.h, e, d)
+    for i, expect in enumerate(expected):
         if N == 1:
-            per_path[i] -= expected
+            per_path[i] -= expect
         estimate = float(np.mean(per_path[i]))
         stderr = float(np.std(per_path[i], ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         if not np.isfinite(estimate) or stderr < 0:
             raise NumericalError("invalid local-time estimate")
-        out[:, i] = estimate, stderr, 0.0 if N == 1 else expected
+        out[:, i] = estimate, stderr, 0.0 if N == 1 else expect
     return tuple(out)
 
 

@@ -59,42 +59,48 @@ class CovarianceMatrix:
     min_eigenvalue: float
 
 
-def _grid_variance(grid: np.ndarray, hvals: np.ndarray) -> np.ndarray:
-    """t^{2h(t)} at the times of the grid, hvals = h(grid); NumericalError
-    unless every value is a normal float."""
+def _grid_scale(grid: np.ndarray, hvals: np.ndarray, times: int = 1) -> np.ndarray:
+    """t^{times h(t)} on the grid, hvals = h(grid): the paths' scale, or the
+    diagonal of R_h at times = 2; NumericalError unless all are normal floats."""
     with np.errstate(over="ignore", under="ignore"):
-        var = grid ** (2.0 * hvals)
-    if not (np.isfinite(var).all() and var.min() >= np.finfo(float).tiny):
-        raise NumericalError(f"t^(2h(t)) leaves the float range on the grid to T = {grid[-1]:g}")
-    return var
+        scale = grid ** (times * hvals)
+    if not (np.isfinite(scale).all() and scale.min() >= np.finfo(float).tiny):
+        power = "h(t)" if times == 1 else f"{times}h(t)"
+        raise NumericalError(f"t^({power}) leaves the float range on the grid to T = {grid[-1]:g}")
+    return scale
 
 
-def _covariance_values(grid: np.ndarray, h: HurstFunctional) -> np.ndarray:
-    """R_h on a strictly increasing grid in (0, T], its diagonal checked by _grid_variance:
+def _correlation_values(grid: np.ndarray, h: HurstFunctional):
+    """The correlation rho of R_h on a strictly increasing grid in (0, T] and
+    the scale t^{h(t)} (_grid_scale), so R_h = D rho D with D = diag(scale):
 
-        R_h(t,s) = C((h(t)+h(s))/2)^2 / (C(h(t)) C(h(s)))
-                   * (t^a + s^a - |t-s|^a) / 2,   a = h(t) + h(s),
+        R_h(t,s) = c(t,s) (t^a + s^a - |t-s|^a) / 2,   a = h(t) + h(s),
+        c(t,s)   = C((h(t)+h(s))/2)^2 / (C(h(t)) C(h(s))),
+        rho(t,s) = c(t,s) (P(t,s) + P(s,t) - U(t,s) U(s,t)) / 2,
+        P(t,s)   = (t/s)^{h(s)},   U(t,s) = (|t-s|/t)^{h(t)}.
 
-    so R_h(t, t) = t^{2h(t)}.  All entries come from one broadcast over the
-    grid (h evaluated once per grid point), so assembly is O(s^2) array
-    work.  The expression is symmetric in (i, j) operation by operation, so
-    the matrix is exactly symmetric.
+    Every term is a ratio of grid times, so rho does not depend on the scale
+    of T.  One broadcast over the grid, two powers per entry (P(s,t) and
+    U(s,t) are transposes), so rho is exactly symmetric with diagonal 1.
     """
     hv = h(grid)
-    _grid_variance(grid, hv)
-    A = hv[:, None] + hv[None, :]
+    scale = _grid_scale(grid, hv)
     C = normalizing_constant(hv)
-    ratio = normalizing_constant(0.5 * A) ** 2 / (C[:, None] * C[None, :])
+    c = normalizing_constant(0.5 * (hv[:, None] + hv[None, :])) ** 2 / (C[:, None] * C[None, :])
     t, s = grid[:, None], grid[None, :]
-    return ratio * 0.5 * (t ** A + s ** A - np.abs(t - s) ** A)
+    P = (t / s) ** hv[None, :]
+    U = (np.abs(t - s) / t) ** hv[:, None]
+    return c * 0.5 * (P + P.T - U * U.T), scale
 
 
 def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
-    """Assemble R_h on a grid and verify positive semidefiniteness.
+    """Assemble R_h = D rho D on a grid and verify positive semidefiniteness.
 
-    The O(s^3) eigenvalue check dominates the O(s^2) assembly.  The exact
-    simulator assembles the same matrix without it, since its Cholesky
-    factorization fails on a matrix that is not PSD.
+    R is rho times the outer product of t^{h(t)}, so exactly symmetric; its
+    diagonal t^{2h(t)} must be normal floats.  The O(s^3) eigenvalue check
+    dominates the O(s^2) assembly; it compares min eigenvalue / s with
+    -PSD_TOL * trace / s, which does not overflow where the trace would.
+    The exact simulator factors rho without it, by Cholesky.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -103,11 +109,11 @@ def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
         raise ValueError("grid must be strictly increasing")
     if grid[0] <= 0 or grid[-1] > h.T + 1e-12:
         raise ValueError(f"grid must lie in (0, {h.T}]")
-    R = _covariance_values(grid, h)
+    _grid_scale(grid, h(grid), 2)
+    rho, scale = _correlation_values(grid, h)
+    R = rho * np.multiply.outer(scale, scale)
     min_eig = float(np.linalg.eigvalsh(R)[0])
-    if min_eig < -PSD_TOL * np.trace(R):
-        raise NumericalError(
-            f"covariance not PSD: min eigenvalue {min_eig:g} "
-            f"(tolerance {-PSD_TOL * np.trace(R):g}); invalid Hurst function?"
-        )
+    if min_eig / len(R) < -PSD_TOL * np.sum(np.diagonal(R) / len(R)):
+        raise NumericalError(f"covariance not PSD: min eigenvalue {min_eig:g} below "
+                             f"-{PSD_TOL:g} times the trace; invalid Hurst function?")
     return CovarianceMatrix(values=R, min_eigenvalue=min_eig)

@@ -2,11 +2,11 @@
 
 Two generators:
 
-* exact: factorize the exact covariance on the grid (Cholesky with diagonal
-  jitter escalation; the factorization is the PSD check).  O(s^3), intended
-  for s up to ~2000: the covariance is one O(s^2) array expression, so at
-  that size the O(s^3) factorization takes most of the time.  This is the
-  verification baseline.
+* exact: one Cholesky of the correlation rho of the grid covariance,
+  R_h = D rho D with D = diag(t^{h(t)}) (the factorization is the PSD
+  check), then each time scaled by t^{h(t)}.  O(s^3), intended for s up to
+  ~2000: rho is one O(s^2) array expression, so at that size the
+  factorization takes most of the time.  The verification baseline.
 * wood_chan: FFT circulant embedding of the stationary increment process for
   constant Hurst index, extended to a time-varying index by simulating a
   field of constant-index paths on Chebyshev-Lobatto Hurst nodes from
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .operator import _covariance_values, _grid_variance
+from .operator import _correlation_values, _grid_scale
 from .specfun import HurstFunctional, _whole_number
 
 __all__ = [
@@ -113,34 +113,25 @@ def simulate(config: SimulationConfig) -> MbmPathSet:
 # exact method
 # ---------------------------------------------------------------------------
 
-def _cholesky_with_jitter(R: np.ndarray) -> np.ndarray:
-    """Cholesky factor, escalating diagonal jitter up to 1e-10 * trace."""
-    trace = float(np.trace(R))
-    for rung in (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10):
-        try:
-            return np.linalg.cholesky(R + rung * trace * np.eye(len(R)))
-        except np.linalg.LinAlgError:
-            pass
-    raise NumericalError(
-        "covariance factorization failed after jitter escalation; invalid h?"
-    )
-
-
 def simulate_exact(config: SimulationConfig) -> MbmPathSet:
-    """Zero-mean Gaussian paths with the exact grid covariance.
+    """Zero-mean Gaussian paths with the exact grid covariance R_h = D rho D:
+    L Z scaled at each time by t^{h(t)}, L the Cholesky factor of rho.
 
-    The Cholesky factorization is the PSD check: a covariance it cannot
-    factor even with jitter raises NumericalError.  The d components are
-    independent; each uses its own spawned RNG stream.
+    The one factorization, with no jitter, is the PSD check: a rho it cannot
+    factor raises NumericalError.  The d components are independent; each
+    uses its own spawned RNG stream.
     """
-    R = _covariance_values(config.grid, config.h)
-    L = _cholesky_with_jitter(R)
+    rho, scale = _correlation_values(config.grid, config.h)
+    try:
+        L = np.linalg.cholesky(rho)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"correlation factorization failed ({exc}); invalid h?") from exc
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((config.n_paths, config.d, config.s))
     for j in range(config.d):
         rng = np.random.default_rng(streams[j])
         Z = rng.standard_normal((config.s, config.n_paths))
-        values[:, j, :] = (L @ Z).T
+        np.multiply((L @ Z).T, scale, out=values[:, j, :])
     return MbmPathSet(config=config, values=values)
 
 
@@ -218,28 +209,30 @@ def _hurst_nodes(grid: np.ndarray, hvals: np.ndarray, dt: float):
     field compressed to R amplitude modes: the mode weights (s, R) at the
     times, the modes (R, M) and the variance error of that field.
 
-    n is the first of 1, 2, 3, 5, 9, 17, 33, 65 whose Lagrange field's
-    error max_t |Var(out_t) / t^{2h(t)} - 1| (_variance_errors) is at most
-    _VAR_RTOL, else 65.  Each set is taken from the 65-node one, which holds
-    every smaller one; the one-node set is [max h], weight 1, which is all
-    that constant h needs.  Every set is computed afresh.  The field has low
-    rank in H: a pivoted Gram-Schmidt on the n amplitude rows, each step
-    taking the largest remaining residual, unnormalized, as mode q_r, gives
-    amps[k] = sum_r C[k, r] q_r with |C| <= 1, and so mode weights
-    W'[:, r] = sum_k W[:, k] C[k, r].  R is the fewest leading modes whose
-    error is at most _VAR_RTOL, else n.  One node gives C = [[1.0]], the
-    node's own amplitudes and weights.  FFTs, sums and elementwise
-    operations only, so n and R do not depend on BLAS threads.
+    n is the first of 1, 2, 3, 5, 9, 17, 33, 65 whose Lagrange field's error
+    max_t |Var(out_t) / t^{2h(t)} - 1| (_variance_errors, taken in units of
+    dt^{max h}, so free of the scale of T) is at most _VAR_RTOL, else 65.
+    Each set is taken from the 65-node one, which holds every smaller one;
+    the one-node set is [max h], weight 1, which is all that constant h
+    needs.  Every set is computed afresh.  The field has low rank in H: a
+    pivoted Gram-Schmidt on the n amplitude rows, each step taking the
+    largest remaining residual, unnormalized, as mode q_r, gives amps[k] =
+    sum_r C[k, r] q_r with |C| <= 1, and so mode weights W'[:, r] = sum_k
+    W[:, k] C[k, r].  R is the fewest leading modes whose error is at most
+    _VAR_RTOL, else n.  One node gives C = [[1.0]], the node's own
+    amplitudes and weights.  FFTs, sums and elementwise operations only, so
+    n and R do not depend on BLAS threads.
     """
-    target = _grid_variance(grid, hvals)
     lo, hi = float(hvals.min()), float(hvals.max())
     fine = lo + (hi - lo) * (1 + np.cos(np.pi * np.arange(65) / 64)) / 2
     fine[[0, -1]] = hi, lo
-    scale = dt ** fine  # array pow; libm's scalar pow can differ by 1 ulp
+    unit = dt ** fine[:1]  # dt^{max h} by array pow; libm's scalar pow can differ by 1 ulp
+    target = (_grid_scale(grid, hvals) / unit) ** 2
+    rel = dt ** (fine - hi)
     for n in (1, 2, 3, 5, 9, 17, 33, 65):
         pos = np.linspace(0, 64, n).astype(int)
         m, eigs = _embedding_size(fine[pos], len(grid))
-        amps = np.sqrt(eigs / (2 * m)) * scale[pos, None]
+        amps = np.sqrt(eigs / (2 * m)) * rel[pos, None]
         W = _lagrange_weights(hvals, fine[pos])
         *_, err = _variance_errors(W, amps, target)
         if err <= _VAR_RTOL:
@@ -254,7 +247,7 @@ def _hurst_nodes(grid: np.ndarray, hvals: np.ndarray, dt: float):
     for R, err in enumerate(_variance_errors(weights, modes, target), 1):
         if err <= _VAR_RTOL:
             break
-    return fine[pos], weights[:, :R], modes[:R], err
+    return fine[pos], weights[:, :R], modes[:R] * unit, err
 
 
 def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:

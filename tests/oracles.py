@@ -4,9 +4,10 @@ Most of these are deliberately written against the defining integrals, not
 the closed forms or the time rule under test: scipy adaptive quadrature,
 Fourier-side integrals with oscillatory-weight rules, brute-force series,
 and an exact-rational series for the truncated exponential.
-Two are closed-form references term by term: h_inner_product, one entry of
-R_h at a time, and chaos_term, one multi-index of the chaos pairing at a
-time, on a given time rule.  local_time_mc_whole is the Monte-Carlo
+Three are closed-form references term by term: h_inner_product, one entry
+of R_h at a time, correlation_entry, one entry of its correlation at 40
+digits, and chaos_term, one multi-index of the chaos pairing at a time, on
+a given time rule.  local_time_mc_whole is the Monte-Carlo
 reduction with every path held at once, and chaos_pairing_every_order the
 chaos pairing with one time integral for every order up to n_max.
 wood_chan_map is the Wood-Chan field as one explicit real matrix, whose
@@ -215,6 +216,26 @@ def h_inner_product(t: float, s: float, h) -> float:
         normalizing_constant(ht) * normalizing_constant(hs)
     )
     return ratio * 0.5 * (t ** a + s ** a - abs(t - s) ** a)
+
+
+def correlation_entry(t: float, s: float, ht: float, hs: float) -> float:
+    """The correlation R_h(t, s) / (t^{h(t)} s^{h(s)}) of one entry, with
+    ht = h(t) and hs = h(s), at 40 significant digits from the form of R_h:
+
+        C((ht+hs)/2)^2 / (C(ht) C(hs)) (t^a + s^a - |t-s|^a) / 2,   a = ht + hs,
+
+    with C(x) = sqrt(2 pi / (Gamma(2x+1) sin(pi x))).  mpmath's exponent
+    range is unbounded, so at T = 1e220 or 1e-300 no power leaves it.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        t, s, ht, hs = map(mpmath.mpf, (t, s, ht, hs))
+        a = ht + hs
+        C = [mpmath.sqrt(2 * mpmath.pi / (mpmath.gamma(2 * x + 1) * mpmath.sin(mpmath.pi * x)))
+             for x in (a / 2, ht, hs)]
+        R = C[0] ** 2 / (C[1] * C[2]) * (t ** a + s ** a - abs(t - s) ** a) / 2
+        return float(R / (t ** ht * s ** hs))
 
 
 def fgn_autocov(H: float, k: int) -> float:

@@ -268,6 +268,10 @@ def test_criterion_10_determinism(tmp_path):
         ("simulate", {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 128,
                       "n_paths": 4, "seed": 7, "method": "wood_chan"}),
         ("covariance", {"hurst": {"const": 0.7}, "s": 16}),
+        # the exact route and R at the top of the float range
+        ("simulate", {"hurst": {"const": 0.7}, "T": 1e220, "s": 256, "n_paths": 4,
+                      "seed": 7}),
+        ("covariance", {"hurst": {"const": 0.7}, "T": 1e220, "s": 16}),
         ("localtime", {"hurst": {"const": 0.7}, "s": 64, "n_paths": 50,
                        "seed": 7, "eps": [0.2]}),
         # the fft-lt command path: sin h compresses 9 Hurst nodes to 5 modes

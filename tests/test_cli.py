@@ -102,8 +102,34 @@ class TestSimulateCommand:
         assert math.isfinite(rms)
         assert rms == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("T", [1e-300, 1e220, 1e250])
+    @pytest.mark.parametrize("method", ["exact", "wood_chan"])
+    def test_paths_at_the_ends_of_the_float_range(self, tmp_path, method, T):
+        # the paths have size t^{h(t)}, a normal float on these grids, while
+        # t^{2h(t)} leaves the floats at 1e-300 and 1e250; relative to the
+        # scale the run is the T = 1 run
+        cfg = {"hurst": {"const": 0.7}, "s": 64, "n_paths": 8, "seed": 3, "method": method}
+        rms = []
+        for horizon in (1.0, T):
+            run_dir = tmp_path / f"T-{horizon:g}"
+            run_dir.mkdir()
+            code, out = _run(run_dir, "simulate", {**cfg, "T": horizon})
+            assert code == 0
+            vals = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1)
+            assert vals.shape == (8 * 64, 3) and np.isfinite(vals).all()
+            rms.append(json.loads((out / "manifest.json").read_text())["variance_rel_rms"])
+        assert rms[1] == pytest.approx(rms[0], rel=1e-12)
+
 
 class TestCovarianceCommand:
+    def test_top_of_the_float_range(self, tmp_path):
+        # t^{2h(t)} is at most about 1e308 on this grid: each entry of R is a
+        # float, though their sum, the trace, is not
+        code, out = _run(tmp_path, "covariance", {"hurst": {"const": 0.7}, "T": 1e220, "s": 16})
+        assert code == 0
+        vals = np.loadtxt(out / "covariance.csv", delimiter=",", skiprows=1)[:, 1:]
+        assert vals.shape == (16, 16) and np.isfinite(vals).all()
+
     def test_matches_library(self, tmp_path):
         from mbmlt.operator import covariance_matrix
         from mbmlt.specfun import HurstFunctional
@@ -276,19 +302,16 @@ class TestSTransformCommand:
                         "test_function": _bump(1e160)}, "the t-integral is inf"),
         ("converge", {"hurst": {"const": 0.6}, "N": 2, "eps": [0.1],
                       "test_function": _bump(1e200)}, "the t-integral is inf"),
-        ("simulate", {"T": 1e-300}, "t^(2h(t)) leaves the float range"),
-        ("simulate", {"T": 1e250}, "t^(2h(t)) leaves the float range"),
-        ("simulate", {"T": 1e-300, "method": "wood_chan"}, "t^(2h(t)) leaves the float range"),
-        ("simulate", {"T": 1e250, "method": "wood_chan"}, "t^(2h(t)) leaves the float range"),
         ("covariance", {"T": 1e-300}, "t^(2h(t)) leaves the float range"),
         ("covariance", {"T": 1e250}, "t^(2h(t)) leaves the float range"),
-    ], ids=["variance", "stransform-integral", "converge-integral", "simulate-exact-1e-300",
-            "simulate-exact-1e250", "simulate-wood_chan-1e-300", "simulate-wood_chan-1e250",
-            "covariance-1e-300", "covariance-1e250"])
+        # the paths are floats here; the expectation's time rule is not
+        ("localtime", {"T": 1e250, "s": 16, "n_paths": 4}, "t^(2h(t)) leaves the float range"),
+    ], ids=["variance", "stransform-integral", "converge-integral",
+            "covariance-1e-300", "covariance-1e250", "localtime-1e250"])
     def test_value_past_the_floats_is_numerical_error(self, tmp_path, capsys, command, cfg,
                                                       reason):
         # t^{2h(t)} past the floats at T = 1e250, where the integral is near
-        # 1.3e75, or on a path grid, below them at its first time for
+        # 1.3e75, or on the grid of R, below them at its first time for
         # T = 1e-300, or an integrand past them: no value is written, and the
         # overflow does not surface as a RuntimeWarning (exit 4 in process)
         code, out = _run(tmp_path, command, {"hurst": {"const": 0.7}, "d": 1, **cfg})

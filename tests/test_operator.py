@@ -5,10 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from mbmlt.cli import main
-from mbmlt.operator import covariance_matrix, mh_indicator
+from mbmlt.operator import _correlation_values, covariance_matrix, mh_indicator
 from mbmlt.specfun import HurstFunctional, gamma_factor
 
-from .oracles import fourier_inner_product, h_inner_product, isometry_quadrature, mh_apply
+from .oracles import (correlation_entry, fourier_inner_product, h_inner_product,
+                      isometry_quadrature, mh_apply)
 
 
 class TestMhIndicator:
@@ -126,6 +127,27 @@ class TestHInnerProduct:
             oracle = fourier_inner_product(t, s, 0.7, 0.7)
             R = covariance_matrix([t, s], h_const_07).values
             assert R[0, 1] == pytest.approx(oracle, rel=1e-4)
+
+
+class TestCorrelation:
+    @pytest.mark.parametrize("h, T", [
+        (HurstFunctional.linear(0.55, 0.2), 1.0),
+        (HurstFunctional.sinusoidal(0.7, 0.15, 6.0), 1.0),
+        (HurstFunctional.constant(0.7, T=1e220), 1e220),
+        (HurstFunctional.constant(0.7, T=1e-300), 1e-300),
+    ], ids=["linear", "sin", "const-1e220", "const-1e-300"])
+    def test_matches_40_digit_oracle(self, h, T):
+        # rho is a function of ratios of grid times: the same error at every T
+        grid = np.arange(1, 257) * (T / 256)
+        rho, scale = _correlation_values(grid, h)
+        hv = h(grid)
+        assert np.array_equal(scale, grid ** hv)
+        rng = np.random.default_rng(8)
+        i, j = rng.integers(0, 256, size=(2, 300))
+        ref = [correlation_entry(grid[a], grid[b], hv[a], hv[b]) for a, b in zip(i, j)]
+        assert np.max(np.abs(rho[i, j] - ref)) <= 5e-15
+        assert np.array_equal(rho, rho.T)
+        assert np.all(np.diagonal(rho) == 1.0)
 
 
 class TestCovarianceMatrix:

@@ -8,11 +8,10 @@ from scipy import stats
 from mbmlt import simulate as simulate_module
 from mbmlt.cli import main
 from mbmlt.errors import NumericalError
-from mbmlt.operator import covariance_matrix
+from mbmlt.operator import _correlation_values, covariance_matrix
 from mbmlt.simulate import (
     MbmPathSet,
     SimulationConfig,
-    _cholesky_with_jitter,
     _embedding_size,
     _fgn_autocov,
     _hurst_nodes,
@@ -182,21 +181,34 @@ class TestExactFactorization:
         cfg = SimulationConfig(h=h_linear, s=64, n_paths=3, d=2, seed=21)
         values = simulate_exact(cfg).values
         assert calls == []
-        # the same bytes as factoring the checked covariance matrix
-        L = np.linalg.cholesky(covariance_matrix(cfg.grid, h_linear).values)
+        covariance_matrix(cfg.grid, h_linear)
         assert calls == [1]
+        # the same bytes as factoring the correlation and scaling each time
+        rho, scale = _correlation_values(cfg.grid, h_linear)
+        L = np.linalg.cholesky(rho)
         for j, stream in enumerate(np.random.SeedSequence(21).spawn(2)):
             Z = np.random.default_rng(stream).standard_normal((64, 3))
-            assert np.array_equal(values[:, j, :], (L @ Z).T)
+            assert np.array_equal(values[:, j, :], (L @ Z).T * scale)
 
-    def test_jitter_reaches_its_last_rung(self):
-        # only the jitter 1e-10 * trace lifts the -5e-11 pivot above 0
-        R = np.diag([1.0, -5e-11])
-        L = _cholesky_with_jitter(R)
-        trace = 1.0 - 5e-11
-        assert np.allclose(L @ L.T, R + 1e-10 * trace * np.eye(2), rtol=0, atol=1e-20)
-        with pytest.raises(NumericalError):
-            _cholesky_with_jitter(np.diag([1.0, -2e-10]))
+    def test_failed_factorization_is_numerical_error(self, h_const_07, monkeypatch):
+        def not_pd(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_pd)
+        with pytest.raises(NumericalError, match="factorization failed"):
+            simulate_exact(SimulationConfig(h=h_const_07, s=8))
+
+    @pytest.mark.parametrize("h", [
+        HurstFunctional.constant(0.9999),
+        HurstFunctional.linear(0.5001, 0.4998),
+        HurstFunctional.linear(0.9999, -0.4998),
+        HurstFunctional.sinusoidal(0.75, 0.2499, 200.0),
+    ], ids=["const-0.9999", "linear-up", "linear-down", "sin-200"])
+    def test_edge_h_factors_without_jitter(self, h):
+        # the inputs closest to the ends of (1/2, 1): the smallest eigenvalue
+        # of rho at s = 1024 is 4e-11 to 3e-6, and one Cholesky succeeds
+        paths = simulate_exact(SimulationConfig(h=h, s=1024, seed=3))
+        assert paths.values.shape == (1, 1, 1024)
 
 
 def _fbm(H, s, n_paths, seed):
