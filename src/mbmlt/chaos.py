@@ -309,16 +309,19 @@ def _graded_nodes(T: float, gamma: float, n_panels: int):
 def _grading_exponent(h: HurstFunctional, N: int, d: int, eps: float) -> float:
     """Grading of the time rule from the endpoint exponent at t = 0.
 
-    With regularization the integrand is bounded (grading 2 suffices).
-    Otherwise it behaves like t^e0, e0 = 2N(1-h(0)) - d h(0) > -1 by the
-    truncation bound, and the grading is the least k/(1+e0) >= 8, k whole:
-    t^e0 maps to the polynomial v^(k-1), and the fractional powers that
-    a(t) adds are flattened.
+    At eps = 0 the integrand behaves like t^e0 near 0, e0 = 2N(1-h(0)) -
+    d h(0) > -1 by the truncation bound, and the grading is the least
+    k/(1+e0) >= 8, k whole: t^e0 maps to the polynomial v^(k-1), and the
+    fractional powers that a(t) adds are flattened.  With regularization
+    the integrand is bounded, and like t^e0 beyond the crossover t* =
+    eps^(1/(2h(0))), where t^(2h) passes eps.  So eps > 0 takes that same
+    grading where t* < 1e-2 h.T and 1 + e0 > 0, since the t^e0 stretch
+    then spans most of [0, h.T], and grading 2 otherwise.
     """
-    if eps > 0:
-        return 2.0
     h0 = float(h(0.0))
     e0 = 2.0 * N * (1.0 - h0) - d * h0
+    if eps > 0 and not (1.0 + e0 > 0 and eps ** (0.5 / h0) < 1e-2 * h.T):
+        return 2.0
     return math.ceil(8.0 * (1.0 + e0)) / (1.0 + e0)
 
 
@@ -385,8 +388,8 @@ def s_transform_local_time(h: HurstFunctional, N: int, phi: TestFunction,
     value, which gives a float, or a nonempty sequence, which gives a list.
     Every eps's rule is built, and so checked, before any a(t) table, and
     a(t) is tabulated once per grading since it does not depend on eps:
-    every eps > 0 shares grading 2, and eps = 0 shares it unless the
-    truncation needs a harder grading.
+    an eps > 0 whose crossover eps^(1/(2h(0))) is below 1e-2 h.T shares
+    the eps = 0 grading, and every other eps > 0 shares grading 2.
     """
     eps_list = eps if np.ndim(eps) else [eps]
     _eps(eps_list, zero_ok=True)

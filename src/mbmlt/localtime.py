@@ -48,12 +48,14 @@ def delta_eps(x, eps: float):
 
     ``x`` is a d-vector or an array whose last axis is the d components;
     ``eps`` is a finite real > 0, not a bool or a string, else a ValueError.
+    Where |x|^2 / (2 eps) passes the floats the kernel is exactly 0.
     """
     _eps([eps])
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[-1]
-    sq = np.einsum("...j,...j->...", x, x)
-    out = (2.0 * np.pi * eps) ** (-d / 2.0) * np.exp(-sq / (2.0 * eps))
+    with np.errstate(over="ignore"):  # an infinite exponent gives exp(-inf) = 0
+        kernel = np.exp(-np.einsum("...j,...j->...", x, x) / (2.0 * eps))
+    out = (2.0 * np.pi * eps) ** (-d / 2.0) * kernel
     if out.ndim == 0:
         return float(out)
     return out
@@ -98,7 +100,8 @@ def local_time_mc(paths: MbmPathSet, eps: Sequence[float], N: int = 0):
         if N == 1:
             per_path[i] -= expect
         estimate = float(np.mean(per_path[i]))
-        stderr = float(np.std(per_path[i], ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        # in units of T, so the squares stay in the floats up to T = 1e250
+        stderr = float(np.std(per_path[i] / T, ddof=1) * T / np.sqrt(n)) if n > 1 else 0.0
         if not np.isfinite(estimate) or stderr < 0:
             raise NumericalError("invalid local-time estimate")
         out[:, i] = estimate, stderr, 0.0 if N == 1 else expect

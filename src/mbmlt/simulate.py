@@ -5,24 +5,21 @@ Two generators:
 * exact: one Cholesky of the correlation rho of the grid covariance,
   R_h = D rho D with D = diag(t^{h(t)}) (the factorization is the PSD
   check), then each time scaled by t^{h(t)}.  O(s^3), intended for s up to
-  ~2000: rho is one O(s^2) array expression, so at that size the
-  factorization takes most of the time.  The verification baseline.
+  ~2000.  The verification baseline.
 * wood_chan: FFT circulant embedding of the stationary increment process for
   constant Hurst index, extended to a time-varying index by simulating a
-  field of constant-index paths on Chebyshev-Lobatto Hurst nodes from
-  shared noise and interpolating in the index.  The node count is the
-  fewest, from one up, whose exactly computed variance error is at most
-  _VAR_RTOL, so constant h takes one node.  The field has low rank in
-  the index: it is compressed to the fewest amplitude modes whose exact
-  variance error is still at most _VAR_RTOL, and the node count, the mode
-  count and that error are returned with the paths.  Fast but approximate
-  for non-constant h.  Paths are synthesized in blocks of pairs, and
-  within a block the modes are streamed: each is synthesized, cumulated
-  and folded into the block's output in turn.  One generator per
-  component draws the noise block by block, Re and Im interleaved, so
-  working memory beyond the output is four block buffers of about 1 MB
-  each, not O(n_paths * M) (M the embedding size) nor
-  O(modes * n_paths * s).
+  field of constant-index paths on the 65 Chebyshev-Lobatto Hurst nodes
+  from shared noise and interpolating in the index.  The field has low
+  rank in the index: it is compressed, in one pass, to the fewest amplitude
+  modes whose exactly computed variance error is at most _VAR_RTOL, so
+  constant h takes one mode, and the mode count and that error are
+  returned with the paths.  Fast but approximate for non-constant h.
+  Paths are synthesized in blocks of pairs, and within a block the modes
+  are streamed: each is synthesized, cumulated and folded into the block's
+  output in turn.  One generator per component draws the noise block by
+  block, Re and Im interleaved, so working memory beyond the output is
+  four block buffers of about 1 MB each, not O(n_paths * M) (M the
+  embedding size) nor O(modes * n_paths * s).
 
 All randomness flows from a single 64-bit seed through numpy SeedSequence
 spawning, so output does not depend on scheduling.  It is byte-identical
@@ -53,7 +50,7 @@ __all__ = [
 #: eigenvalue floor for the circulant embedding (unit-variance increments)
 EMBED_TOL = 1e-9
 #: largest computed relative error of the Wood-Chan variance t^{2h(t)} at
-#: which the Hurst node count stops growing
+#: which the amplitude mode count stops growing
 _VAR_RTOL = 1e-4
 #: bytes of one block buffer: the complex spectrum of a block of path pairs
 #: in the Wood-Chan synthesis, the zero-padded block of paths that
@@ -90,8 +87,8 @@ class MbmPathSet:
 
     config: SimulationConfig
     values: np.ndarray  # shape (n_paths, d, s)
-    #: Wood-Chan only: the Hurst node count, the amplitude mode count (one
-    #: FFT each per block) and the computed variance error of those modes
+    #: Wood-Chan only: the amplitude mode count (one FFT each per block) and
+    #: the computed variance error of those modes
     wood_chan: dict | None = None
 
     def __post_init__(self):
@@ -173,90 +170,76 @@ def _embedding_size(H_levels, s: int) -> tuple[int, np.ndarray]:
     return m, np.clip(eigs, 0.0, None)
 
 
-def _lagrange_weights(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """W[t, k] = l_k(x_t), the Lagrange basis of the nodes in product form:
-    an x_t equal to a node gives an exact one-hot row, with no division by 0,
-    and one node gives a column of ones, the empty product."""
-    W = np.empty((len(x), len(nodes)))
-    for k, xk in enumerate(nodes):
-        others = np.delete(nodes, k)
-        W[:, k] = np.prod((x[:, None] - others) / (xk - others), axis=1)
-    return W
-
-
-def _variance_errors(W: np.ndarray, amps: np.ndarray, target: np.ndarray):
-    """Yield, for r = 1..n, max_t |Var(out_t) / target_t - 1| of the field
-    of the first r rows: out_t = sum_k W[t, k] (cumulated path of amps[k]).
-
-    The error is exact: the real paths of rows k and l have covariance
-    c_kl(j) = Re fft(a_k a_l)(j) at lag j (a the amplitudes), so cumulated
-    to time index t, (t + 1) c(0) + 2 sum_{1 <= j <= t} (t + 1 - j) c(j),
-    two cumsums.  Row r adds its pair curves with rows 0..r to the running
-    variance as each is made, so no per-pair state is kept.
-    """
-    var = np.zeros(len(target))
-    for b in range(len(amps)):
-        for a in range(b + 1):
-            c = np.fft.rfft(amps[a] * amps[b]).real[:len(target)]
-            c[1:] *= 2
-            var += ((1 + (a < b)) * W[:, a] * W[:, b]) * np.cumsum(np.cumsum(c))
-        yield float(np.max(np.abs(var / target - 1)))
+def _barycentric_weights(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """W[t, k] = l_k(x_t), the Lagrange basis of the Chebyshev-Lobatto nodes
+    in barycentric form, with the closed-form weights (-1)^k halved at both
+    ends (Berrut & Trefethen, SIAM Review 46, 2004): an x_t equal to a node
+    gives an exact one-hot row, on the first such node."""
+    w = (-1.0) ** np.arange(len(nodes))
+    w[[0, -1]] /= 2
+    diff = x[:, None] - nodes
+    hit = diff == 0
+    terms = w / np.where(hit, 1.0, diff)
+    rows = hit.any(axis=1)
+    terms[rows] = np.eye(len(nodes))[np.argmax(hit[rows], axis=1)]
+    return terms / np.sum(terms, axis=1, keepdims=True)
 
 
 def _hurst_nodes(grid: np.ndarray, hvals: np.ndarray, dt: float):
-    """Chebyshev-Lobatto Hurst nodes on [min h, max h] (node k of n at
-    lo + (hi - lo)(1 + cos(pi k / (n - 1))) / 2, the ends exact), and their
-    field compressed to R amplitude modes: the mode weights (s, R) at the
-    times, the modes (R, M) and the variance error of that field.
+    """The field of the 65 Chebyshev-Lobatto Hurst nodes on [min h, max h]
+    (node k at lo + (hi - lo)(1 + cos(pi k / 64)) / 2, the ends exact),
+    compressed to R amplitude modes: the mode weights (s, R) at the times,
+    the modes (R, M) and the variance error of that field.
 
-    n is the first of 1, 2, 3, 5, 9, 17, 33, 65 whose Lagrange field's error
-    max_t |Var(out_t) / t^{2h(t)} - 1| (_variance_errors, taken in units of
-    dt^{max h}, so free of the scale of T) is at most _VAR_RTOL, else 65.
-    Each set is taken from the 65-node one, which holds every smaller one;
-    the one-node set is [max h], weight 1, which is all that constant h
-    needs.  Every set is computed afresh.  The field has low rank in H: a
-    pivoted Gram-Schmidt on the n amplitude rows, each step taking the
-    largest remaining residual, unnormalized, as mode q_r, gives amps[k] =
-    sum_r C[k, r] q_r with |C| <= 1, and so mode weights W'[:, r] = sum_k
-    W[:, k] C[k, r].  R is the fewest leading modes whose error is at most
-    _VAR_RTOL, else n.  One node gives C = [[1.0]], the node's own
-    amplitudes and weights.  FFTs, sums and elementwise operations only, so
-    n and R do not depend on BLAS threads.
+    The field has low rank in H: each step of a pivoted Gram-Schmidt on the
+    65 amplitude rows takes the largest remaining residual, unnormalized, as
+    mode q_r, so amps[k] = sum_r C[k, r] q_r with |C| <= 1, and the mode
+    weights are W'[:, r] = sum_k W[:, k] C[k, r], W the barycentric weights.
+    R is the first count whose error max_t |Var(out_t) / t^{2h(t)} - 1|, taken
+    in units of dt^{max h}, so free of the scale of T, is at most _VAR_RTOL,
+    else 65.  The error is exact: the real paths of modes a and b have
+    covariance c_ab(j) = Re fft(q_a q_b)(j) at lag j, so cumulated to time
+    index t, (t + 1) c(0) + 2 sum_{1 <= j <= t} (t + 1 - j) c(j), two
+    cumsums; step r adds its pair curves with modes 0..r to the running
+    variance as each is made, so no per-pair state is kept.  Constant h has
+    65 equal nodes, every row one-hot on node 0, so the first step leaves a
+    residual of exactly 0: one mode, weight 1.0, the node's own amplitudes.
+    FFTs, sums and elementwise operations only, so R does not depend on BLAS
+    threads.
     """
     lo, hi = float(hvals.min()), float(hvals.max())
-    fine = lo + (hi - lo) * (1 + np.cos(np.pi * np.arange(65) / 64)) / 2
-    fine[[0, -1]] = hi, lo
-    unit = dt ** fine[:1]  # dt^{max h} by array pow; libm's scalar pow can differ by 1 ulp
+    nodes = lo + (hi - lo) * (1 + np.cos(np.pi * np.arange(65) / 64)) / 2
+    nodes[[0, -1]] = hi, lo
+    unit = dt ** nodes[:1]  # dt^{max h} by array pow; libm's scalar pow can differ by 1 ulp
     target = (_grid_scale(grid, hvals) / unit) ** 2
-    rel = dt ** (fine - hi)
-    for n in (1, 2, 3, 5, 9, 17, 33, 65):
-        pos = np.linspace(0, 64, n).astype(int)
-        m, eigs = _embedding_size(fine[pos], len(grid))
-        amps = np.sqrt(eigs / (2 * m)) * rel[pos, None]
-        W = _lagrange_weights(hvals, fine[pos])
-        *_, err = _variance_errors(W, amps, target)
-        if err <= _VAR_RTOL:
-            break
-    res, modes, weights = amps.copy(), np.empty_like(amps), np.empty_like(W)
-    for r in range(n):
+    m, eigs = _embedding_size(nodes, len(grid))
+    res = np.sqrt(eigs / (2 * m)) * (dt ** (nodes - hi))[:, None]
+    W = _barycentric_weights(hvals, nodes)
+    modes, weights = np.empty_like(res), np.empty_like(W)
+    var = np.zeros(len(grid))
+    for r in range(65):
         norms = np.sum(res * res, axis=1)
         modes[r] = res[np.argmax(norms)]
         C = np.sum(res * modes[r], axis=1) / norms.max()  # C[k, r]; 1.0 at the pivot
         res -= C[:, None] * modes[r]
         weights[:, r] = np.sum(W * C, axis=1)
-    for R, err in enumerate(_variance_errors(weights, modes, target), 1):
+        for a in range(r + 1):
+            c = np.fft.rfft(modes[a] * modes[r]).real[:len(grid)]
+            c[1:] *= 2
+            var += ((1 + (a < r)) * weights[:, a] * weights[:, r]) * np.cumsum(np.cumsum(c))
+        err = float(np.max(np.abs(var / target - 1)))
         if err <= _VAR_RTOL:
             break
-    return fine[pos], weights[:, :R], modes[:R] * unit, err
+    return weights[:, :r + 1], modes[:r + 1] * unit, err
 
 
 def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     """Field construction: constant-index paths on the Hurst nodes of
-    _hurst_nodes, Lagrange-interpolated in the index at each time, and
-    synthesized from the amplitude modes that _hurst_nodes compresses them
-    to, each with its weight per time.
+    _hurst_nodes, interpolated in the index at each time, and synthesized
+    from the amplitude modes that _hurst_nodes compresses them to, each
+    with its weight per time.
 
-    Per component one complex noise array drives every node, so paths vary
+    Per component one complex noise array drives every mode, so paths vary
     smoothly across nodes: one (n_pairs, 2M) draw from the component's
     stream read as (n_pairs, M) complex, with n_pairs = ceil(n_paths / 2)
     and M the embedding size.  Pairs of paths are synthesized in blocks of
@@ -267,18 +250,17 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
     cumulated over the s times and added to the output with weight W[:, k].
     Path 2p is the real part and path 2p + 1 the imaginary part of row p,
     so each step acts on the interleaved float view of the complex rows,
-    with amplitudes and weights doubled.  Every step acts on each row alone, so the output does not
-    depend on B.  Working memory beyond the output is four block buffers,
+    with amplitudes and weights doubled.  Every step acts on each row
+    alone, so the output does not depend on B.  Working memory beyond the output is four block buffers,
     reused for every block, component and mode: the noise and the spectrum,
     (B, M) complex; the cumulated mode and the output pairs, (B, s) complex.
 
-    Approximate for non-constant h; the result carries the node count, the
-    mode count and the variance error.  For constant h there is one node
-    and one mode with weight 1, so the result is exact in law: fBm is the
-    constant-h, d = 1 case.
+    Approximate for non-constant h; the result carries the mode count and
+    the variance error.  For constant h there is one mode with weight 1,
+    so the result is exact in law: fBm is the constant-h, d = 1 case.
     """
     s, n_paths = config.s, config.n_paths
-    nodes, W, modes, err = _hurst_nodes(config.grid, config.h(config.grid), config.h.T / s)
+    W, modes, err = _hurst_nodes(config.grid, config.h(config.grid), config.h.T / s)
     M = modes.shape[1]
     # the block's float views interleave Re and Im, so modes and per-time
     # weights are doubled
@@ -311,5 +293,4 @@ def simulate_wood_chan_mbm(config: SimulationConfig) -> MbmPathSet:
             out[0::2] = acc.real[:b]
             out[1::2] = acc.imag[:len(out) // 2]
     return MbmPathSet(config=config, values=values,
-                      wood_chan={"nodes": len(nodes), "modes": len(modes),
-                                 "var_error": err})
+                      wood_chan={"modes": len(modes), "var_error": err})

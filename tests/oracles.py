@@ -11,7 +11,11 @@ a given time rule.  local_time_mc_whole is the Monte-Carlo
 reduction with every path held at once, and chaos_pairing_every_order the
 chaos pairing with one time integral for every order up to n_max.
 wood_chan_map is the Wood-Chan field as one explicit real matrix, whose
-rows give the generator's exact covariance by a matrix product.
+rows give the generator's exact covariance by a matrix product,
+wood_chan_variance the diagonal of that covariance, and lagrange_weights
+the Lagrange basis of its Hurst nodes in product form.
+expected_local_time_hyp2f1 is the closed form of the expected local time
+for constant h, at 30 digits.
 """
 import math
 from fractions import Fraction
@@ -203,6 +207,24 @@ def local_time_mc_whole(paths, eps, N: int = 0):
     return tuple(out)
 
 
+def expected_local_time_hyp2f1(H: float, T: float, eps: float, d: int) -> float:
+    """E[L_eps(T)] for constant h = H in closed form, at 30 digits:
+
+        int_0^T (2 pi (eps + t^{2H}))^{-d/2} dt
+            = T (2 pi eps)^{-d/2} 2F1(d/2, 1/(2H); 1 + 1/(2H); -T^{2H} / eps),
+
+    from int_0^1 (1 + z u^a)^{-b} du = 2F1(b, 1/a; 1 + 1/a; -z).  mpmath's
+    exponent range is unbounded, so T^{2H} stays exact at T = 1e200.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        H, T, eps = map(mpmath.mpf, (H, T, eps))
+        b, c = mpmath.mpf(d) / 2, 1 / (2 * H)
+        return float(T * (2 * mpmath.pi * eps) ** -b
+                     * mpmath.hyp2f1(b, c, 1 + c, -T ** (2 * H) / eps))
+
+
 def h_inner_product(t: float, s: float, h) -> float:
     """Exact covariance R_h(t, s) of the process, one scalar entry:
 
@@ -271,6 +293,29 @@ def wood_chan_map(amps: np.ndarray, W: np.ndarray) -> np.ndarray:
     basis = np.hstack([np.cos(angle), np.sin(angle)])
     return sum(W[:, k, None] * np.cumsum(basis * np.tile(amps[k], 2), axis=0)
                for k in range(n))
+
+
+def wood_chan_variance(amps: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The variance at each time of the Wood-Chan field, the row sums of
+    squares of wood_chan_map(amps, W), without the (s, 2M) matrix: the
+    amplitudes scale its columns, so the map is the cumulated cosine and
+    sine bases times (W @ amps)[t, j] in column j.
+    """
+    (s, _), M = W.shape, amps.shape[1]
+    angle = 2 * np.pi * (np.outer(np.arange(s), np.arange(M)) % M) / M
+    basis = np.cumsum(np.cos(angle), axis=0) ** 2 + np.cumsum(np.sin(angle), axis=0) ** 2
+    return np.sum(basis * (W @ amps) ** 2, axis=1)
+
+
+def lagrange_weights(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """W[t, k] = l_k(x_t), the Lagrange basis of the nodes in product form:
+    an x_t equal to a node gives an exact one-hot row, with no division by 0,
+    and one node gives a column of ones, the empty product."""
+    W = np.empty((len(x), len(nodes)))
+    for k, xk in enumerate(nodes):
+        others = np.delete(nodes, k)
+        W[:, k] = np.prod((x[:, None] - others) / (xk - others), axis=1)
+    return W
 
 
 def chaos_term(rule, a: np.ndarray, n_vec) -> float:

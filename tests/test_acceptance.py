@@ -263,7 +263,7 @@ def test_criterion_10_determinism(tmp_path):
     configs = [
         ("simulate", {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 128,
                       "n_paths": 4, "seed": 7}),
-        # the Wood-Chan node count is chosen from a computed error, which must
+        # the Wood-Chan mode count is chosen from a computed error, which must
         # not depend on the thread count either
         ("simulate", {"hurst": {"linear": {"a": 0.55, "b": 0.2}}, "s": 128,
                       "n_paths": 4, "seed": 7, "method": "wood_chan"}),
@@ -274,7 +274,7 @@ def test_criterion_10_determinism(tmp_path):
         ("covariance", {"hurst": {"const": 0.7}, "T": 1e220, "s": 16}),
         ("localtime", {"hurst": {"const": 0.7}, "s": 64, "n_paths": 50,
                        "seed": 7, "eps": [0.2]}),
-        # the fft-lt command path: sin h compresses 9 Hurst nodes to 5 modes
+        # the fft-lt command path: sin h compresses its 65 Hurst nodes to 5 modes
         ("localtime", {"hurst": {"sin": {"a": 0.7, "b": 0.15, "omega": 6}},
                        "s": 256, "n_paths": 50, "seed": 7, "eps": [0.2],
                        "method": "wood_chan"}),
@@ -311,7 +311,7 @@ def test_criterion_10_determinism(tmp_path):
         if any(o != outputs[0] for o in outputs[1:]):
             failures.append(f"{command} output differs across thread counts")
         if cfg.get("method") == "wood_chan" and not (
-                outputs and {"nodes", "modes"} <= set(outputs[0]["wood_chan"] or ())):
-            failures.append("the manifest records no Wood-Chan node and mode count")
+                outputs and {"modes", "var_error"} == set(outputs[0]["wood_chan"] or ())):
+            failures.append("the manifest records no Wood-Chan mode count and error")
     _verdict(10, "determinism", not failures,
              "; ".join(failures) or "all subcommands byte-identical for threads 1, 2 and 4")

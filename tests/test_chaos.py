@@ -18,6 +18,7 @@ from mbmlt.chaos import (
     TestFunction,
     _a_table,
     _graded_nodes,
+    _grading_exponent,
     _power_term,
     _TimeRule,
     chaos_pairing,
@@ -276,8 +277,9 @@ class TestATable:
         table = _a_table(nodes, h_linear(nodes), TestFunction.zero(2))
         assert np.array_equal(table, np.zeros((len(nodes), 2)))
 
-    # the chaos-gap benchmark config: eps = 0 grades with 8.75, and every
-    # eps > 0 shares one grading-2 mesh
+    # the chaos-gap benchmark config: eps = 0 grades with 8.75, as do 1e-3
+    # and 1e-4, whose crossovers eps^(1/1.1) are below 1e-2 T; 0.1 and 0.01
+    # share one grading-2 mesh
     GAP_H = HurstFunctional.linear(0.55, 0.15)
     GAP_PHI = TestFunction((GaussianBump(1.0, 1.0, 0.3), GaussianBump(1.0, 1.5, 0.3)))
 
@@ -301,6 +303,18 @@ class TestATable:
         monkeypatch.setattr(HurstFunctional, "__call__", counting_h)
         monkeypatch.setattr(mbmlt.chaos, "_a_table", counting)
         return built
+
+    @pytest.mark.parametrize("eps, at_zero", [(1e-4, True), (1e-3, True), (1e-2, False),
+                                              (0.1, False)])
+    def test_crossover_grading(self, eps, at_zero):
+        zero = _grading_exponent(self.GAP_H, 1, 2, 0.0)
+        assert zero == pytest.approx(8.75, rel=1e-15)
+        assert _grading_exponent(self.GAP_H, 1, 2, eps) == (zero if at_zero else 2.0)
+
+    def test_crossover_grading_needs_integrable_endpoint(self):
+        # d h(0) = 2.1 > 1 at N = 0: t^e0 is not integrable at 0, so eps > 0
+        # keeps grading 2 however small its crossover
+        assert _grading_exponent(HurstFunctional.constant(0.7), 0, 3, 1e-12) == 2.0
 
     def test_convergence_builds_one_table_per_mesh(self, built):
         rows = convergence_eps(self.GAP_H, 1, self.GAP_PHI, (0.1, 0.01, 0.001, 1e-4))

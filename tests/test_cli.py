@@ -78,12 +78,13 @@ class TestSimulateCommand:
                "n_paths": 2, "method": "wood_chan"}
         code, out = _run(tmp_path, "simulate", cfg)
         assert code == 0 and (out / "paths.csv").exists()
-        # the manifest records the Hurst node count and the variance error
+        # the manifest records the amplitude mode count and the variance error
         paths = simulate(SimulationConfig(h=HurstFunctional.linear(0.55, 0.2), s=32,
                                           n_paths=2, method="wood_chan"))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["wood_chan"] == paths.wood_chan
-        assert manifest["wood_chan"]["nodes"] == 5
+        assert manifest["wood_chan"].keys() == {"modes", "var_error"}
+        assert manifest["wood_chan"]["modes"] == 4
         assert 0 < manifest["wood_chan"]["var_error"] <= 1e-4
         # the exact method has no such entry
         code, out = _run(tmp_path, "simulate", {**cfg, "method": "exact"})
@@ -212,8 +213,8 @@ class TestLocalTimeCommand:
         code, out = _run(tmp_path, "localtime", cfg)
         assert code == 0
         entry = json.loads((out / "manifest.json").read_text())["wood_chan"]
-        assert entry["nodes"] in (1, 2, 3, 5, 9, 17, 33, 65)
-        assert 1 <= entry["modes"] <= entry["nodes"]
+        assert entry.keys() == {"modes", "var_error"}
+        assert entry["modes"] == 5  # of the 65 Hurst nodes
         assert 0 <= entry["var_error"] <= 1e-4
 
     def test_eps_flag_overrides(self, tmp_path):
@@ -258,7 +259,12 @@ class TestSTransformCommand:
                "eps": [0.1, 0.01, 0.001], "test_function": spec}
         code, out = _run(tmp_path, "stransform", cfg)
         assert code == 0
-        assert len(built) == 1  # every eps > 0 uses the same mesh
+        # one table per distinct grading: 0.1 and 0.01 share grading 2, and
+        # 0.001, whose crossover 0.001^(1/1.4) = 0.0072 is below 1e-2 T,
+        # takes the eps = 0 grading
+        gammas = {mbmlt.chaos._grading_exponent(HurstFunctional.constant(0.7), 1, 1, e)
+                  for e in cfg["eps"]}
+        assert len(gammas) == len(built) == 2
         rows = (out / "stransform.csv").read_text().strip().split("\n")[1:]
         h, phi = HurstFunctional.constant(0.7), TestFunction.from_config(spec)
         for row, eps in zip(rows, cfg["eps"]):

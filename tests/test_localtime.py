@@ -10,7 +10,7 @@ from mbmlt.localtime import _check_mc_args, delta_eps, expected_local_time, loca
 from mbmlt.simulate import MbmPathSet, SimulationConfig, simulate_exact
 from mbmlt.specfun import HurstFunctional
 
-from .oracles import expected_local_time_quad, local_time_mc_whole
+from .oracles import expected_local_time_hyp2f1, expected_local_time_quad, local_time_mc_whole
 
 
 class TestDeltaEps:
@@ -39,6 +39,14 @@ class TestDeltaEps:
         for eps in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 delta_eps(np.zeros(1), eps)
+
+    @pytest.mark.parametrize("x", [1e154, 1e200])
+    def test_zero_where_the_exponent_overflows(self, x):
+        # |x|^2 / (2 eps) passes the floats at 1e154, |x|^2 itself at 1e200;
+        # the suite makes a RuntimeWarning an error
+        assert delta_eps(x, 0.1) == 0.0
+        assert delta_eps([0.0, x], 0.1) == 0.0
+        assert np.array_equal(delta_eps(np.array([[x], [-x]]), 0.1), [0.0, 0.0])
 
 
 class TestMcArgs:
@@ -102,6 +110,13 @@ class TestExpectedLocalTime:
         assert 0 < half < full
         assert half == pytest.approx(expected_local_time_quad(h_half, 0.1, 1), rel=1e-10)
 
+    @pytest.mark.parametrize("T", [1.0, 1e4, 1e8, 1e50, 1e200])
+    def test_long_horizon_matches_closed_form(self, T):
+        # past T = 1e8 the crossover 0.1^(1/1.4) is far below T, and the rule
+        # takes the eps = 0 grading; grading 2 did not converge there
+        value = expected_local_time(HurstFunctional.constant(0.7, T=T), 0.1, 1)
+        assert value == pytest.approx(expected_local_time_hyp2f1(0.7, T, 0.1, 1), rel=2e-15)
+
     def test_not_converged_raises(self, h_const_07, monkeypatch):
         # no doubling: one panel count has nothing to agree with
         monkeypatch.setattr(localtime_module, "_EXPECTATION_DOUBLINGS", 0)
@@ -147,6 +162,17 @@ class TestLocalTimeMC:
         assert raw_target[0] == shift
         assert raw[0] - cen[0] == pytest.approx(shift, rel=1e-12)
         assert cen_se[0] == pytest.approx(raw_se[0], rel=1e-12)
+
+    def test_long_horizon_stays_in_the_floats(self):
+        # at T = 1e200 a path's local time is about 1e198, whose square
+        # passes the floats; the spread is taken in units of T
+        h = HurstFunctional.constant(0.7, T=1e200)
+        paths = simulate_exact(SimulationConfig(h=h, s=64, n_paths=20, seed=3))
+        with pytest.warns(UserWarning, match="grid resolution"):
+            est, se, target = local_time_mc(paths, [0.1])
+        assert np.isfinite([est, se, target]).all() and se[0] > 0
+        assert target[0] == pytest.approx(expected_local_time_hyp2f1(0.7, 1e200, 0.1, 1),
+                                          rel=2e-15)
 
     def test_deterministic(self, h_const_07):
         paths = self._paths(h_const_07, seed=104)

@@ -12,17 +12,18 @@ from mbmlt.operator import _correlation_values, covariance_matrix
 from mbmlt.simulate import (
     MbmPathSet,
     SimulationConfig,
+    _barycentric_weights,
     _embedding_size,
     _fgn_autocov,
     _hurst_nodes,
-    _lagrange_weights,
     simulate,
     simulate_exact,
     simulate_wood_chan_mbm,
 )
 from mbmlt.specfun import HurstFunctional
 
-from .oracles import fgn_autocov, h_inner_product, wood_chan_map
+from .oracles import (fgn_autocov, h_inner_product, lagrange_weights, wood_chan_map,
+                      wood_chan_variance)
 
 
 class TestConfig:
@@ -289,7 +290,7 @@ class TestWoodChan:
 
 
 def _nodes(config):
-    """_hurst_nodes on the config's grid: nodes, mode weights, modes, error."""
+    """_hurst_nodes on the config's grid: mode weights, modes, error."""
     return _hurst_nodes(config.grid, config.h(config.grid), config.h.T / config.s)
 
 
@@ -297,7 +298,7 @@ def _materialized_wood_chan(config):
     """The field construction with every mode held at once: all modes of
     fGn, each holding the dt ** H_k of its nodes, then cumsum, then the
     dense mode weights W[:, k] summed over the modes in order."""
-    _, W, amps, _ = _nodes(config)
+    W, amps, _ = _nodes(config)
     n_pairs = (config.n_paths + 1) // 2
     streams = np.random.SeedSequence(config.seed).spawn(config.d)
     values = np.empty((config.n_paths, config.d, config.s))
@@ -346,8 +347,7 @@ class TestWoodChanStreaming:
                                         monkeypatch):
         cfg = SimulationConfig(h=self.HURST[hurst], s=s, n_paths=n_paths, d=d,
                                seed=9, method="wood_chan")
-        nodes, _, amps, _ = _nodes(cfg)
-        assert nodes[0] == cfg.h(cfg.grid).max()
+        _, amps, _ = _nodes(cfg)
         if block_pairs is not None:  # a (pairs, M) complex spectrum per block
             monkeypatch.setattr(simulate_module, "_BLOCK_BYTES",
                                 block_pairs * 16 * amps.shape[1])
@@ -358,7 +358,7 @@ class TestWoodChanStreaming:
         h = self.HURST["sin"]
         cfg = SimulationConfig(h=h, s=1024, n_paths=500, d=2, seed=1,
                                method="wood_chan")
-        assert len(_nodes(cfg)[0]) == 9
+        assert len(_nodes(cfg)[1]) == 5
         tracemalloc.start()
         try:
             values = simulate_wood_chan_mbm(cfg).values
@@ -371,19 +371,27 @@ class TestWoodChanStreaming:
     def test_one_fft_per_node_and_block(self, monkeypatch):
         cfg = SimulationConfig(h=self.HURST["steep"], s=8, n_paths=7, d=2, seed=9,
                                method="wood_chan")
-        nodes, _, amps, _ = _nodes(cfg)
+        _, amps, _ = _nodes(cfg)
         # 4 pairs in blocks of 3 and 1
         monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", 3 * 16 * amps.shape[1])
         fft, calls = np.fft.fft, []
         monkeypatch.setattr(np.fft, "fft",
                             lambda a, *args, **kw: calls.append(np.ndim(a)) or fft(a, *args, **kw))
         simulate_wood_chan_mbm(cfg)
-        # the selection computes the embedding of every node set it tries
-        # afresh, one 1-D FFT per node of each; the synthesis takes one 2-D
-        # FFT per block, component and amplitude mode
-        tried = [n for n in (1, 2, 3, 5, 9, 17, 33, 65) if n <= len(nodes)]
-        assert len(nodes) > 2 and calls.count(1) == sum(tried)
-        assert len(amps) < len(nodes) and calls.count(2) == 2 * 2 * len(amps)
+        # the selection computes one embedding, one 1-D FFT per node of the
+        # 65; the synthesis takes one 2-D FFT per block, component and
+        # amplitude mode
+        assert calls.count(1) == 65
+        assert 1 < len(amps) < 65 and calls.count(2) == 2 * 2 * len(amps)
+
+    def test_one_embedding_per_call(self, monkeypatch):
+        cfg = SimulationConfig(h=self.HURST["sin"], s=256, n_paths=3, d=2, seed=9,
+                               method="wood_chan")
+        embedding, rows = simulate_module._embedding_size, []
+        monkeypatch.setattr(simulate_module, "_embedding_size",
+                            lambda H, s: rows.append(len(H)) or embedding(H, s))
+        simulate_wood_chan_mbm(cfg)
+        assert rows == [65]
 
     @pytest.mark.parametrize("n_pairs, M, block", [(6, 8, 2), (7, 8, 3), (5, 16, 5),
                                                    (4, 8, 1)])
@@ -436,15 +444,22 @@ def _linear_grid(hvals, s, dt):
 class TestHurstNodes:
     HURST = TestWoodChanStreaming.HURST
 
+    @staticmethod
+    def _var_error(amps, W, cfg):
+        """max_t |Var / t^{2h(t)} - 1| of a field, from the explicit map."""
+        var = wood_chan_variance(amps, W)
+        return float(np.max(np.abs(var / cfg.grid ** (2 * cfg.h(cfg.grid)) - 1)))
+
     @pytest.mark.parametrize("hurst", ["const", "linear", "sin", "steep"])
     @pytest.mark.parametrize("s", [8, 16, 64])
     def test_error_matches_explicit_map(self, hurst, s):
         cfg = SimulationConfig(h=self.HURST[hurst], s=s, n_paths=2, seed=4,
                                method="wood_chan")
-        _, W, amps, err = _nodes(cfg)
+        W, amps, err = _nodes(cfg)
         A = wood_chan_map(amps, W)
         var = np.sum(A * A, axis=1)
         assert abs(err - np.max(np.abs(var / cfg.grid ** (2 * cfg.h(cfg.grid)) - 1))) <= 1e-12
+        assert np.allclose(wood_chan_variance(amps, W), var, rtol=1e-12, atol=0)
         # the map is the generator's: applied to the first noise row it gives
         # the real path 0
         noise = np.random.default_rng(
@@ -455,51 +470,67 @@ class TestHurstNodes:
 
     @pytest.mark.parametrize("hurst", ["linear", "sin", "sin20", "steep"])
     def test_node_count_is_first_passing(self, hurst):
+        # the count the one pass stops at, R modes of the 65-node field, is
+        # the first that passes: the leading R modes meet _VAR_RTOL by the
+        # explicit map, the leading R - 1 do not
         cfg = SimulationConfig(h=self.HURST[hurst], s=64, method="wood_chan")
         hvals, dt = cfg.h(cfg.grid), cfg.h.T / cfg.s
-        target = cfg.grid ** (2 * hvals)
-        nodes, W, modes, err = _nodes(cfg)
-        for n in (1, 2, 3, 5, 9, 17, 33, 65):
-            x = _lobatto(hvals.min(), hvals.max(), n)
-            A = wood_chan_map(_amplitudes(x, cfg.s, dt), _lagrange_weights(hvals, x))
-            if np.max(np.abs(np.sum(A * A, axis=1) / target - 1)) <= simulate_module._VAR_RTOL:
-                break
-        assert len(nodes) == n > 2
-        assert np.allclose(nodes, x, rtol=0, atol=1e-15)
-        # the error reported is that of the compressed field
-        A = wood_chan_map(modes, W)
-        oracle = np.max(np.abs(np.sum(A * A, axis=1) / target - 1))
-        assert err == pytest.approx(oracle, rel=0, abs=1e-12)
+        W, modes, err = _nodes(cfg)
+        R = len(modes)
+        assert R > 2 and W.shape == (cfg.s, R)
+        assert self._var_error(modes[:R - 1], W[:, :R - 1], cfg) > simulate_module._VAR_RTOL
+        assert err == pytest.approx(self._var_error(modes, W, cfg), rel=0, abs=1e-12)
+        assert err <= simulate_module._VAR_RTOL
+        # the first mode is the amplitude row of one of the 65 Lobatto nodes,
+        # the pivot of the first Gram-Schmidt step
+        amps = _amplitudes(_lobatto(hvals.min(), hvals.max(), 65), cfg.s, dt)
+        assert min(np.max(np.abs(modes[0] / a - 1)) for a in amps) <= 1e-13
 
     @pytest.mark.parametrize("hurst", [HurstFunctional.linear(0.7, 1e-9),
                                        HurstFunctional.sinusoidal(0.7, 1e-6, 6.0)],
                              ids=["linear", "sin"])
     @pytest.mark.parametrize("s", [64, 1024])
     def test_near_constant_h_takes_one_node(self, hurst, s):
-        # the one-node set [max h] is the first tried: its error, about
+        # one mode, the amplitude row of one of the 65 nodes, with weights
+        # within 1e-4 of 1: the error of that one node's field, about
         # 2 (max h - h(t)) |log t|, meets the tolerance here
         cfg = SimulationConfig(h=hurst, s=s, method="wood_chan")
         hvals = cfg.h(cfg.grid)
-        nodes, W, amps, err = _nodes(cfg)
-        assert nodes.tolist() == [hvals.max()]
-        assert np.array_equal(W, np.ones((s, 1)))
-        A = wood_chan_map(amps, W)
-        oracle = np.max(np.abs(np.sum(A * A, axis=1) / cfg.grid ** (2 * hvals) - 1))
+        W, modes, err = _nodes(cfg)
+        amps = _amplitudes(_lobatto(hvals.min(), hvals.max(), 65), s, cfg.h.T / s)
+        assert len(modes) == 1
+        assert min(np.max(np.abs(modes[0] / a - 1)) for a in amps) <= 1e-13
+        assert np.allclose(W, 1, rtol=0, atol=1e-4)
         assert err <= simulate_module._VAR_RTOL
-        assert abs(err - oracle) <= 1e-12
+        assert abs(err - self._var_error(modes, W, cfg)) <= 1e-12
 
     @pytest.mark.parametrize("hurst, n", [("sin", 9), ("steep", 17), ("wide", 65)])
     def test_fewer_modes_than_nodes(self, hurst, n):
-        # the node amplitude rows have low rank in H: at s = 1024 a few
-        # modes carry the field, and the error stays exact
+        # the node amplitude rows have low rank in H: n Lobatto nodes, the
+        # fewest of 1, 2, 3, 5, ..., 65 whose Lagrange-interpolated field
+        # meets _VAR_RTOL at s = 1024, carry the field in fewer modes, and
+        # the error stays exact
         h = self.HURST.get(hurst) or HurstFunctional.linear(0.5001, 0.4998)
         cfg = SimulationConfig(h=h, s=1024, method="wood_chan")
-        nodes, W, modes, err = _nodes(cfg)
-        assert len(nodes) == n and len(modes) <= 8
-        A = wood_chan_map(modes, W)
-        oracle = np.max(np.abs(np.sum(A * A, axis=1) / cfg.grid ** (2 * cfg.h(cfg.grid)) - 1))
+        hvals, dt = cfg.h(cfg.grid), cfg.h.T / cfg.s
+        for first in (1, 2, 3, 5, 9, 17, 33, 65):
+            x = _lobatto(hvals.min(), hvals.max(), first)
+            if self._var_error(_amplitudes(x, cfg.s, dt), lagrange_weights(hvals, x),
+                               cfg) <= simulate_module._VAR_RTOL:
+                break
+        W, modes, err = _nodes(cfg)
+        assert first == n and len(modes) <= 8
         assert err <= simulate_module._VAR_RTOL
-        assert abs(err - oracle) <= 1e-12
+        assert abs(err - self._var_error(modes, W, cfg)) <= 1e-12
+
+    def test_near_coincident_nodes(self):
+        # h varies by 1e-15, some 9 ulps of 0.7: the 65 nodes round onto a
+        # few floats, and every time hits one of them
+        cfg = SimulationConfig(h=HurstFunctional.linear(0.7, 1e-15), s=1024,
+                               method="wood_chan")
+        W, modes, err = _nodes(cfg)
+        assert np.isfinite(W).all() and len(modes) == 1
+        assert err <= simulate_module._VAR_RTOL
 
     def test_selection_keeps_no_pair_curves(self):
         # 65 nodes at s = 1024: the 2,145 pair curves of s floats would take
@@ -508,17 +539,17 @@ class TestHurstNodes:
                                method="wood_chan")
         tracemalloc.start()
         try:
-            nodes = _nodes(cfg)[0]
+            modes = _nodes(cfg)[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(nodes) == 65
+        assert len(modes) == 6
         assert peak < 8e6
 
     def test_exact_node_hit_gives_one_hot_row(self):
         x = _lobatto(0.55, 0.75, 9)
         hvals = np.array([x[0], 0.6, x[3], x[-1]])
-        W = _lagrange_weights(hvals, x)
+        W = _barycentric_weights(hvals, x)
         eye = np.eye(9)
         for row, k in ((0, 0), (2, 3), (3, 8)):
             assert np.array_equal(W[row], eye[k])
@@ -526,20 +557,33 @@ class TestHurstNodes:
         # on the grid: the times where h is at its ends
         cfg = SimulationConfig(h=self.HURST["sin"], s=64, method="wood_chan")
         hvals = cfg.h(cfg.grid)
-        nodes = _nodes(cfg)[0]  # _nodes gives mode weights, not these
-        W = _lagrange_weights(hvals, nodes)
-        assert np.array_equal(W[np.argmax(hvals)], np.eye(len(nodes))[0])
-        assert np.array_equal(W[np.argmin(hvals)], np.eye(len(nodes))[-1])
+        nodes = _lobatto(hvals.min(), hvals.max(), 65)
+        W = _barycentric_weights(hvals, nodes)
+        assert np.array_equal(W[np.argmax(hvals)], np.eye(65)[0])
+        assert np.array_equal(W[np.argmin(hvals)], np.eye(65)[-1])
+        # equal nodes: the first of them
+        assert np.array_equal(_barycentric_weights(np.array([0.7]), np.full(65, 0.7)),
+                              np.eye(65)[:1])
+
+    @pytest.mark.parametrize("hurst", ["linear", "sin", "steep"])
+    def test_barycentric_matches_product_form(self, hurst):
+        cfg = SimulationConfig(h=self.HURST[hurst], s=256, method="wood_chan")
+        hvals = cfg.h(cfg.grid)
+        nodes = _lobatto(hvals.min(), hvals.max(), 65)
+        W = _barycentric_weights(hvals, nodes)
+        assert np.max(np.abs(W - lagrange_weights(hvals, nodes))) <= 1e-12
 
     @pytest.mark.parametrize("s, n_paths, d", [(64, 4, 1), (100, 7, 2), (8, 3, 3)])
     def test_constant_h_is_the_one_level_synthesis(self, s, n_paths, d):
-        # one node, weight 1: the bytes of the constant-index synthesis,
+        # 65 equal nodes, every row one-hot on node 0, so one mode with
+        # weight 1: the bytes of the constant-index synthesis,
         # cumsum(fft(sqrt(eigs / M) dt^H zeta)), with no interpolation step
         H = 0.7
         cfg = SimulationConfig(h=HurstFunctional.constant(H), s=s, n_paths=n_paths,
                                d=d, seed=9, method="wood_chan")
         paths = simulate_wood_chan_mbm(cfg)
-        assert paths.wood_chan["nodes"] == paths.wood_chan["modes"] == 1
+        assert paths.wood_chan.keys() == {"modes", "var_error"}
+        assert paths.wood_chan["modes"] == 1
         assert paths.wood_chan["var_error"] < 1e-14
         amp = _amplitudes([H], s, 1.0 / s)[0]
         n_pairs = (n_paths + 1) // 2
@@ -557,10 +601,10 @@ class TestHurstNodes:
         cfg = SimulationConfig(h=self.HURST[hurst], s=s, method="wood_chan")
         hvals, dt = cfg.h(cfg.grid), cfg.h.T / s
         R = covariance_matrix(cfg.grid, cfg.h).values
-        nodes, W, amps, _ = _nodes(cfg)
-        # the field before its compression to modes
-        x = _lobatto(hvals.min(), hvals.max(), len(nodes))
-        lagrange = (_amplitudes(x, s, dt), _lagrange_weights(hvals, x))
+        W, amps, _ = _nodes(cfg)
+        # the 65-node field before its compression to modes
+        x = _lobatto(hvals.min(), hvals.max(), 65)
+        lagrange = (_amplitudes(x, s, dt), lagrange_weights(hvals, x))
         errors = []
         for A in (wood_chan_map(amps, W), wood_chan_map(*lagrange),
                   wood_chan_map(*_linear_grid(hvals, s, dt)[::-1])):
