@@ -16,7 +16,8 @@ truncation bound sup h < (1+2N)/(2N+d).  The chaos kernels are pure products
 of the indicator kernel under the same time integral, so the pairing with
 phi tensor powers factorizes through a(t).  Every time integral, the phi = 0
 expected_local_time included, is the density (2 pi (eps + t^{2h(t)}))^{-d/2}
-against a pairing on one graded Gauss-Legendre rule, _TimeRule.
+against a pairing on one graded Gauss-Legendre rule, _TimeRule.  The JSON
+form of a test function is cli's (cli._test_function).
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .operator import mh_indicator
-from .specfun import (HurstFunctional, _config_keys, _config_list, _eps, _hermite_functions,
-                      _real, _whole_number, require_truncation_bound, truncation_bound)
+from .specfun import (HurstFunctional, _CliParser, _eps, _hermite_functions, _whole_number,
+                      require_truncation_bound, truncation_bound)
 
 __all__ = [
     "GaussianBump",
@@ -120,29 +121,7 @@ class TestFunction:
         _whole_number(d, "d", 1)
         return cls(tuple(GaussianBump(amplitude=0.0) for _ in range(d)))
 
-    @classmethod
-    def from_config(cls, spec: dict) -> "TestFunction":
-        """Parse {"components": [{"gaussian": {...}} | {"hermite": {"coeffs"}}]}.
-
-        A gaussian takes amplitude, center and width (defaults 1, 0, 1); any
-        other key, and a component with other than one kind, is a ValueError.
-        """
-        comps = []
-        components = _config_keys(spec, ("components",), "test_function")["components"]
-        for c in _config_list(components, "test_function components"):
-            if not isinstance(c, dict) or len(c) != 1:
-                raise ValueError(f"a test-function component needs one kind, got {c!r}")
-            if "gaussian" in c:
-                g = _config_keys(c["gaussian"], ("amplitude", "center", "width"), "gaussian")
-                comps.append(GaussianBump(**{k: _real(v, f"gaussian {k}") for k, v in g.items()}))
-            elif "hermite" in c:
-                coeffs = _config_keys(c["hermite"], ("coeffs",), "hermite")["coeffs"]
-                coeffs = _config_list(coeffs, "hermite coeffs")
-                comps.append(HermiteCombination(tuple(_real(v, "hermite coefficient")
-                                                      for v in coeffs)))
-            else:
-                raise ValueError(f"unknown test-function component {c!r}")
-        return cls(tuple(comps))
+    from_config = _CliParser("_test_function")
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +329,9 @@ class _TimeRule:
             raise NumericalError("the time rule leaves the float range near t = 0")
         if not np.isfinite(self.var).all():
             raise NumericalError(f"t^(2h(t)) leaves the float range below h.T = {h.T:g}")
+        # grading 2: eps > 0 and 1 + e0 <= 0, where the density holds its mass below the
+        # crossover t^{2h(t)} = eps, or a crossover past 1e-2 h.T, beyond every first node
+        self.misses_peak = self.gamma == 2.0 and self.var[0] - eps > eps
 
     @staticmethod
     def check(h: HurstFunctional, N: int, d: int, eps: float) -> None:
@@ -360,13 +342,19 @@ class _TimeRule:
         if eps == 0.0:
             require_truncation_bound(h, N, d)
 
-    def integral(self, pairing) -> float:
-        """int_0^{h.T} base(t) pairing(t) dt; pairing is one value per node, or 1."""
+    def integral(self, pairing):
+        """int_0^{h.T} base(t) pairing(t) dt, a float for a pairing of 1 or one value
+        per node, one per row of a (points, nodes) pairing.  NumericalError where
+        the first node misses the density's peak or a value is not finite."""
+        if self.misses_peak:
+            raise NumericalError(f"the time rule's first node {self.nodes[0]:g} lies past the "
+                                 "crossover t^(2h(t)) = eps, below which the mass lies")
         with np.errstate(over="ignore", invalid="ignore"):
-            value = float(np.sum(self.weights * self.base * pairing))
-        if not math.isfinite(value):
-            raise NumericalError(f"the t-integral is {value}: its integrand leaves the floats")
-        return value
+            value = np.sum(self.weights * self.base * pairing, axis=-1)
+        bad = np.extract(~np.isfinite(value), value)
+        if bad.size:
+            raise NumericalError(f"the t-integral is {bad[0]}: its integrand leaves the floats")
+        return float(value) if value.ndim == 0 else value
 
     def exponent(self, a: np.ndarray) -> np.ndarray:
         """y = |a(t)|^2 / (2 var) at the nodes, from the a(t) table; it stays
@@ -444,8 +432,8 @@ def kernel_eval(h: HurstFunctional, N: int, index: Sequence[int], u, eps: float 
             # near 0, as y = |a|^2 / (2 var) does
             ratio = (mh_indicator(rule.hvals[:, None], rule.nodes[:, None], block)
                      / np.sqrt(rule.var)[:, None])
-            integrand = rule.weights * rule.base * np.prod(ratio, axis=2)
-            sums[start:start + _A_BLOCK] = np.sum(integrand, axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):  # past the floats: integral raises
+                sums[start:start + _A_BLOCK] = rule.integral(np.prod(ratio, axis=2))
         values = (-0.5) ** n / math.prod(map(math.factorial, half)) * sums
     return values if u.ndim == 2 else float(values[0])
 

@@ -113,16 +113,20 @@ def expected_local_time(h: HurstFunctional, eps: float, d: int) -> float:
 
     The phi = 0 S-transform, on the time rule of the chaos routes with no
     a(t) table; the panel count doubles from 48 until two successive values
-    agree.  eps = 0 requires the N = 0 truncation bound d * sup h < 1
-    (otherwise the integral diverges at t = 0: AdmissibilityError); the
-    rule checks that bound and the other arguments.
+    agree, past every rule but the last that misses the density's peak (see
+    _TimeRule.integral).  eps = 0 requires the N = 0 truncation bound
+    d * sup h < 1 (otherwise the integral diverges at t = 0:
+    AdmissibilityError); the rule checks that bound and the other arguments.
     """
     # deferred: importing localtime does not load the analytic routes
     from .chaos import _TimeRule
 
     val = np.nan
     for k in range(_EXPECTATION_DOUBLINGS + 1):
-        prev, val = val, _TimeRule(h, 0, d, eps, n_panels=48 * 2 ** k).integral(1.0)
+        rule = _TimeRule(h, 0, d, eps, n_panels=48 * 2 ** k)
+        if rule.misses_peak and k < _EXPECTATION_DOUBLINGS:
+            continue  # a finer rule may resolve the peak; the last one's integral raises
+        prev, val = val, rule.integral(1.0)
         if abs(val - prev) <= _EXPECTATION_RTOL * max(1.0, abs(val)):
             return val
     raise NumericalError(f"expected_local_time not converged: successive "

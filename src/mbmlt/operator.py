@@ -98,8 +98,9 @@ def covariance_matrix(grid, h: HurstFunctional) -> CovarianceMatrix:
 
     R is rho times the outer product of t^{h(t)}, so exactly symmetric; its
     diagonal t^{2h(t)} must be normal floats.  The O(s^3) eigenvalue check
-    dominates the O(s^2) assembly; it compares min eigenvalue / s with
-    -PSD_TOL * trace / s, which does not overflow where the trace would.
+    outlasts the O(s^2) assembly only past s ~ 1000 (one BLAS thread); it
+    compares min eigenvalue / s with -PSD_TOL * trace / s, which does not
+    overflow where the trace would.
     The exact simulator factors rho without it, by Cholesky.
     """
     grid = np.asarray(grid, dtype=float)

@@ -27,6 +27,7 @@ from mbmlt.chaos import (
     kernel_eval,
     s_transform_local_time,
 )
+from mbmlt.cli import _test_function
 from mbmlt.errors import AdmissibilityError, NumericalError
 from mbmlt.localtime import delta_eps, expected_local_time, local_time_mc
 from mbmlt.operator import mh_indicator
@@ -155,14 +156,15 @@ class TestTestFunctions:
         assert all(c(0.7) == 0.0 for c in z.components)
 
     def test_from_config(self):
-        phi = TestFunction.from_config({"components": [
+        # the JSON form of a test function is parsed by the CLI
+        phi = _test_function({"components": [
             {"gaussian": {"amplitude": 0.5, "center": 0.2, "width": 0.8}},
             {"hermite": {"coeffs": [1.0, -0.5]}},
         ]})
         assert phi.d == 2
         assert phi.components[0](0.2) == 0.5
         with pytest.raises(ValueError):
-            TestFunction.from_config({"components": [{"wavelet": {}}]})
+            _test_function({"components": [{"wavelet": {}}]})
 
     @pytest.mark.parametrize("components", [(1.0,), (GaussianBump(), lambda x: 0.0 * x)],
                              ids=["float", "callable"])
@@ -400,6 +402,14 @@ class TestSTransformLocalTime:
                     value()
         assert built == []
 
+    def test_first_node_past_the_crossover_raises(self, phi_2d):
+        # d = 2, N = 0, h = 0.7: 1 + e0 = -0.4, so the density holds its
+        # mass below the crossover 0.1^(1/1.4) = 0.19, far below the first
+        # node of the T = 1e50 rule, whose sum would be about 0
+        h = HurstFunctional.constant(0.7, T=1e50)
+        with pytest.raises(NumericalError, match="crossover"):
+            s_transform_local_time(h, 0, phi_2d, [0.1])
+
     @staticmethod
     def _on_finer_rule(h, N, phi, n_panels):
         # the eps = 0 S-transform on a time rule with more than the 48 panels
@@ -589,6 +599,19 @@ class TestKernelEval:
         # N = 2 raises the bound to 5/7 > 0.6
         assert kernel_eval(h_const_06, 2, (0, 0, 0), []) == 0.0
         assert math.isfinite(kernel_eval(h_const_06, 2, (4, 0, 0), [0.2, 0.4, 0.6, 0.8]))
+
+    def test_kernel_past_the_floats_raises(self):
+        # order 40 at u = 0: the product of the 40 indicator ratios passes
+        # the floats.  The kernel sums through the time rule's integral,
+        # which raises NumericalError with no RuntimeWarning, for one point
+        # and for a grid
+        u = np.zeros((2, 40))
+        u[1] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for points in ([0.0] * 40, u):
+                with pytest.raises(NumericalError, match="^the t-integral is inf: "):
+                    kernel_eval(HurstFunctional.constant(0.6), 1, (40,), points)
 
     def test_regularized_always_admissible(self, h_const_06):
         assert kernel_eval(h_const_06, 0, (0, 0, 0), [], eps=0.1) > 0

@@ -117,6 +117,22 @@ class TestExpectedLocalTime:
         value = expected_local_time(HurstFunctional.constant(0.7, T=T), 0.1, 1)
         assert value == pytest.approx(expected_local_time_hyp2f1(0.7, T, 0.1, 1), rel=2e-15)
 
+    @pytest.mark.parametrize("T", [1e20, 1e50])
+    def test_first_node_past_the_crossover_raises(self, T):
+        # d = 2: 1 + e0 = 1 - 2 h(0) < 0, so eps > 0 keeps grading 2 and the
+        # density holds its mass below the crossover 0.1^(1/1.4) = 0.19; every
+        # doubling's first node T v^2 lies above it.  At T = 1e50 every rule
+        # sums to about 1e-17, against 0.88, so the doublings would agree
+        with pytest.raises(NumericalError, match="crossover"):
+            expected_local_time(HurstFunctional.constant(0.7, T=T), 0.1, 2)
+
+    @pytest.mark.parametrize("T", [1e4, 1e6, 3e6])
+    def test_crossover_resolved_by_a_finer_rule(self, T):
+        # at T = 3e6 the first node of the 48-panel rule, 0.22, lies above
+        # the crossover 0.19; the doublings past it resolve the peak
+        value = expected_local_time(HurstFunctional.constant(0.7, T=T), 0.1, 2)
+        assert value == pytest.approx(expected_local_time_hyp2f1(0.7, T, 0.1, 2), rel=1e-10)
+
     def test_not_converged_raises(self, h_const_07, monkeypatch):
         # no doubling: one panel count has nothing to agree with
         monkeypatch.setattr(localtime_module, "_EXPECTATION_DOUBLINGS", 0)
