@@ -16,8 +16,7 @@ truncation bound sup h < (1+2N)/(2N+d).  The chaos kernels are pure products
 of the indicator kernel under the same time integral, so the pairing with
 phi tensor powers factorizes through a(t).  Every time integral, the phi = 0
 expected_local_time included, is the density (2 pi (eps + t^{2h(t)}))^{-d/2}
-against a pairing on one graded Gauss-Legendre rule, _TimeRule.  The JSON
-form of a test function is cli's (cli._test_function).
+against a pairing on one graded Gauss-Legendre rule, _TimeRule.
 """
 from __future__ import annotations
 
@@ -29,8 +28,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .operator import mh_indicator
-from .specfun import (HurstFunctional, _CliParser, _eps, _hermite_functions, _whole_number,
-                      require_truncation_bound, truncation_bound)
+from .specfun import (HurstFunctional, _config_keys, _config_list, _eps, _hermite_functions,
+                      _real, _whole_number, require_truncation_bound, truncation_bound)
 
 __all__ = [
     "GaussianBump",
@@ -121,7 +120,29 @@ class TestFunction:
         _whole_number(d, "d", 1)
         return cls(tuple(GaussianBump(amplitude=0.0) for _ in range(d)))
 
-    from_config = _CliParser("_test_function")
+    @classmethod
+    def from_config(cls, spec: dict) -> "TestFunction":
+        """Parse {"components": [{"gaussian": {...}} | {"hermite": {"coeffs"}}]}.
+
+        A gaussian takes amplitude, center and width (defaults 1, 0, 1); any
+        other key, and a component with other than one kind, is a ValueError.
+        """
+        comps = []
+        components = _config_keys(spec, ("components",), "test_function")["components"]
+        for c in _config_list(components, "test_function components"):
+            if not isinstance(c, dict) or len(c) != 1:
+                raise ValueError(f"a test-function component needs one kind, got {c!r}")
+            if "gaussian" in c:
+                g = _config_keys(c["gaussian"], ("amplitude", "center", "width"), "gaussian")
+                comps.append(GaussianBump(**{k: _real(v, f"gaussian {k}") for k, v in g.items()}))
+            elif "hermite" in c:
+                coeffs = _config_keys(c["hermite"], ("coeffs",), "hermite")["coeffs"]
+                coeffs = _config_list(coeffs, "hermite coeffs")
+                comps.append(HermiteCombination(tuple(_real(v, "hermite coefficient")
+                                                      for v in coeffs)))
+            else:
+                raise ValueError(f"unknown test-function component {c!r}")
+        return cls(tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +372,9 @@ class _TimeRule:
                                  "crossover t^(2h(t)) = eps, below which the mass lies")
         with np.errstate(over="ignore", invalid="ignore"):
             value = np.sum(self.weights * self.base * pairing, axis=-1)
-        bad = np.extract(~np.isfinite(value), value)
-        if bad.size:
-            raise NumericalError(f"the t-integral is {bad[0]}: its integrand leaves the floats")
+        if not np.isfinite(value).all():
+            raise NumericalError(f"the t-integral is {value[~np.isfinite(value)][0]}: "
+                                 "its integrand leaves the floats")
         return float(value) if value.ndim == 0 else value
 
     def exponent(self, a: np.ndarray) -> np.ndarray:
@@ -377,7 +398,9 @@ def s_transform_local_time(h: HurstFunctional, N: int, phi: TestFunction,
     Every eps's rule is built, and so checked, before any a(t) table, and
     a(t) is tabulated once per grading since it does not depend on eps:
     an eps > 0 whose crossover eps^(1/(2h(0))) is below 1e-2 h.T shares
-    the eps = 0 grading, and every other eps > 0 shares grading 2.
+    the eps = 0 grading, and every other eps > 0 shares grading 2.  Where
+    such an eps's crossover lies below the first node, the value is a
+    NumericalError (d = 2, N = 0, h = 0.7, eps = 0.1: from T = 3e6 on).
     """
     eps_list = eps if np.ndim(eps) else [eps]
     _eps(eps_list, zero_ok=True)

@@ -67,35 +67,11 @@ def _pinned_threads():
                 os.environ[var] = value
 
 
-def _real(value, name: str) -> float:
-    """value as a float; ValueError unless it is a number, so a JSON true is
-    not read as 1.0.  Every real-valued config entry is read with it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _config_keys(spec, allowed, name: str) -> dict:
-    """spec, if it is a JSON object whose keys all lie in allowed; otherwise
-    a ValueError that names the unknown keys."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{name} must be a JSON object, got {spec!r}")
-    unknown = sorted(set(spec) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {unknown}")
-    return spec
-
-
-def _config_list(value, name: str) -> list:
-    """value, if it is a JSON array; otherwise a ValueError that names it."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a JSON array, got {value!r}")
-    return value
-
-
 def _load_config(path: str) -> dict:
     """The config file's JSON object; a config error unless it is an object
     whose keys are all known."""
+    from .specfun import _config_keys
+
     with open(path) as fh:
         return _config_keys(json.load(fh), _CONFIG_KEYS, "config")
 
@@ -109,59 +85,17 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-def _hurst(spec, T: float = 1.0):
-    """h of {"const": H} | {"linear": {"a","b"}} | {"sin": {"a","b","omega"}}
-    on [0, T]; every parameter is required, and any other key is a ValueError."""
-    from .specfun import HurstFunctional
-
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ValueError(f"bad hurst spec: {spec!r}")
-    kind, params = next(iter(spec.items()))
-    if kind == "const":
-        return HurstFunctional.constant(_real(params, "hurst const"), T=T)
-    names = {"linear": ("a", "b"), "sin": ("a", "b", "omega")}.get(kind)
-    if names is None:
-        raise ValueError(f"unknown hurst spec kind {kind!r}")
-    params = _config_keys(params, names, f"hurst {kind}")
-    args = [_real(params[k], f"hurst {kind} {k}") for k in names]
-    if kind == "linear":
-        return HurstFunctional.linear(*args, T=T)
-    return HurstFunctional.sinusoidal(*args, T=T)
-
-
-def _test_function(spec):
-    """phi of {"components": [{"gaussian": {...}} | {"hermite": {"coeffs"}}]}: a
-    gaussian takes amplitude, center and width (defaults 1, 0, 1); any other
-    key, and a component with other than one kind, is a ValueError."""
-    from .chaos import GaussianBump, HermiteCombination, TestFunction
-
-    comps = []
-    components = _config_keys(spec, ("components",), "test_function")["components"]
-    for c in _config_list(components, "test_function components"):
-        if not isinstance(c, dict) or len(c) != 1:
-            raise ValueError(f"a test-function component needs one kind, got {c!r}")
-        if "gaussian" in c:
-            g = _config_keys(c["gaussian"], ("amplitude", "center", "width"), "gaussian")
-            comps.append(GaussianBump(**{k: _real(v, f"gaussian {k}") for k, v in g.items()}))
-        elif "hermite" in c:
-            coeffs = _config_keys(c["hermite"], ("coeffs",), "hermite")["coeffs"]
-            coeffs = _config_list(coeffs, "hermite coeffs")
-            comps.append(HermiteCombination(tuple(_real(v, "hermite coefficient")
-                                                  for v in coeffs)))
-        else:
-            raise ValueError(f"unknown test-function component {c!r}")
-    return TestFunction(tuple(comps))
-
-
 def _build(cfg: dict):
     """h, d, N and the test function, zero when absent, of the parsed config."""
     from .chaos import TestFunction
+    from .specfun import HurstFunctional, _real
 
     T = _real(cfg.get("T", 1.0), "T")
-    h = _hurst(cfg["hurst"], T=T)
+    h = HurstFunctional.from_config(cfg["hurst"], T=T)
     d = _whole(cfg.get("d", 1), "d")
     N = _whole(cfg.get("N", 0), "N")
-    phi = _test_function(cfg["test_function"]) if "test_function" in cfg else TestFunction.zero(d)
+    phi = (TestFunction.from_config(cfg["test_function"]) if "test_function" in cfg
+           else TestFunction.zero(d))
     if phi.d != d:
         raise ValueError(f"test function has {phi.d} components, d = {d}")
     return h, d, N, phi
@@ -169,6 +103,8 @@ def _build(cfg: dict):
 
 def _eps_list(cfg: dict, default: list) -> list:
     """The config's eps list, each entry a real number; default if absent."""
+    from .specfun import _config_list, _real
+
     return [_real(e, "eps") for e in _config_list(cfg.get("eps", default), "eps")]
 
 
@@ -368,7 +304,7 @@ def _cmd_kernels(cfg: dict, outdir: Path) -> dict:
     import numpy as np
 
     from .chaos import kernel_eval
-    from .specfun import _eps
+    from .specfun import _config_list, _eps, _real
 
     h, d, N, _ = _build(cfg)
     eps_list = _eps_list(cfg, [0.0])  # eps = 0: unregularized

@@ -154,8 +154,7 @@ def _fgn_autocov(H: float, m: int) -> np.ndarray:
 
 def _embedding_size(H_levels, s: int) -> tuple[int, np.ndarray]:
     """Half-size m, the power of two >= s, and the eigenvalues of the
-    circulant embedding of size 2m, clipped at 0, one row per level; equal
-    levels (the 65 nodes of constant h) share one computation.
+    circulant embedding of size 2m, clipped at 0, one row per level.
 
     For H in (1/2, 1) the fGn autocovariance is positive, decreasing and
     convex, so every embedding size is nonnegative in exact arithmetic
@@ -163,9 +162,8 @@ def _embedding_size(H_levels, s: int) -> tuple[int, np.ndarray]:
     come only from rounding, which a larger m does not cure, so it raises.
     """
     m = 1 << (s - 1).bit_length()  # power of two >= s, for FFT speed
-    levels, row = np.unique(H_levels, return_inverse=True)
-    rhos = (_fgn_autocov(H, m) for H in levels)  # each mirrored to size 2m
-    eigs = np.array([np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real for r in rhos])[row]
+    rhos = (_fgn_autocov(H, m) for H in H_levels)  # each mirrored to size 2m
+    eigs = np.array([np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real for r in rhos])
     if eigs.min() < -EMBED_TOL:
         raise NumericalError(f"circulant embedding of size {2 * m} is not "
                              f"nonnegative (min eigenvalue {eigs.min():g})")

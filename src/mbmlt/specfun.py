@@ -8,7 +8,7 @@ The Hurst function h maps [0, T] into (1/2, 1) and controls the pathwise
 regularity of the process at each time.  Admissibility is checked on a dense
 grid: the range condition (called A1 below) and, for truncated unregularized
 local times, the truncation bound sup h < (1+2N)/(2N+d), whose right-hand
-side truncation_bound gives.  The JSON form of h is cli's (cli._hurst).
+side truncation_bound gives.
 """
 from __future__ import annotations
 
@@ -120,19 +120,6 @@ def _hermite_functions(K: int, x: np.ndarray):
         yield h_cur
 
 
-class _CliParser:
-    """A class attribute read as the cli function of that name, imported only
-    then: perfbench/child.py calls the config parsers as from_config."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __get__(self, obj, owner):
-        from . import cli
-
-        return getattr(cli, self.name)
-
-
 @dataclass(frozen=True)
 class HurstFunctional:
     """The parameter function h: [0, T] -> (1/2, 1).
@@ -200,7 +187,33 @@ class HurstFunctional:
     def sinusoidal(cls, a: float, b: float, omega: float, T: float = 1.0) -> "HurstFunctional":
         return cls(T=T, eval=lambda t: a + b * np.sin(omega * t))
 
-    from_config = _CliParser("_hurst")
+    @classmethod
+    def from_config(cls, spec: dict, T: float = 1.0) -> "HurstFunctional":
+        """Parse {"const": H} | {"linear": {"a","b"}} | {"sin": {"a","b","omega"}}.
+
+        Every parameter is required, and any other key is a ValueError.
+        """
+        if not isinstance(spec, dict) or len(spec) != 1:
+            raise ValueError(f"bad hurst spec: {spec!r}")
+        kind, params = next(iter(spec.items()))
+        if kind == "const":
+            return cls.constant(_real(params, "hurst const"), T=T)
+        names = {"linear": ("a", "b"), "sin": ("a", "b", "omega")}.get(kind)
+        if names is None:
+            raise ValueError(f"unknown hurst spec kind {kind!r}")
+        params = _config_keys(params, names, f"hurst {kind}")
+        args = [_real(params[k], f"hurst {kind} {k}") for k in names]
+        if kind == "linear":
+            return cls.linear(*args, T=T)
+        return cls.sinusoidal(*args, T=T)
+
+
+def _real(value, name: str) -> float:
+    """value as a float; ValueError unless it is a number, so a JSON true is
+    not read as 1.0.  Config parsers read every real-valued entry with it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _whole_number(value, name: str, least: int) -> None:
@@ -220,6 +233,24 @@ def _eps(values, zero_ok: bool = False) -> None:
         if (isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating))
                 or not (0 <= e if zero_ok else 0 < e) or not e < math.inf):
             raise ValueError(f"eps must be a finite real {'>=' if zero_ok else '>'} 0, got {e!r}")
+
+
+def _config_keys(spec, allowed, name: str) -> dict:
+    """spec, if it is a JSON object whose keys all lie in allowed; otherwise
+    a ValueError that names the unknown keys."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{name} must be a JSON object, got {spec!r}")
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {unknown}")
+    return spec
+
+
+def _config_list(value, name: str) -> list:
+    """value, if it is a JSON array; otherwise a ValueError that names it."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    return value
 
 
 def truncation_bound(N: int, d: int) -> float:

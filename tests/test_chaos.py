@@ -27,7 +27,6 @@ from mbmlt.chaos import (
     kernel_eval,
     s_transform_local_time,
 )
-from mbmlt.cli import _test_function
 from mbmlt.errors import AdmissibilityError, NumericalError
 from mbmlt.localtime import delta_eps, expected_local_time, local_time_mc
 from mbmlt.operator import mh_indicator
@@ -156,15 +155,14 @@ class TestTestFunctions:
         assert all(c(0.7) == 0.0 for c in z.components)
 
     def test_from_config(self):
-        # the JSON form of a test function is parsed by the CLI
-        phi = _test_function({"components": [
+        phi = TestFunction.from_config({"components": [
             {"gaussian": {"amplitude": 0.5, "center": 0.2, "width": 0.8}},
             {"hermite": {"coeffs": [1.0, -0.5]}},
         ]})
         assert phi.d == 2
         assert phi.components[0](0.2) == 0.5
         with pytest.raises(ValueError):
-            _test_function({"components": [{"wavelet": {}}]})
+            TestFunction.from_config({"components": [{"wavelet": {}}]})
 
     @pytest.mark.parametrize("components", [(1.0,), (GaussianBump(), lambda x: 0.0 * x)],
                              ids=["float", "callable"])
@@ -402,11 +400,13 @@ class TestSTransformLocalTime:
                     value()
         assert built == []
 
-    def test_first_node_past_the_crossover_raises(self, phi_2d):
+    @pytest.mark.parametrize("T", [3e6, 1e50])
+    def test_first_node_past_the_crossover_raises(self, phi_2d, T):
         # d = 2, N = 0, h = 0.7: 1 + e0 = -0.4, so the density holds its
-        # mass below the crossover 0.1^(1/1.4) = 0.19, far below the first
-        # node of the T = 1e50 rule, whose sum would be about 0
-        h = HurstFunctional.constant(0.7, T=1e50)
+        # mass below the crossover 0.1^(1/1.4) = 0.19.  The first node of the
+        # 48-panel rule is 0.22 at T = 3e6, where its phi = 0 sum is 26 % above
+        # the closed form, and 7e40 at T = 1e50, where every sum is about 0
+        h = HurstFunctional.constant(0.7, T=T)
         with pytest.raises(NumericalError, match="crossover"):
             s_transform_local_time(h, 0, phi_2d, [0.1])
 

@@ -242,7 +242,7 @@ class TestSTransformCommand:
 
     def test_eps_list_shares_one_table_per_mesh(self, tmp_path, monkeypatch):
         import mbmlt.chaos
-        from mbmlt.chaos import s_transform_local_time
+        from mbmlt.chaos import TestFunction, s_transform_local_time
         from mbmlt.specfun import HurstFunctional
 
         built = []
@@ -266,7 +266,7 @@ class TestSTransformCommand:
                   for e in cfg["eps"]}
         assert len(gammas) == len(built) == 2
         rows = (out / "stransform.csv").read_text().strip().split("\n")[1:]
-        h, phi = HurstFunctional.constant(0.7), cli._test_function(spec)
+        h, phi = HurstFunctional.constant(0.7), TestFunction.from_config(spec)
         for row, eps in zip(rows, cfg["eps"]):
             value = float(row.split(",")[2])
             assert value == s_transform_local_time(h, 1, phi, eps=eps)
@@ -409,7 +409,7 @@ class TestKernelsCommand:
 
 class TestConvergeCommand:
     def test_gap_table(self, tmp_path):
-        from mbmlt.chaos import s_transform_local_time
+        from mbmlt.chaos import TestFunction, s_transform_local_time
         from mbmlt.specfun import HurstFunctional
 
         cfg = {"hurst": {"const": 0.7}, "d": 1, "N": 1, "eps": [0.1, 0.01],
@@ -424,7 +424,7 @@ class TestConvergeCommand:
         assert gaps[0] > gaps[1]
         manifest = json.loads((out / "manifest.json").read_text())
         h = HurstFunctional.constant(0.7)
-        phi = cli._test_function(cfg["test_function"])
+        phi = TestFunction.from_config(cfg["test_function"])
         limit = s_transform_local_time(h, 1, phi, eps=0.0)
         assert manifest["limit"] == limit
         assert manifest["rel_gap"] == [g / abs(limit) for g in gaps]

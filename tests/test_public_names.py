@@ -20,8 +20,7 @@ import pytest
 
 import mbmlt
 from mbmlt import chaos, localtime
-from mbmlt.cli import _CONFIG_KEYS, _THREAD_VARS, _hurst, _test_function
-from mbmlt.specfun import HurstFunctional
+from mbmlt.cli import _CONFIG_KEYS, _THREAD_VARS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mbmlt.__path__))
@@ -87,30 +86,6 @@ def test_only_the_cli_writes_files():
                 if name in _FILE_CALLS:
                     offenders.append(f"{path.name}:{node.lineno} {name}(")
     assert offenders == []
-
-
-#: the readers of config entries
-_CONFIG_READERS = {"_real", "_config_keys", "_config_list"}
-
-
-def test_only_the_cli_reads_the_config():
-    # the config format lives in cli.py: no library module defines a reader
-    # or a from_config, or imports a reader, and the two from_config names
-    # that perfbench/child.py calls are the CLI's own parsers
-    offenders = []
-    for path in PACKAGE:
-        if path.name == "cli.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.FunctionDef)
-                    and node.name in _CONFIG_READERS | {"from_config"}):
-                offenders.append(f"{path.name}:{node.lineno} def {node.name}")
-            elif isinstance(node, ast.ImportFrom):
-                offenders += [f"{path.name}:{node.lineno} import {alias.name}"
-                              for alias in node.names if alias.name in _CONFIG_READERS]
-    assert offenders == []
-    assert HurstFunctional.from_config is _hurst
-    assert chaos.TestFunction.from_config is _test_function
 
 
 def test_only_specfun_compares_against_inf():

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from mbmlt import simulate as simulate_module
-from mbmlt.cli import _hurst, main
+from mbmlt.cli import main
 from mbmlt.errors import NumericalError
 from mbmlt.operator import _correlation_values, covariance_matrix
 from mbmlt.simulate import (
@@ -87,7 +87,7 @@ class TestPathSet:
             case.mkdir()
             out = _simulate_cli(case, {"hurst": spec, "T": T, "s": s, "n_paths": n_paths,
                                        "d": d, "seed": 2, "method": "wood_chan"})
-            ps = simulate(SimulationConfig(h=_hurst(spec, T=T), s=s,
+            ps = simulate(SimulationConfig(h=HurstFunctional.from_config(spec, T=T), s=s,
                                            n_paths=n_paths, d=d, seed=2, method="wood_chan"))
             expected = ["path,t," + ",".join(f"v{j + 1}" for j in range(d))]
             for p in range(n_paths):
@@ -392,25 +392,6 @@ class TestWoodChanStreaming:
                             lambda H, s: rows.append(len(H)) or embedding(H, s))
         simulate_wood_chan_mbm(cfg)
         assert rows == [65]
-
-    def test_constant_h_makes_one_embedding(self, monkeypatch):
-        # the 65 equal nodes of constant h share one autocovariance series and
-        # FFT, and give the paths of one embedding per node
-        cfg = SimulationConfig(h=HurstFunctional.constant(0.7), s=256, n_paths=3, d=2,
-                               seed=9, method="wood_chan")
-        autocov, levels = simulate_module._fgn_autocov, []
-        monkeypatch.setattr(simulate_module, "_fgn_autocov",
-                            lambda H, m: levels.append(H) or autocov(H, m))
-        paths = simulate_wood_chan_mbm(cfg).values
-        assert levels == [0.7]
-        embedding = simulate_module._embedding_size
-
-        def per_node(H, s):
-            rows = [embedding([x], s) for x in H]
-            return rows[0][0], np.concatenate([eigs for _, eigs in rows])
-
-        monkeypatch.setattr(simulate_module, "_embedding_size", per_node)
-        assert np.array_equal(simulate_wood_chan_mbm(cfg).values, paths)
 
     @pytest.mark.parametrize("n_pairs, M, block", [(6, 8, 2), (7, 8, 3), (5, 16, 5),
                                                    (4, 8, 1)])

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as sp_gamma
 
-from mbmlt.cli import _hurst
 from mbmlt.errors import AdmissibilityError
 from mbmlt.specfun import (
     HurstFunctional,
@@ -177,15 +176,14 @@ class TestHurstFunctional:
         assert h_linear.sup == pytest.approx(0.75, abs=1e-6)
 
     def test_from_config(self):
-        # the JSON form of h is parsed by the CLI
-        h = _hurst({"const": 0.7})
+        h = HurstFunctional.from_config({"const": 0.7})
         assert h(0.3) == 0.7
-        h = _hurst({"linear": {"a": 0.55, "b": 0.2}})
+        h = HurstFunctional.from_config({"linear": {"a": 0.55, "b": 0.2}})
         assert h(0.5) == pytest.approx(0.65)
-        h = _hurst({"sin": {"a": 0.7, "b": 0.05, "omega": 3.0}})
+        h = HurstFunctional.from_config({"sin": {"a": 0.7, "b": 0.05, "omega": 3.0}})
         assert h(0.0) == pytest.approx(0.7)
         with pytest.raises(ValueError):
-            _hurst({"spline": []})
+            HurstFunctional.from_config({"spline": []})
 
     def test_out_of_horizon(self, h_const_07):
         with pytest.raises(ValueError):
